@@ -30,6 +30,7 @@ from .errors import (
     EmptyText,
     InfeasibleBudget,
     IoFailure,
+    NonFiniteRow,
     PositionMismatch,
     SelectionMismatch,
     ShapeMismatch,
@@ -149,6 +150,7 @@ __all__ = [
     "TokenTrimError",
     "ShapeMismatch",
     "ZeroNormRow",
+    "NonFiniteRow",
     "DimMismatch",
     "BadConfig",
     "EmptyText",

@@ -93,11 +93,11 @@ def bench_alignment(
     text = _random_matrix(rng, m_text, dim)
     naive = metrics.alignment_naive(tokens, text)
 
-    def fast_path():
+    def run_fast():
         ctx = metrics.build_alignment_context(text)
         return metrics.alignment_fast(tokens, ctx)
 
-    fast = fast_path()
+    fast = run_fast()
     err = float(np.max(np.abs(fast - naive)))
     tol = ALIGNMENT_ATOL + ALIGNMENT_RTOL * float(np.max(np.abs(naive)))
     if err > tol:
@@ -105,7 +105,7 @@ def bench_alignment(
             f"alignment paths disagree by {err:.3e} at n={n}, m={m_text}, dim={dim}"
         )
     t_naive = _median_seconds(lambda: metrics.alignment_naive(tokens, text), repeats)
-    t_fast = _median_seconds(fast_path, repeats)
+    t_fast = _median_seconds(run_fast, repeats)
     return BenchResult("alignment", n, dim, t_naive, t_fast, t_naive / t_fast, err)
 
 

@@ -40,7 +40,6 @@ _CONFIG_KEYS = {
     "inter_variant",
     "align_on_normalized",
     "greedy_objective",
-    "fast_path",
 }
 
 
@@ -101,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_variant_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="run the quadratic reference kernels instead of the fast paths",
-    )
-    sub.add_argument(
         "--inter-variant",
         choices=sorted(_INTER_VARIANTS),
         help="inter-image variation signal (default: global)",
@@ -143,8 +137,6 @@ def _build_config(args: argparse.Namespace) -> PruneConfig:
         fields["retention_ratio"] = None
     elif "final_tokens" in fields and fields["final_tokens"] is not None:
         fields.setdefault("retention_ratio", None)
-    if args.no_fast_path:
-        fields["fast_path"] = False
     if args.inter_variant:
         fields["inter_variant"] = _INTER_VARIANTS[args.inter_variant]
     return PruneConfig(**fields)

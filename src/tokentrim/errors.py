@@ -19,6 +19,14 @@ class ZeroNormRow(TokenTrimError):
         self.index = index
 
 
+class NonFiniteRow(TokenTrimError):
+    """A token row holds NaN or an infinity."""
+
+    def __init__(self, index: int):
+        super().__init__(f"row {index} has a non-finite value")
+        self.index = index
+
+
 class DimMismatch(TokenTrimError):
     """Two matrices that must share an embedding dimension do not."""
 
@@ -132,6 +140,7 @@ EXIT_CODES: dict[type, int] = {
     IoFailure: 27,
     BadConfig: 28,
     BenchGateFailure: 29,
+    NonFiniteRow: 30,
 }
 
 

@@ -31,9 +31,7 @@ from .types import (
     ResolvedBudgets,
     Selection,
     TokenBundle,
-    TokenMatrix,
     build_token_matrix,
-    make_bundle,
 )
 
 MAGIC = b"TTB1"
@@ -43,62 +41,45 @@ _HEADER = struct.Struct("<4sIIII")
 
 def write_bundle(bundle: TokenBundle, path) -> None:
     """Serialize a bundle to TTB1; read_bundle(write_bundle(b)) is bit-exact."""
-    counts = [img.rows for img in bundle.images]
-    parts = [
-        _HEADER.pack(MAGIC, VERSION, bundle.n_images, bundle.text.rows, bundle.dim),
-        struct.pack(f"<{len(counts)}I", *counts),
-    ]
-    parts.extend(
-        np.ascontiguousarray(img.data, dtype="<f4").tobytes()
-        for img in bundle.images
-    )
-    parts.append(np.ascontiguousarray(bundle.text.data, dtype="<f4").tobytes())
+    header = _HEADER.pack(
+        MAGIC, VERSION, bundle.n_images, bundle.text.rows, bundle.dim
+    ) + struct.pack(f"<{bundle.n_images}I", *bundle.counts)
     try:
         with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
+            fh.write(header)
+            fh.write(np.ascontiguousarray(bundle.rows.data, dtype="<f4"))
     except OSError as exc:
         raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
 
 
-def _take(buf: bytes, offset: int, nbytes: int, what: str) -> tuple[bytes, int]:
-    if offset + nbytes > len(buf):
-        raise TruncatedFile(
-            f"file ends inside {what}: need {offset + nbytes} bytes, have {len(buf)}"
-        )
-    return buf[offset : offset + nbytes], offset + nbytes
-
-
 def read_bundle(path) -> TokenBundle:
-    """Load a TTB1 bundle, validating magic, version and exact payload size."""
+    """Load a TTB1 bundle, validating magic, version and exact payload size.
+
+    The returned bundle's rows share the bytes read from the file.
+    """
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
 
-    raw, offset = _take(buf, 0, _HEADER.size, "header")
-    magic, version, n_images, n_text, dim = _HEADER.unpack(raw)
+    if len(buf) < _HEADER.size:
+        raise TruncatedFile(f"file ends inside the header at byte {len(buf)}")
+    magic, version, n_images, n_text, dim = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}, found {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported format version {version}")
-
-    raw, offset = _take(buf, offset, 4 * n_images, "per-image counts")
-    counts = struct.unpack(f"<{n_images}I", raw)
-
-    def read_matrix(rows: int, what: str) -> TokenMatrix:
-        nonlocal offset
-        raw, offset = _take(buf, offset, 4 * rows * dim, what)
-        values = np.frombuffer(raw, dtype="<f4")
-        return build_token_matrix(rows, dim, values)
-
-    images = [read_matrix(m, f"image {k} rows") for k, m in enumerate(counts)]
-    text = read_matrix(n_text, "text rows")
-    if offset != len(buf):
-        raise TruncatedFile(
-            f"{len(buf) - offset} trailing bytes after declared payload"
-        )
-    return make_bundle(images, text)
+    start = _HEADER.size + 4 * n_images
+    if len(buf) < start:
+        raise TruncatedFile(f"file ends inside the image counts at byte {len(buf)}")
+    counts = struct.unpack_from(f"<{n_images}I", buf, _HEADER.size)
+    n_rows = sum(counts) + n_text
+    end = start + 4 * n_rows * dim
+    if len(buf) != end:
+        raise TruncatedFile(f"header declares {end} bytes, file has {len(buf)}")
+    values = np.frombuffer(buf, dtype="<f4", count=n_rows * dim, offset=start)
+    return TokenBundle(build_token_matrix(n_rows, dim, values), counts)
 
 
 @dataclass(frozen=True)
@@ -165,24 +146,20 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
     else:
         protos = _unit(rng.standard_normal((spec.clusters, spec.dim)))
 
-    images = []
+    rows = []
     for _ in range(spec.n_images):
         perturb = rng.standard_normal((spec.tokens_per_image, spec.dim))
         assign = np.arange(spec.tokens_per_image) % spec.clusters
-        rows = _unit(protos[assign] + spec.noise * perturb)
-        images.append(
-            build_token_matrix(
-                spec.tokens_per_image, spec.dim, rows.astype(np.float32).ravel()
-            )
-        )
+        rows.append(_unit(protos[assign] + spec.noise * perturb).astype(np.float32))
         step = rng.standard_normal(protos.shape)
         protos = _unit(protos + spec.drift * step)
+    rows.append(rng.standard_normal((spec.text_tokens, spec.dim)).astype(np.float32))
 
-    text_rows = rng.standard_normal((spec.text_tokens, spec.dim))
-    text = build_token_matrix(
-        spec.text_tokens, spec.dim, text_rows.astype(np.float32).ravel()
+    n_rows = spec.n_images * spec.tokens_per_image + spec.text_tokens
+    return TokenBundle(
+        build_token_matrix(n_rows, spec.dim, np.concatenate(rows)),
+        (spec.tokens_per_image,) * spec.n_images,
     )
-    return make_bundle(images, text)
 
 
 def _config_block(
@@ -201,7 +178,6 @@ def _config_block(
         "inter_variant": cfg.inter_variant,
         "align_on_normalized": cfg.align_on_normalized,
         "greedy_objective": cfg.greedy_objective,
-        "fast_path": cfg.fast_path,
     }
     if budgets is not None:
         block["resolved"] = {

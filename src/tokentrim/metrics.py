@@ -22,14 +22,10 @@ from .errors import (
     TooFewTokens,
     ZeroMeanImage,
 )
-from .types import TokenBundle, TokenMatrix
+from .types import _BLOCK, TokenBundle, TokenMatrix
 
 _DEGENERATE_EPS = 1e-9
 _ZERO_MEAN_EPS = 1e-12
-
-# Row-block size for quadratic reference kernels, so an 8k-token gram
-# matrix never materializes in one piece.
-_BLOCK = 1024
 
 
 def intra_diversity_naive(img: TokenMatrix) -> float:
@@ -67,12 +63,9 @@ def intra_diversity_fast(img: TokenMatrix) -> float:
     return (n * (n - 1) - (ssq - n)) / (n * (n - 1))
 
 
-def intra_diversity_mean(
-    bundle: TokenBundle, fast: bool = True
-) -> tuple[list[float], float]:
+def intra_diversity_mean(bundle: TokenBundle) -> tuple[list[float], float]:
     """Per-image diversity plus its arithmetic mean over the bundle."""
-    f = intra_diversity_fast if fast else intra_diversity_naive
-    per_image = [f(img) for img in bundle.images]
+    per_image = [intra_diversity_fast(img) for img in bundle.images]
     return per_image, float(np.mean(per_image))
 
 

@@ -22,8 +22,6 @@ from .types import (
     Selection,
     TokenBundle,
     TokenMatrix,
-    build_token_matrix,
-    make_bundle,
     resolve_config,
 )
 
@@ -31,7 +29,7 @@ from .types import (
 def _signals(
     bundle: TokenBundle, cfg: PruneConfig, budgets: ResolvedBudgets
 ) -> RedundancyReport:
-    per_image, d_mean = metrics.intra_diversity_mean(bundle, fast=cfg.fast_path)
+    per_image, d_mean = metrics.intra_diversity_mean(bundle)
     if bundle.n_images >= 2:
         if cfg.inter_variant == "position_wise":
             steps = metrics.inter_variation_positionwise(bundle)
@@ -48,8 +46,7 @@ def _signals(
         bundle.n_images,
     )
     weights = allocation.image_weights(per_image, cfg.last_image_rule)
-    caps = [img.rows for img in bundle.images]
-    quotas = allocation.per_image_budgets(weights, m1, caps)
+    quotas = allocation.per_image_budgets(weights, m1, list(bundle.counts))
     return RedundancyReport(
         d_intra_per_image=tuple(per_image),
         d_intra_mean=d_mean,
@@ -65,16 +62,6 @@ def analyze(bundle: TokenBundle, cfg: PruneConfig) -> RedundancyReport:
     """Compute all redundancy signals and budgets without touching a token."""
     budgets = resolve_config(cfg, bundle)
     return _signals(bundle, cfg, budgets)
-
-
-def _gather_rows(bundle: TokenBundle, global_indices: list[int]) -> TokenMatrix:
-    """One matrix holding the given original-bundle rows, in list order."""
-    offsets = bundle.offsets
-    rows = np.empty((len(global_indices), bundle.dim), dtype=np.float32)
-    for pos, g in enumerate(global_indices):
-        k = int(np.searchsorted(offsets, g, side="right")) - 1
-        rows[pos] = bundle.images[k].data[g - offsets[k]]
-    return build_token_matrix(len(global_indices), bundle.dim, rows.ravel())
 
 
 def prune(
@@ -108,21 +95,17 @@ def prune(
     if budgets.m2 >= len(x1_global):
         cand_global = list(x1_global)
     else:
-        pooled = _gather_rows(bundle, x1_global)
+        pooled = bundle.rows.gather(x1_global)
         picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
         cand_global = [x1_global[p] for p in picked]
 
-    cand = _gather_rows(bundle, cand_global)
+    cand = bundle.rows.gather(cand_global)
     if cand.rows >= 2:
-        div = metrics.token_diversity_fast if cfg.fast_path else metrics.token_diversity_naive
-        v = div(cand)
+        v = metrics.token_diversity_fast(cand)
     else:
         v = np.zeros(cand.rows, dtype=np.float64)  # lone candidate: no pairs
-    if cfg.fast_path:
-        ctx = metrics.build_alignment_context(bundle.text, cfg.align_on_normalized)
-        a = metrics.alignment_fast(cand, ctx, cfg.align_on_normalized)
-    else:
-        a = metrics.alignment_naive(cand, bundle.text, cfg.align_on_normalized)
+    ctx = metrics.build_alignment_context(bundle.text, cfg.align_on_normalized)
+    a = metrics.alignment_fast(cand, ctx, cfg.align_on_normalized)
 
     points = [
         selection.ParetoPoint(index=p, v=float(v[p]), a=float(a[p]))
@@ -132,8 +115,8 @@ def prune(
     kept_global = sorted(cand_global[p] for p in kept_pos)
 
     kept_per_image: list[tuple[int, ...]] = []
-    for k, img in enumerate(bundle.images):
-        lo, hi = offsets[k], offsets[k] + img.rows
+    for lo, count in zip(offsets, bundle.counts):
+        hi = lo + count
         kept_per_image.append(tuple(g - lo for g in kept_global if lo <= g < hi))
 
     sel = Selection(
@@ -173,7 +156,7 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     offsets = bundle.offsets
     merged: list[int] = []
     for k, locals_k in enumerate(sel.kept_per_image):
-        rows_k = bundle.images[k].rows
+        rows_k = bundle.counts[k]
         for i in locals_k:
             if not 0 <= i < rows_k:
                 raise SelectionMismatch(
@@ -183,9 +166,8 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     if sorted(merged) != list(sel.kept_global):
         raise SelectionMismatch("per-image and global kept indices disagree")
 
-    images = [
-        img.gather(list(locals_k))
-        for img, locals_k in zip(bundle.images, sel.kept_per_image)
-        if locals_k
-    ]
-    return make_bundle(images, bundle.text)
+    text_rows = range(bundle.total_tokens, bundle.rows.rows)
+    return TokenBundle(
+        bundle.rows.gather([*sel.kept_global, *text_rows]),
+        tuple(len(locals_k) for locals_k in sel.kept_per_image if locals_k),
+    )

@@ -7,6 +7,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,11 +18,16 @@ from .errors import (
     BudgetUnsatisfiable,
     DimMismatch,
     EmptyText,
+    NonFiniteRow,
     ShapeMismatch,
     ZeroNormRow,
 )
 
 _ZERO_NORM_EPS = 1e-12
+
+# Row-block size for passes that widen rows to float64, so no full-size
+# float64 copy (or 8k-token gram matrix) materializes in one piece.
+_BLOCK = 1024
 
 
 def round_half_away(x: float) -> int:
@@ -35,13 +41,17 @@ class TokenMatrix:
 
     ``data`` holds one float32 row per token; ``norms_sq`` caches each
     row's squared Euclidean norm (float64) and ``unit_rows`` a unit-
-    normalized float32 copy.  Rows with norm below 1e-12 are rejected at
-    construction.
+    normalized float32 copy.  Rows with norm below 1e-12 or with a
+    non-finite value are rejected at construction.
     """
 
     data: np.ndarray
     norms_sq: np.ndarray
     unit_rows: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.data, self.norms_sq, self.unit_rows):
+            arr.setflags(write=False)
 
     @property
     def rows(self) -> int:
@@ -60,18 +70,31 @@ class TokenMatrix:
         return np.asarray(self.unit_rows, dtype=np.float64)
 
     def gather(self, indices) -> "TokenMatrix":
-        """New matrix holding the given rows, values bit-exact."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return build_token_matrix(
-            int(idx.size), self.dim, self.data[idx].ravel()
+        """The given rows in order (views for a slice); nothing is recomputed."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices, dtype=np.int64)
+        return TokenMatrix(
+            self.data[indices], self.norms_sq[indices], self.unit_rows[indices]
         )
+
+
+def _immutable(arr: np.ndarray) -> bool:
+    """True when neither the array nor any array it views can be written."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None or isinstance(arr, bytes)
 
 
 def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
     """Build a TokenMatrix from a flat row-major value buffer.
 
+    The matrix shares ``values`` when it is an immutable float32 array (for
+    example ``np.frombuffer`` over ``bytes``) and copies it otherwise.
     Raises ShapeMismatch when the buffer length is not rows*dim (or dim < 1),
-    and ZeroNormRow for the first row whose norm falls below 1e-12.
+    and ZeroNormRow or NonFiniteRow for the first row whose norm falls below
+    1e-12 or is not finite.
     """
     if dim < 1:
         raise ShapeMismatch(f"dim must be >= 1, got {dim}")
@@ -82,75 +105,89 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
         raise ShapeMismatch(
             f"expected {rows * dim} values for {rows}x{dim}, got {flat.size}"
         )
-    data = flat.reshape(rows, dim).copy()
+    data = flat.reshape(rows, dim)
+    if not _immutable(data):
+        data = data.copy()
 
-    wide = data.astype(np.float64)
-    norms_sq = np.einsum("ij,ij->i", wide, wide)
-    bad = np.flatnonzero(norms_sq < _ZERO_NORM_EPS**2)
-    if bad.size:
-        raise ZeroNormRow(int(bad[0]))
-    if rows:
-        unit = (wide / np.sqrt(norms_sq)[:, None]).astype(np.float32)
-    else:
-        unit = data.copy()
-
-    for arr in (data, norms_sq, unit):
-        arr.setflags(write=False)
+    # Widen one row block at a time so the float64 copy stays small.  A row
+    # holding NaN or +-inf has a non-finite squared norm; a finite float32
+    # row cannot overflow float64.
+    norms_sq = np.empty(rows, dtype=np.float64)
+    unit = np.empty((rows, dim), dtype=np.float32)
+    for r0 in range(0, rows, _BLOCK):
+        wide = data[r0 : r0 + _BLOCK].astype(np.float64)
+        sq = np.einsum("ij,ij->i", wide, wide)
+        bad = np.flatnonzero(~np.isfinite(sq) | (sq < _ZERO_NORM_EPS**2))
+        if bad.size:
+            i = int(bad[0])
+            if not np.isfinite(sq[i]):
+                raise NonFiniteRow(r0 + i)
+            raise ZeroNormRow(r0 + i)
+        norms_sq[r0 : r0 + len(sq)] = sq
+        np.divide(wide, np.sqrt(sq)[:, None], out=wide)
+        unit[r0 : r0 + len(sq)] = wide
     return TokenMatrix(data=data, norms_sq=norms_sq, unit_rows=unit)
 
 
 @dataclass(frozen=True, eq=False)
 class TokenBundle:
-    """One pruning instance: ordered image matrices plus one text matrix.
+    """One pruning instance: all token rows in one matrix, plus image sizes.
 
-    Every image must have at least one token; the text matrix may be empty
-    for signal-only diagnostics but the full pipeline requires text rows.
+    ``rows`` holds every image's tokens in order, then the text tokens;
+    ``counts`` the token count of each image.  ``images`` and ``text`` are
+    read-only views into ``rows``, and ``offsets`` the global index of each
+    image's first token.  Every image must have at least one token; the text
+    may be empty for signal-only diagnostics but the full pipeline requires
+    text rows.
     """
 
-    images: tuple[TokenMatrix, ...]
-    text: TokenMatrix
+    rows: TokenMatrix
+    counts: tuple[int, ...]
+    images: tuple[TokenMatrix, ...] = field(init=False, repr=False)
+    text: TokenMatrix = field(init=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.images) < 1:
+        counts = tuple(int(m) for m in self.counts)
+        if not counts:
             raise ShapeMismatch("bundle needs at least one image")
-        dim = self.images[0].dim
-        for k, img in enumerate(self.images):
-            if img.rows < 1:
-                raise ShapeMismatch(f"image {k} has no tokens")
-            if img.dim != dim:
-                raise DimMismatch(
-                    f"image {k} has dim {img.dim}, expected {dim}"
-                )
-        if self.text.dim != dim:
-            raise DimMismatch(
-                f"text has dim {self.text.dim}, expected {dim}"
+        if min(counts) < 1:
+            raise ShapeMismatch(f"image {counts.index(min(counts))} has no tokens")
+        ends = tuple(itertools.accumulate(counts))
+        if ends[-1] > self.rows.rows:
+            raise ShapeMismatch(
+                f"images need {ends[-1]} rows, matrix has {self.rows.rows}"
             )
+        offsets = (0, *ends[:-1])
+        views = [slice(lo, hi) for lo, hi in zip(offsets, ends)]
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "images", tuple(map(self.rows.gather, views)))
+        object.__setattr__(self, "text", self.rows.gather(slice(ends[-1], None)))
 
     @property
     def n_images(self) -> int:
-        return len(self.images)
+        return len(self.counts)
 
     @property
     def dim(self) -> int:
-        return self.images[0].dim
+        return self.rows.dim
 
     @property
     def total_tokens(self) -> int:
         """M_0, the total visual token count."""
-        return sum(img.rows for img in self.images)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """Global index of each image's first token."""
-        out, acc = [], 0
-        for img in self.images:
-            out.append(acc)
-            acc += img.rows
-        return tuple(out)
+        return self.rows.rows - self.text.rows
 
 
 def make_bundle(images, text: TokenMatrix) -> TokenBundle:
-    return TokenBundle(images=tuple(images), text=text)
+    """Bundle image matrices and a text matrix, copying their rows into one."""
+    images = tuple(images)
+    for k, img in enumerate(images):
+        if img.dim != text.dim:
+            raise DimMismatch(f"image {k} has dim {img.dim}, text has {text.dim}")
+    data = np.concatenate([m.data for m in (*images, text)])
+    rows = build_token_matrix(len(data), text.dim, data)
+    return TokenBundle(rows, tuple(img.rows for img in images))
 
 
 GREEDY_OBJECTIVES = ("sum_distance", "min_distance")
@@ -176,7 +213,6 @@ class PruneConfig:
     inter_variant: str = "global_mean"
     align_on_normalized: bool = False
     greedy_objective: str = "sum_distance"
-    fast_path: bool = True
 
     def __post_init__(self):
         if not (0 < self.m_min <= self.m_max):

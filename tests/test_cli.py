@@ -126,22 +126,19 @@ class TestWorkflows:
         assert doc["config"]["final_tokens"] == 12  # flag wins
         assert doc["config"]["retention_ratio"] is None
 
-    def test_no_fast_path_agrees_on_signals(self, capsys, tmp_path):
+    def test_fast_path_switch_is_gone(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path)
-        fast = tmp_path / "fast.json"
-        slow = tmp_path / "slow.json"
-        run(capsys, "analyze", "--input", str(inp), "--output", str(fast))
-        run(
-            capsys, "analyze", "--input", str(inp), "--output", str(slow),
-            "--no-fast-path",
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", str(inp), "--no-fast-path"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"fast_path": False}))
+        code, _, err = run(
+            capsys, "analyze", "--input", str(inp), "--config", str(cfg_path)
         )
-        a = json.loads(fast.read_text())["report"]
-        b = json.loads(slow.read_text())["report"]
-        np.testing.assert_allclose(
-            a["d_intra_per_image"], b["d_intra_per_image"], atol=1e-6
-        )
-        assert a["m1"] == b["m1"]
-        assert a["per_image_budgets"] == b["per_image_budgets"]
+        assert code == 28
+        assert "BadConfig" in err and "fast_path" in err
 
     def test_positionwise_variant_flag(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path)
@@ -278,6 +275,27 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "value, width, code, error",
+        [(np.nan, 1, 30, "NonFiniteRow"), (0.0, 16, 10, "ZeroNormRow")],
+    )
+    def test_bad_row_in_input(self, capsys, tmp_path, value, width, code, error):
+        inp = gen_bundle(capsys, tmp_path)  # 3 images x 40 tokens, dim 16
+        data = bytearray(inp.read_bytes())
+        row = 40 + 7  # a row of image 1
+        start = 20 + 4 * 3 + 4 * 16 * row
+        data[start : start + 4 * width] = np.full(width, value, dtype="<f4").tobytes()
+        inp.write_bytes(bytes(data))
+        for command in (
+            ["prune", "--input", str(inp), "--output", str(tmp_path / "o.json")],
+            ["analyze", "--input", str(inp)],
+        ):
+            got, _, err = run(capsys, *command)
+            assert got == code
+            assert err.startswith(
+                f"tokentrim {command[0]}: stage load-input: {error}: row {row} "
+            )
 
     def test_empty_text_exit(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path, text=0)

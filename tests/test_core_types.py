@@ -7,6 +7,7 @@ from tokentrim import (
     BadConfig,
     DimMismatch,
     EmptyText,
+    NonFiniteRow,
     PruneConfig,
     ShapeMismatch,
     TokenBundle,
@@ -56,6 +57,60 @@ class TestBuildTokenMatrix:
         with pytest.raises(ZeroNormRow) as err:
             build_token_matrix(3, 2, [1, 0, 0, 0, 0, 1])
         assert err.value.index == 1
+
+    def test_non_finite_row_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteRow) as err:
+                build_token_matrix(3, 2, [1, 0, 0, 1, bad, 1])
+            assert err.value.index == 2
+
+    def test_first_bad_row_wins(self):
+        with pytest.raises(NonFiniteRow) as err:
+            build_token_matrix(3, 2, [1, 0, np.nan, 1, 0, 0])
+        assert err.value.index == 1
+        with pytest.raises(ZeroNormRow) as err:
+            build_token_matrix(3, 2, [1, 0, 0, 0, np.nan, 1])
+        assert err.value.index == 1
+
+    def test_bad_row_in_a_later_block(self):
+        values = np.ones((2500, 3), dtype=np.float32)
+        values[2100, 1] = np.nan
+        with pytest.raises(NonFiniteRow) as err:
+            build_token_matrix(2500, 3, values)
+        assert err.value.index == 2100
+
+    def test_huge_finite_rows_accepted(self):
+        big = float(np.finfo(np.float32).max)
+        m = build_token_matrix(1, 4, [big, -big, big, big])
+        assert np.isfinite(m.norms_sq[0])
+
+    def test_blocked_build_matches_whole_matrix(self):
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((2500, 7)).astype(np.float32)
+        m = build_token_matrix(2500, 7, values)
+        wide = values.astype(np.float64)
+        norms_sq = np.einsum("ij,ij->i", wide, wide)
+        unit = (wide / np.sqrt(norms_sq)[:, None]).astype(np.float32)
+        np.testing.assert_array_equal(m.norms_sq, norms_sq)
+        np.testing.assert_array_equal(m.unit_rows, unit)
+
+    def test_shares_immutable_buffers_only(self):
+        values = np.array([1, 2, 3, 4], dtype=np.float32)
+        copied = build_token_matrix(2, 2, values)
+        values[0] = 9
+        assert copied.data[0, 0] == 1
+        frozen = np.frombuffer(values.tobytes(), dtype=np.float32)
+        assert np.shares_memory(build_token_matrix(2, 2, frozen).data, frozen)
+
+    def test_gather_reuses_cached_rows(self):
+        rng = np.random.default_rng(14)
+        m = random_matrix(rng, 9, 5)
+        g = m.gather([7, 2, 2])
+        for got, want in (
+            (g.data, m.data), (g.norms_sq, m.norms_sq), (g.unit_rows, m.unit_rows)
+        ):
+            np.testing.assert_array_equal(got, want[[7, 2, 2]])
+            assert not got.flags.writeable
 
     def test_wrong_length(self):
         with pytest.raises(ShapeMismatch):
@@ -109,6 +164,27 @@ class TestTokenBundle:
         assert b.offsets == (0, 3)
         assert b.dim == 4
 
+    def test_images_and_text_are_views_of_rows(self):
+        rng = np.random.default_rng(5)
+        imgs = [random_matrix(rng, 3, 4), random_matrix(rng, 5, 4)]
+        text = random_matrix(rng, 2, 4)
+        b = make_bundle(imgs, text)
+        assert b.rows.rows == 10 and b.counts == (3, 5)
+        for view, src in zip((*b.images, b.text), (*imgs, text)):
+            assert np.shares_memory(view.data, b.rows.data)
+            np.testing.assert_array_equal(view.data, src.data)
+            np.testing.assert_array_equal(view.norms_sq, src.norms_sq)
+            np.testing.assert_array_equal(view.unit_rows, src.unit_rows)
+
+    def test_counts_must_fit_rows(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ShapeMismatch):
+            TokenBundle(random_matrix(rng, 4, 2), (2, 3))
+        with pytest.raises(ShapeMismatch):
+            TokenBundle(random_matrix(rng, 4, 2), (2, 0))
+        b = TokenBundle(random_matrix(rng, 4, 2), (1, 2))
+        assert b.total_tokens == 3 and b.text.rows == 1
+
     def test_rejects_no_images(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ShapeMismatch):
@@ -142,7 +218,7 @@ class TestPruneConfig:
         cfg = PruneConfig()
         assert (cfg.m_min, cfg.m_max, cfg.lam, cfg.m2) == (294, 454, 0.5, 252)
         assert cfg.retention_ratio == 0.2 and cfg.final_tokens is None
-        assert cfg.last_image_rule and cfg.fast_path
+        assert cfg.last_image_rule
         assert cfg.inter_variant == "global_mean"
         assert cfg.greedy_objective == "sum_distance"
 

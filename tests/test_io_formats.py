@@ -6,15 +6,21 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokentrim import (
     BadMagic,
     BadSpec,
     BadVersion,
     IoFailure,
+    NonFiniteRow,
     PruneConfig,
+    ShapeMismatch,
     SyntheticSpec,
+    TokenTrimError,
     TruncatedFile,
+    ZeroNormRow,
     analyze,
     build_token_matrix,
     generate_synthetic,
@@ -125,6 +131,103 @@ class TestMalformedFiles:
         bundle = random_bundle(rng, [2], dim=2)
         with pytest.raises(IoFailure):
             write_bundle(bundle, tmp_path / "missing-dir" / "out.ttb")
+
+
+def ttb1_bytes(counts, n_text, dim, rows) -> bytes:
+    """A TTB1 file written by hand, so it may hold rows no bundle accepts."""
+    header = struct.pack("<4sIIII", b"TTB1", 1, len(counts), n_text, dim)
+    counts_raw = struct.pack(f"<{len(counts)}I", *counts)
+    return header + counts_raw + np.asarray(rows, dtype="<f4").tobytes()
+
+
+class TestBadRowsInFiles:
+    def rows_with(self, value, at):
+        rows = np.random.default_rng(5).standard_normal((3 + 4 + 5 + 2, 6))
+        rows[at] = value
+        return rows
+
+    def test_zero_row_reports_bundle_index(self, tmp_path):
+        path = tmp_path / "zero.ttb"
+        at = 3 + 4 + 1  # second row of image 2
+        path.write_bytes(ttb1_bytes([3, 4, 5], 2, 6, self.rows_with(0.0, at)))
+        with pytest.raises(ZeroNormRow) as err:
+            read_bundle(path)
+        assert err.value.index == at
+
+    def test_non_finite_row_reports_bundle_index(self, tmp_path):
+        for value in (np.nan, np.inf):
+            path = tmp_path / "nan.ttb"
+            rows = self.rows_with(1.0, 12)
+            rows[12, 4] = value  # one bad value in the first text row
+            path.write_bytes(ttb1_bytes([3, 4, 5], 2, 6, rows))
+            with pytest.raises(NonFiniteRow) as err:
+                read_bundle(path)
+            assert err.value.index == 12
+
+    def test_header_arithmetic_edges(self, tmp_path):
+        cases = [
+            (ShapeMismatch, ttb1_bytes([1], 0, 0, [])),  # dim 0, exact size
+            (ShapeMismatch, ttb1_bytes([], 0, 4, [])),  # no images
+            (ShapeMismatch, ttb1_bytes([0], 1, 2, [[1, 0]])),  # empty image
+            (TruncatedFile, ttb1_bytes([2**32 - 1], 0, 2, [[1, 0]])),
+            (TruncatedFile, ttb1_bytes([1], 2**32 - 1, 2**32 - 1, [[1, 0]])),
+            (
+                TruncatedFile,
+                struct.pack("<4sIIII", b"TTB1", 1, 2**32 - 1, 0, 1),
+            ),
+        ]
+        for want, payload in cases:
+            path = tmp_path / "edge.ttb"
+            path.write_bytes(payload)
+            with pytest.raises(want):
+                read_bundle(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _good_fuzz_file() -> bytes:
+    rows = np.random.default_rng(6).standard_normal((3 + 2 + 2, 4))
+    rows[0, :2] = (1.5, 1.0)  # flipping bit 6 of the top byte: NaN, +inf
+    return ttb1_bytes([3, 2], 2, 4, rows)
+
+
+GOOD_FUZZ = _good_fuzz_file()
+_PAYLOAD = 20 + 4 * 2  # header, then two image counts
+
+
+def _read_and_analyze(path, payload: bytes) -> None:
+    """Either both steps succeed or a TokenTrimError comes out."""
+    path.write_bytes(payload)
+    try:
+        analyze(read_bundle(path), PruneConfig())
+    except TokenTrimError:
+        pass
+
+
+class TestReadBundleFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        at=st.integers(0, len(GOOD_FUZZ) - 1),
+        flip=st.integers(1, 255),
+    )
+    @example(at=16, flip=4)  # dim 0
+    @example(at=11, flip=0x80)  # huge n_images
+    @example(at=15, flip=0x80)  # huge n_text
+    @example(at=20, flip=1)  # image counts no longer match the payload
+    @example(at=_PAYLOAD + 3, flip=0x40)  # NaN payload value
+    @example(at=_PAYLOAD + 7, flip=0x40)  # +inf payload value
+    def test_single_byte_flip(self, fuzz_dir, at, flip):
+        data = bytearray(GOOD_FUZZ)
+        data[at] ^= flip
+        _read_and_analyze(fuzz_dir / "flip.ttb", bytes(data))
+
+    @settings(derandomize=True, deadline=None)
+    @given(length=st.integers(0, len(GOOD_FUZZ)))
+    def test_truncation(self, fuzz_dir, length):
+        _read_and_analyze(fuzz_dir / "cut.ttb", GOOD_FUZZ[:length])
 
 
 class TestSyntheticGenerator:

@@ -123,15 +123,15 @@ class TestIntraDiversityMean:
         naive_per = [intra_diversity_naive(img) for img in b.images]
         assert mean == pytest.approx(np.mean(naive_per), abs=1e-6)
 
-    def test_naive_switch(self):
+    def test_per_image_matches_naive(self):
         rng = np.random.default_rng(12)
         b = make_bundle(
             [random_matrix(rng, 10, 8) for _ in range(3)],
             random_matrix(rng, 2, 8),
         )
-        per_fast, _ = intra_diversity_mean(b, fast=True)
-        per_naive, _ = intra_diversity_mean(b, fast=False)
-        np.testing.assert_allclose(per_fast, per_naive, atol=1e-6)
+        per, _ = intra_diversity_mean(b)
+        naive_per = [intra_diversity_naive(img) for img in b.images]
+        np.testing.assert_allclose(per, naive_per, atol=1e-6)
 
 
 class TestInterVariation:
