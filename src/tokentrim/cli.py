@@ -29,19 +29,6 @@ def _enter(stage: str) -> None:
 
 _INTER_VARIANTS = {"global": "global_mean", "positionwise": "position_wise"}
 
-_CONFIG_KEYS = {
-    "m_min",
-    "m_max",
-    "lambda",
-    "m2",
-    "final_tokens",
-    "retention_ratio",
-    "last_image_rule",
-    "inter_variant",
-    "align_on_normalized",
-    "greedy_objective",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -59,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--final", type=int, help="absolute final token budget")
     prune.add_argument(
         "--emit-pruned", help="also write the pruned bundle as TTB1 here"
-    )
-    prune.add_argument(
-        "--threads", type=int, default=1, help="stage-1 worker threads"
     )
     _add_variant_flags(prune)
 
@@ -107,6 +91,7 @@ def _add_variant_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_config_file(path: str) -> dict:
+    """The file's settings, keyed by PruneConfig field name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -116,17 +101,15 @@ def _load_config_file(path: str) -> dict:
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(io_formats.CONFIG_FIELDS)
     if unknown:
         raise BadConfig(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    return {io_formats.CONFIG_FIELDS[key]: value for key, value in raw.items()}
 
 
 def _build_config(args: argparse.Namespace) -> PruneConfig:
     """Defaults, overridden by --config file, overridden by flags."""
     fields = _load_config_file(args.config) if args.config else {}
-    if "lambda" in fields:
-        fields["lam"] = fields.pop("lambda")
     ratio = getattr(args, "ratio", None)
     final = getattr(args, "final", None)
     if ratio is not None:
@@ -162,7 +145,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     _enter("resolve-config")
     budgets = resolve_config(cfg, bundle, require_text=True)
     _enter("prune")
-    report, sel = pipeline.prune(bundle, cfg, threads=args.threads)
+    report, sel = pipeline.prune(bundle, cfg)
     _enter("write-output")
     io_formats.write_result(report, sel, args.output, cfg, budgets)
     if args.emit_pruned:

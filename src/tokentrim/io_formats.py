@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from .types import (
 MAGIC = b"TTB1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
+
+# JSON key -> PruneConfig field, in field order; only ``lam`` is renamed.
+CONFIG_FIELDS = {
+    {"lam": "lambda"}.get(f.name, f.name): f.name for f in fields(PruneConfig)
+}
 
 
 def write_bundle(bundle: TokenBundle, path) -> None:
@@ -167,26 +172,9 @@ def _config_block(
 ) -> dict | None:
     if cfg is None:
         return None
-    block = {
-        "m_min": cfg.m_min,
-        "m_max": cfg.m_max,
-        "lambda": cfg.lam,
-        "m2": cfg.m2,
-        "final_tokens": cfg.final_tokens,
-        "retention_ratio": cfg.retention_ratio,
-        "last_image_rule": cfg.last_image_rule,
-        "inter_variant": cfg.inter_variant,
-        "align_on_normalized": cfg.align_on_normalized,
-        "greedy_objective": cfg.greedy_objective,
-    }
+    block = {key: getattr(cfg, name) for key, name in CONFIG_FIELDS.items()}
     if budgets is not None:
-        block["resolved"] = {
-            "m0": budgets.m0,
-            "m_min": budgets.m_min,
-            "m_max": budgets.m_max,
-            "m2": budgets.m2,
-            "m_final": budgets.m_final,
-        }
+        block["resolved"] = asdict(budgets)
     return block
 
 

@@ -22,10 +22,13 @@ from .errors import (
     TooFewTokens,
     ZeroMeanImage,
 )
-from .types import _BLOCK, TokenBundle, TokenMatrix
+from .types import TokenBundle, TokenMatrix
 
 _DEGENERATE_EPS = 1e-9
 _ZERO_MEAN_EPS = 1e-12
+
+# Row block of the quadratic references: no 8k-token gram in one piece.
+_BLOCK = 1024
 
 
 def intra_diversity_naive(img: TokenMatrix) -> float:
@@ -79,7 +82,7 @@ def inter_variation_steps(bundle: TokenBundle) -> list[float]:
     """
     means = []
     for k, img in enumerate(bundle.images, start=1):
-        mu = img.raw64().mean(axis=0)
+        mu = img.data.mean(axis=0, dtype=np.float64)
         norm = float(np.linalg.norm(mu))
         if norm < _ZERO_MEAN_EPS:
             raise ZeroMeanImage(k)
@@ -149,9 +152,13 @@ def build_alignment_context(
     """Aggregate the text matrix for the fast alignment path."""
     if text.rows < 1:
         raise EmptyText("alignment needs at least one text token")
-    rows = text.unit64() if on_normalized else text.raw64()
-    mu = rows.mean(axis=0)
-    c = float(np.einsum("ij,ij->i", rows, rows).mean())
+    if on_normalized:
+        rows = text.unit64()
+        mu = rows.mean(axis=0)
+        c = float(np.einsum("ij,ij->i", rows, rows).mean())
+    else:
+        mu = text.data.mean(axis=0, dtype=np.float64)
+        c = float(text.norms_sq.mean())
     mu.setflags(write=False)
     return AlignmentContext(mu_t=mu, c_t=c, m_text=text.rows)
 
@@ -170,8 +177,10 @@ def alignment_naive(
         )
     if text.rows < 1:
         raise EmptyText("alignment needs at least one text token")
-    xs = tokens.unit64() if on_normalized else tokens.raw64()
-    ts = text.unit64() if on_normalized else text.raw64()
+    if on_normalized:
+        xs, ts = tokens.unit64(), text.unit64()
+    else:
+        xs, ts = tokens.data.astype(np.float64), text.data.astype(np.float64)
     out = np.empty(tokens.rows, dtype=np.float64)
     for r0 in range(0, tokens.rows, _BLOCK):
         block = xs[r0 : r0 + _BLOCK]
@@ -197,8 +206,7 @@ def alignment_fast(
         xs = tokens.unit64()
         norms_sq = np.einsum("ij,ij->i", xs, xs)
     else:
-        xs = tokens.raw64()
-        norms_sq = np.asarray(tokens.norms_sq, dtype=np.float64)
+        xs, norms_sq = tokens.data, tokens.norms_sq
     return -norms_sq - ctx.c_t + 2.0 * (xs @ ctx.mu_t)
 
 

@@ -1,15 +1,18 @@
 """Validated embedding containers, configuration and result records.
 
-Embeddings are stored as 32-bit floats; every derived reduction (norms,
-sums, dot products) accumulates in 64-bit.  All containers are immutable
-after construction and safe to share across threads.
+Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
+squared norm; unit rows are derived in 64-bit where a kernel needs them, and
+every reduction (norms, sums, dot products) accumulates in 64-bit.  All
+containers are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,10 +28,6 @@ from .errors import (
 
 _ZERO_NORM_EPS = 1e-12
 
-# Row-block size for passes that widen rows to float64, so no full-size
-# float64 copy (or 8k-token gram matrix) materializes in one piece.
-_BLOCK = 1024
-
 
 def round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero."""
@@ -39,18 +38,16 @@ def round_half_away(x: float) -> int:
 class TokenMatrix:
     """A dense row-major matrix of token embeddings.
 
-    ``data`` holds one float32 row per token; ``norms_sq`` caches each
-    row's squared Euclidean norm (float64) and ``unit_rows`` a unit-
-    normalized float32 copy.  Rows with norm below 1e-12 or with a
-    non-finite value are rejected at construction.
+    ``data`` holds one float32 row per token and ``norms_sq`` each row's
+    squared Euclidean norm, accumulated in float64.  Rows with norm below
+    1e-12 or with a non-finite value are rejected at construction.
     """
 
     data: np.ndarray
     norms_sq: np.ndarray
-    unit_rows: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.data, self.norms_sq, self.unit_rows):
+        for arr in (self.data, self.norms_sq):
             arr.setflags(write=False)
 
     @property
@@ -61,21 +58,17 @@ class TokenMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def raw64(self) -> np.ndarray:
-        """Raw rows widened to float64."""
-        return np.asarray(self.data, dtype=np.float64)
-
     def unit64(self) -> np.ndarray:
-        """Unit rows widened to float64."""
-        return np.asarray(self.unit_rows, dtype=np.float64)
+        """A fresh float64 copy of the rows scaled to unit norm."""
+        unit = self.data.astype(np.float64)
+        unit /= np.sqrt(self.norms_sq)[:, None]
+        return unit
 
     def gather(self, indices) -> "TokenMatrix":
         """The given rows in order (views for a slice); nothing is recomputed."""
         if not isinstance(indices, slice):
             indices = np.asarray(indices, dtype=np.int64)
-        return TokenMatrix(
-            self.data[indices], self.norms_sq[indices], self.unit_rows[indices]
-        )
+        return TokenMatrix(self.data[indices], self.norms_sq[indices])
 
 
 def _immutable(arr: np.ndarray) -> bool:
@@ -109,24 +102,17 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
     if not _immutable(data):
         data = data.copy()
 
-    # Widen one row block at a time so the float64 copy stays small.  A row
-    # holding NaN or +-inf has a non-finite squared norm; a finite float32
-    # row cannot overflow float64.
-    norms_sq = np.empty(rows, dtype=np.float64)
-    unit = np.empty((rows, dim), dtype=np.float32)
-    for r0 in range(0, rows, _BLOCK):
-        wide = data[r0 : r0 + _BLOCK].astype(np.float64)
-        sq = np.einsum("ij,ij->i", wide, wide)
-        bad = np.flatnonzero(~np.isfinite(sq) | (sq < _ZERO_NORM_EPS**2))
-        if bad.size:
-            i = int(bad[0])
-            if not np.isfinite(sq[i]):
-                raise NonFiniteRow(r0 + i)
-            raise ZeroNormRow(r0 + i)
-        norms_sq[r0 : r0 + len(sq)] = sq
-        np.divide(wide, np.sqrt(sq)[:, None], out=wide)
-        unit[r0 : r0 + len(sq)] = wide
-    return TokenMatrix(data=data, norms_sq=norms_sq, unit_rows=unit)
+    # einsum widens in small buffered chunks, so no float64 copy of the rows
+    # materializes.  A row holding NaN or +-inf has a non-finite squared
+    # norm; a finite float32 row cannot overflow float64.
+    norms_sq = np.einsum("ij,ij->i", data, data, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(norms_sq) | (norms_sq < _ZERO_NORM_EPS**2))
+    if bad.size:
+        i = int(bad[0])
+        if not np.isfinite(norms_sq[i]):
+            raise NonFiniteRow(i)
+        raise ZeroNormRow(i)
+    return TokenMatrix(data=data, norms_sq=norms_sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +176,31 @@ def make_bundle(images, text: TokenMatrix) -> TokenBundle:
     return TokenBundle(rows, tuple(img.rows for img in images))
 
 
+def _typed(name: str, annotation: str, value):
+    """``value`` checked against a field annotation such as "int | None".
+
+    int and float fields take integral and finite real numbers (never a
+    bool), stored as int and float; bool and str fields take only their own
+    type; an ``X | None`` field also takes None.  Anything else: BadConfig.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    if isinstance(value, {"bool": bool, "str": str}.get(kind, ())):
+        return value
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind == "int" and number and isinstance(value, numbers.Integral):
+        return int(value)
+    if kind == "float" and number:
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    finite = " and finite" if kind == "float" else ""
+    raise BadConfig(f"{name} must be of type {annotation}{finite}, got {value!r}")
+
+
 GREEDY_OBJECTIVES = ("sum_distance", "min_distance")
 INTER_VARIANTS = ("global_mean", "position_wise")
 
@@ -201,6 +212,8 @@ class PruneConfig:
     Exactly one of ``final_tokens`` (absolute count) and ``retention_ratio``
     (fraction of the original token count) must be set.  Budgets here are
     nominal; :func:`resolve_config` clamps them against a concrete bundle.
+    A value of the wrong type (a bool or float count, a string or
+    non-finite number, a non-bool flag) raises BadConfig.
     """
 
     m_min: int = 294
@@ -215,6 +228,10 @@ class PruneConfig:
     greedy_objective: str = "sum_distance"
 
     def __post_init__(self):
+        # Annotations are text here (postponed evaluation), e.g. "int | None".
+        for f in fields(self):
+            checked = _typed(f.name, f.type, getattr(self, f.name))
+            object.__setattr__(self, f.name, checked)
         if not (0 < self.m_min <= self.m_max):
             raise BadConfig(
                 f"need 0 < m_min <= m_max, got ({self.m_min}, {self.m_max})"

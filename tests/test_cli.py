@@ -261,6 +261,40 @@ class TestExitCodes:
         )
         assert code == 27
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"final_tokens": 10.5, "retention_ratio": null}',
+            '{"m2": 7.5}',
+            '{"lambda": "0.5"}',
+            '{"retention_ratio": "0.2"}',
+            '{"last_image_rule": "no"}',
+            '{"m_min": true, "m_max": 30}',
+            '{"lambda": 1e400}',
+        ],
+    )
+    def test_mistyped_config_value(self, capsys, tmp_path, text):
+        inp = gen_bundle(capsys, tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code, _, err = run(
+            capsys, "prune", "--input", str(inp),
+            "--output", str(tmp_path / "out.json"), "--config", str(cfg_path),
+        )
+        assert code == 28
+        assert err.startswith("tokentrim prune: stage configure: BadConfig:")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_threads_flag_is_gone(self, capsys, tmp_path):
+        inp = gen_bundle(capsys, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "prune", "--input", str(inp), "--output",
+                str(tmp_path / "out.json"), "--threads", "2",
+            ])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_mutually_exclusive_budget_flags(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -1,5 +1,7 @@
 """Container construction, validation and budget resolution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ class TestBuildTokenMatrix:
     def test_three_four_five(self):
         m = build_token_matrix(1, 3, [3, 0, 4])
         assert m.norms_sq[0] == pytest.approx(25.0)
-        np.testing.assert_allclose(m.unit_rows[0], [0.6, 0.0, 0.8], rtol=1e-6)
+        np.testing.assert_allclose(m.unit64()[0], [0.6, 0.0, 0.8], rtol=1e-12)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroNormRow) as err:
@@ -90,9 +92,8 @@ class TestBuildTokenMatrix:
         m = build_token_matrix(2500, 7, values)
         wide = values.astype(np.float64)
         norms_sq = np.einsum("ij,ij->i", wide, wide)
-        unit = (wide / np.sqrt(norms_sq)[:, None]).astype(np.float32)
         np.testing.assert_array_equal(m.norms_sq, norms_sq)
-        np.testing.assert_array_equal(m.unit_rows, unit)
+        np.testing.assert_array_equal(m.unit64(), wide / np.sqrt(norms_sq)[:, None])
 
     def test_shares_immutable_buffers_only(self):
         values = np.array([1, 2, 3, 4], dtype=np.float32)
@@ -106,11 +107,10 @@ class TestBuildTokenMatrix:
         rng = np.random.default_rng(14)
         m = random_matrix(rng, 9, 5)
         g = m.gather([7, 2, 2])
-        for got, want in (
-            (g.data, m.data), (g.norms_sq, m.norms_sq), (g.unit_rows, m.unit_rows)
-        ):
+        for got, want in ((g.data, m.data), (g.norms_sq, m.norms_sq)):
             np.testing.assert_array_equal(got, want[[7, 2, 2]])
             assert not got.flags.writeable
+        np.testing.assert_array_equal(g.unit64(), m.unit64()[[7, 2, 2]])
 
     def test_wrong_length(self):
         with pytest.raises(ShapeMismatch):
@@ -138,16 +138,16 @@ class TestBuildTokenMatrix:
         rng = np.random.default_rng(12)
         for _ in range(50):
             m = random_matrix(rng, int(rng.integers(1, 60)), int(rng.integers(2, 80)))
-            wide = m.raw64()
+            wide = m.data.astype(np.float64)
             np.testing.assert_allclose(
                 m.norms_sq, np.einsum("ij,ij->i", wide, wide), rtol=1e-6
             )
             unit_norms = np.linalg.norm(m.unit64(), axis=1)
-            assert np.all(np.abs(unit_norms - 1.0) <= 1e-6)
+            assert np.all(np.abs(unit_norms - 1.0) <= 1e-12)
 
     def test_arrays_read_only(self):
         m = build_token_matrix(1, 2, [1, 2])
-        for arr in (m.data, m.norms_sq, m.unit_rows):
+        for arr in (m.data, m.norms_sq):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -174,7 +174,7 @@ class TestTokenBundle:
             assert np.shares_memory(view.data, b.rows.data)
             np.testing.assert_array_equal(view.data, src.data)
             np.testing.assert_array_equal(view.norms_sq, src.norms_sq)
-            np.testing.assert_array_equal(view.unit_rows, src.unit_rows)
+            np.testing.assert_array_equal(view.unit64(), src.unit64())
 
     def test_counts_must_fit_rows(self):
         rng = np.random.default_rng(6)
@@ -255,6 +255,32 @@ class TestPruneConfig:
             PruneConfig(m2=0)
         with pytest.raises(BadConfig):
             PruneConfig(final_tokens=0, retention_ratio=None)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"final_tokens": 10.5, "retention_ratio": None},
+            {"m2": 7.5},
+            {"m_min": True, "m_max": 30},
+            {"lam": "0.5"},
+            {"lam": True},
+            {"lam": math.inf},
+            {"lam": math.nan},
+            {"lam": 10**400},
+            {"retention_ratio": "0.2"},
+            {"last_image_rule": "no"},
+            {"align_on_normalized": 1},
+            {"inter_variant": None},
+        ],
+    )
+    def test_rejects_wrong_types(self, kwargs):
+        with pytest.raises(BadConfig):
+            PruneConfig(**kwargs)
+
+    def test_numpy_numbers_become_builtins(self):
+        cfg = PruneConfig(m_min=np.int64(3), m_max=np.int32(9), lam=np.float32(0.5))
+        assert (cfg.m_min, cfg.m_max, cfg.lam) == (3, 9, 0.5)
+        assert (type(cfg.m_min), type(cfg.m_max), type(cfg.lam)) == (int, int, float)
 
 
 def bundle_with_tokens(rng, total, dim=8, n_images=3):

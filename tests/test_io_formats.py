@@ -346,6 +346,11 @@ class TestResultDocuments:
 
         assert doc["config"]["lambda"] == cfg.lam
         assert doc["config"]["resolved"]["m_final"] == 10
+        assert list(doc["config"]) == [
+            "m_min", "m_max", "lambda", "m2", "final_tokens", "retention_ratio",
+            "last_image_rule", "inter_variant", "align_on_normalized",
+            "greedy_objective", "resolved",
+        ]
         rep = doc["report"]
         np.testing.assert_allclose(
             rep["d_intra_per_image"], report.d_intra_per_image, rtol=1e-9

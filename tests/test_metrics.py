@@ -276,7 +276,7 @@ class TestAlignment:
         rng = np.random.default_rng(19)
         text = random_matrix(rng, 12, 7)
         ctx = build_alignment_context(text)
-        wide = text.raw64()
+        wide = text.data.astype(np.float64)
         np.testing.assert_allclose(ctx.mu_t, wide.mean(axis=0), atol=1e-9)
         assert ctx.c_t == pytest.approx(
             float(np.mean(np.sum(wide * wide, axis=1))), abs=1e-9
