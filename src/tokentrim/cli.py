@@ -15,7 +15,7 @@ import sys
 from . import bench as bench_mod
 from . import io_formats, pipeline
 from .errors import BadConfig, IoFailure, TokenTrimError, exit_code_for
-from .types import PruneConfig, resolve_config
+from .types import CONFIG_FIELDS, PruneConfig, resolve_config
 
 _ENV_SEED = "TOKENTRIM_SEED"
 
@@ -101,10 +101,10 @@ def _load_config_file(path: str) -> dict:
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(io_formats.CONFIG_FIELDS)
+    unknown = set(raw) - set(CONFIG_FIELDS)
     if unknown:
         raise BadConfig(f"unknown config keys: {sorted(unknown)}")
-    return {io_formats.CONFIG_FIELDS[key]: value for key, value in raw.items()}
+    return {CONFIG_FIELDS[key]: value for key, value in raw.items()}
 
 
 def _build_config(args: argparse.Namespace) -> PruneConfig:
@@ -165,15 +165,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = pipeline.analyze(bundle, cfg)
     _enter("write-output")
     doc = io_formats.report_document(report, cfg, budgets)
-    text = json.dumps(doc, indent=2)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write report to {args.output}: {exc}") from exc
+        io_formats.write_json(doc, args.output, "report")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2))
     return 0
 
 
@@ -231,12 +226,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(_format_table(results))
     doc = {"results": [vars(r) | {"floor": bench_mod.SPEEDUP_FLOORS[r.kernel]} for r in results]}
     if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write bench JSON to {args.json}: {exc}") from exc
+        io_formats.write_json(doc, args.json, "bench JSON")
     else:
         print(json.dumps(doc, indent=2))
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     TruncatedFile,
 )
 from .types import (
+    CONFIG_FIELDS,
     PruneConfig,
     RedundancyReport,
     ResolvedBudgets,
@@ -37,11 +38,6 @@ from .types import (
 MAGIC = b"TTB1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
-
-# JSON key -> PruneConfig field, in field order; only ``lam`` is renamed.
-CONFIG_FIELDS = {
-    {"lam": "lambda"}.get(f.name, f.name): f.name for f in fields(PruneConfig)
-}
 
 
 def write_bundle(bundle: TokenBundle, path) -> None:
@@ -223,10 +219,14 @@ def write_result(
     budgets: ResolvedBudgets | None = None,
 ) -> None:
     """Write a result document as stable-key-order JSON (UTF-8)."""
-    doc = result_document(report, sel, cfg, budgets)
+    write_json(result_document(report, sel, cfg, budgets), path, "result")
+
+
+def write_json(doc, path, noun: str) -> None:
+    """Write ``doc`` as indented JSON plus a newline; IoFailure names ``noun``."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
-        raise IoFailure(f"cannot write result to {path}: {exc}") from exc
+        raise IoFailure(f"cannot write {noun} to {path}: {exc}") from exc

@@ -92,12 +92,9 @@ def prune(
         offsets[k] + i for k, local in enumerate(stage1_local) for i in local
     ]
 
-    if budgets.m2 >= len(x1_global):
-        cand_global = list(x1_global)
-    else:
-        pooled = bundle.rows.gather(x1_global)
-        picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
-        cand_global = [x1_global[p] for p in picked]
+    pooled = bundle.rows.gather(x1_global)
+    picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
+    cand_global = [x1_global[p] for p in picked]
 
     cand = bundle.rows.gather(cand_global)
     if cand.rows >= 2:

@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, BadSubset
-from .types import TokenMatrix
+from .errors import BadBudget, BadConfig, BadSubset
+from .types import GREEDY_OBJECTIVES, TokenMatrix
 
 _SEED_BLOCK = 1024
 
@@ -34,9 +34,10 @@ class ParetoPoint:
 def _seed_pair(unit: np.ndarray) -> tuple[int, int]:
     """Lexicographically smallest pair attaining the maximum cosine distance.
 
-    Scans the strict upper triangle of the gram matrix in row blocks; the
-    first row-major occurrence of the minimum dot product is the smallest
-    (i, j) with i < j, and earlier blocks win exact ties.
+    Scans the gram matrix in row blocks with each block's diagonal and
+    lower triangle set to +inf; the first row-major occurrence of the
+    minimum dot product is the smallest (i, j) with i < j, and earlier
+    blocks win exact ties.
     """
     n = unit.shape[0]
     best = np.inf
@@ -44,12 +45,10 @@ def _seed_pair(unit: np.ndarray) -> tuple[int, int]:
     for r0 in range(0, n - 1, _SEED_BLOCK):
         block = unit[r0 : min(r0 + _SEED_BLOCK, n - 1)]
         gram = block @ unit.T
-        for li in range(block.shape[0]):
-            gram[li, : r0 + li + 1] = np.inf  # keep j > i only
+        gram[np.tri(block.shape[0], n, r0, dtype=bool)] = np.inf  # keep j > i
         flat = int(np.argmin(gram))
-        value = float(gram.flat[flat])
-        if value < best:
-            best = value
+        if gram.flat[flat] < best:
+            best = gram.flat[flat]
             li, j = divmod(flat, n)
             best_pair = (r0 + li, j)
     return best_pair
@@ -65,8 +64,13 @@ def greedy_rep_max(
     summed distance to the selected set (equivalently the smallest summed
     dot product, tracked incrementally); ``min_distance`` is the max-min
     farthest-point variant.  k >= rows returns every index.  Output is
-    sorted ascending.
+    sorted ascending; an unknown objective raises BadConfig.
+
+    Selected tokens hold a score of +inf, which both updates keep because
+    every dot product is finite, so each argmin is an unselected token.
     """
+    if objective not in GREEDY_OBJECTIVES:
+        raise BadConfig(f"unknown greedy_objective {objective!r}")
     if k < 1:
         raise BadBudget(f"selection budget must be >= 1, got {k}")
     n = tokens.rows
@@ -78,26 +82,15 @@ def greedy_rep_max(
     if k == 1:
         return [i]
 
+    combine = np.add if objective == "sum_distance" else np.maximum
     selected = [i, j]
-    taken = np.zeros(n, dtype=bool)
-    taken[[i, j]] = True
-    if objective == "sum_distance":
-        # summed dot against the selected set; argmin == largest summed distance
-        score = unit @ unit[i] + unit @ unit[j]
-    else:
-        # largest dot against the selected set; argmin == largest min-distance
-        score = np.maximum(unit @ unit[i], unit @ unit[j])
-
+    score = combine(unit @ unit[i], unit @ unit[j])
+    score[selected] = np.inf
     while len(selected) < k:
-        masked = np.where(taken, np.inf, score)
-        nxt = int(np.argmin(masked))  # first occurrence = lowest index
+        nxt = int(np.argmin(score))  # first occurrence = lowest index
         selected.append(nxt)
-        taken[nxt] = True
-        step = unit @ unit[nxt]
-        if objective == "sum_distance":
-            score += step
-        else:
-            score = np.maximum(score, step)
+        combine(score, unit @ unit[nxt], out=score)
+        score[nxt] = np.inf
     return sorted(selected)
 
 
@@ -204,12 +197,12 @@ def pareto_budgeted(
     """
     if budget < 1:
         raise BadBudget(f"selection budget must be >= 1, got {budget}")
-    if budget >= len(points):
-        return sorted(p.index for p in points)
-
     by_index = {p.index: p for p in points}
     if len(by_index) != len(points):
         raise BadSubset("point indices must be unique")
+    if budget >= len(points):
+        return sorted(by_index)
+
     remaining = list(points)
     selected: list[int] = []
     while len(selected) < budget:

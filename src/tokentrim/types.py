@@ -203,6 +203,7 @@ def _typed(name: str, annotation: str, value):
 
 GREEDY_OBJECTIVES = ("sum_distance", "min_distance")
 INTER_VARIANTS = ("global_mean", "position_wise")
+_JSON_KEYS = {"lam": "lambda"}  # PruneConfig fields whose JSON key differs
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,8 @@ class PruneConfig:
     def __post_init__(self):
         # Annotations are text here (postponed evaluation), e.g. "int | None".
         for f in fields(self):
-            checked = _typed(f.name, f.type, getattr(self, f.name))
+            key = _JSON_KEYS.get(f.name, f.name)
+            checked = _typed(key, f.type, getattr(self, f.name))
             object.__setattr__(self, f.name, checked)
         if not (0 < self.m_min <= self.m_max):
             raise BadConfig(
@@ -256,6 +258,10 @@ class PruneConfig:
             raise BadConfig(f"unknown inter_variant {self.inter_variant!r}")
         if self.greedy_objective not in GREEDY_OBJECTIVES:
             raise BadConfig(f"unknown greedy_objective {self.greedy_objective!r}")
+
+
+# JSON key -> PruneConfig field, in field order.
+CONFIG_FIELDS = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(PruneConfig)}
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,8 @@ class TestExitCodes:
         )
         assert code == 28
         assert err.startswith("tokentrim prune: stage configure: BadConfig:")
+        key = next(iter(json.loads(text)))  # the first key is the mistyped one
+        assert f"BadConfig: {key} must be of type" in err
         assert not (tmp_path / "out.json").exists()
 
     def test_threads_flag_is_gone(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from tokentrim import (
     BadBudget,
+    BadConfig,
     BadSubset,
     ParetoPoint,
     build_token_matrix,
@@ -54,6 +55,48 @@ def is_dominated(p, q):
     return q.v >= p.v and q.a >= p.a and (q.v > p.v or q.a > p.a)
 
 
+def blockwise_greedy_oracle(tokens, k, objective):
+    """greedy_rep_max written row by row: the seed scan masks each gram row
+    in a Python loop, and each greedy step masks the selected tokens with a
+    ``taken`` array and a fresh ``np.where`` copy.  Same row blocks and
+    products, so it must agree bit for bit, ties included."""
+    n = tokens.rows
+    if k >= n:
+        return list(range(n))
+    unit = tokens.unit64()
+    best, (i, j) = np.inf, (0, 1)
+    for r0 in range(0, n - 1, 1024):
+        block = unit[r0 : min(r0 + 1024, n - 1)]
+        gram = block @ unit.T
+        for li in range(block.shape[0]):
+            gram[li, : r0 + li + 1] = np.inf
+        flat = int(np.argmin(gram))
+        value = float(gram.flat[flat])
+        if value < best:
+            best = value
+            li, col = divmod(flat, n)
+            i, j = r0 + li, col
+    if k == 1:
+        return [i]
+    selected = [i, j]
+    taken = np.zeros(n, dtype=bool)
+    taken[[i, j]] = True
+    if objective == "sum_distance":
+        score = unit @ unit[i] + unit @ unit[j]
+    else:
+        score = np.maximum(unit @ unit[i], unit @ unit[j])
+    while len(selected) < k:
+        nxt = int(np.argmin(np.where(taken, np.inf, score)))
+        selected.append(nxt)
+        taken[nxt] = True
+        step = unit @ unit[nxt]
+        if objective == "sum_distance":
+            score += step
+        else:
+            score = np.maximum(score, step)
+    return sorted(selected)
+
+
 class TestGreedyRepMax:
     def test_budget_at_least_rows_is_identity(self):
         rng = np.random.default_rng(0)
@@ -65,6 +108,12 @@ class TestGreedyRepMax:
         rng = np.random.default_rng(1)
         with pytest.raises(BadBudget):
             greedy_rep_max(random_matrix(rng, 3, 4), 0)
+
+    def test_unknown_objective(self):
+        m = random_matrix(np.random.default_rng(1), 3, 4)
+        for k in (2, 3, 50):  # also when k >= rows skips all arithmetic
+            with pytest.raises(BadConfig, match="bogus"):
+                greedy_rep_max(m, k, "bogus")
 
     def test_duplicate_tie_break(self):
         """Duplicate of e1 at index 1 loses the tie to index 0."""
@@ -85,8 +134,9 @@ class TestGreedyRepMax:
 
     def test_k2_matches_brute_force_larger(self):
         rng = np.random.default_rng(3)
-        m = random_matrix(rng, 256, 8)
-        assert tuple(greedy_rep_max(m, 2)) == brute_force_farthest_pair(m)
+        for n in (256, 1100):  # 1100 rows span two seed-scan blocks
+            m = random_matrix(rng, n, 8)
+            assert tuple(greedy_rep_max(m, 2)) == brute_force_farthest_pair(m)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -136,6 +186,35 @@ class TestGreedyRepMax:
         m = build_token_matrix(6, 2, rows.ravel())
         got = greedy_rep_max(m, 3, objective="min_distance")
         assert len({i // 2 for i in got}) == 3
+
+    def test_matches_blockwise_oracle(self):
+        """Same selections as the row-by-row oracle, exact ties included.
+
+        Copies of one row make every dot product equal in exact arithmetic,
+        so only rounding picks the pair.  With 1032 rows the second seed
+        block is a 7-row gemm tail, which rounds differently from the first
+        block with OpenBLAS's Haswell kernels: a change of gemm shapes there
+        moves the pair.
+        """
+        rng = np.random.default_rng(12)
+        dim = 64
+        one_row = np.random.default_rng(0).standard_normal((1, dim))
+        for n in (2, 575, 1032, 1100, 1500):
+            inputs = (
+                rng.standard_normal((n, dim)),
+                # 0/1 entries: many pairs share overlap and norms, so many
+                # dot products are equal
+                rng.integers(0, 2, (n, dim)).astype(np.float64),
+                # every row an exact copy of one of five prototypes
+                rng.standard_normal((5, dim))[rng.integers(0, 5, n)],
+                np.repeat(one_row, n, axis=0),
+            )
+            for rows in inputs:
+                m = build_token_matrix(n, dim, rows.ravel())
+                for objective in ("sum_distance", "min_distance"):
+                    for k in sorted({1, 2, 3, n // 4 + 1, n - 1}):
+                        expected = blockwise_greedy_oracle(m, k, objective)
+                        assert greedy_rep_max(m, k, objective) == expected
 
 
 class TestGreedyObjectiveValue:
@@ -245,6 +324,12 @@ class TestParetoBudgeted:
     def test_bad_budget(self):
         with pytest.raises(BadBudget):
             pareto_budgeted(points_from([1], [1]), 0)
+
+    def test_duplicate_indices(self):
+        pts = [ParetoPoint(0, 1.0, 2.0), ParetoPoint(0, 2.0, 1.0)]
+        for budget in (1, 5):  # also when the budget covers every point
+            with pytest.raises(BadSubset):
+                pareto_budgeted(pts, budget)
 
     def test_peels_successive_fronts(self):
         # two nested anti-diagonal fronts of three points each
