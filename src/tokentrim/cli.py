@@ -118,8 +118,6 @@ def _build_config(args: argparse.Namespace) -> PruneConfig:
     elif final is not None:
         fields["final_tokens"] = final
         fields["retention_ratio"] = None
-    elif "final_tokens" in fields and fields["final_tokens"] is not None:
-        fields.setdefault("retention_ratio", None)
     if args.inter_variant:
         fields["inter_variant"] = _INTER_VARIANTS[args.inter_variant]
     return PruneConfig(**fields)

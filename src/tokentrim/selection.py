@@ -8,6 +8,8 @@ choices.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,6 +19,8 @@ from .errors import BadBudget, BadConfig, BadSubset
 from .types import GREEDY_OBJECTIVES, TokenMatrix
 
 _SEED_BLOCK = 1024
+_FILTER_BLOCK = 256
+_MAX_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,21 @@ class ParetoPoint:
     a: float
 
 
-def _seed_pair(unit: np.ndarray) -> tuple[int, int]:
-    """Lexicographically smallest pair attaining the maximum cosine distance.
+def _check_budget(k) -> None:
+    """BadBudget unless k is an integer >= 1 (numpy integers too, never a bool)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise BadBudget(f"selection budget must be an integer, got {k!r}")
+    if k < 1:
+        raise BadBudget(f"selection budget must be >= 1, got {k}")
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u); +inf where the bound does not hold."""
+    return n * u / (1 - n * u) if n * u < 1 else np.inf
+
+
+def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
+    """Lexicographically smallest pair attaining the smallest float64 gram value.
 
     Scans the gram matrix in row blocks with each block's diagonal and
     lower triangle set to +inf; the first row-major occurrence of the
@@ -54,6 +71,84 @@ def _seed_pair(unit: np.ndarray) -> tuple[int, int]:
     return best_pair
 
 
+def _certified_seed_pair(unit: np.ndarray) -> tuple[int, int] | None:
+    """:func:`_exact_seed_pair`'s pair from a float32 filter, or None.
+
+    Notation: E(p) is the exact dot product of the float64 unit rows of
+    pair p, G(p) the value :func:`_exact_seed_pair`'s gemm computes, F(p)
+    this filter's float32 value and V(p) a float64 recomputation.  By
+    Higham (Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+    |fl(x.y) - x.y| <= gamma_n |x|.|y| for any summation order, FMA
+    included, and |x|.|y| <= 1 for unit rows, so:
+
+    - delta = gamma_dim(2**-53) bounds |G - E| and |V - E|;
+    - eps bounds |F - E|: rounding the unit rows to float32 (relative
+      error u = 2**-24 per entry) moves a dot product by at most
+      2u + u**2 <= 3u; the float32 dot adds gamma_dim(u), and gradual
+      underflow (entries or products below 2**-126) at most dim * 2**-149,
+      bounded here by dim * 2**-120.  The rows are rounded from ``unit``,
+      not scaled in float32: a row norm above 2**126 would make a float32
+      scale factor subnormal and lose its relative precision.
+
+    Both bounds get 1% slack, which also covers rows whose computed norm
+    is not exactly 1 and the rounding of the threshold arithmetic.
+
+    Filter: the winner p* minimizes G, so for the F-minimizer q,
+    F(p*) <= G(p*) + delta + eps <= G(q) + delta + eps <= F(q) + 2 eps +
+    2 delta; every pair within 2 eps + 2 delta of the smallest F is kept.
+
+    Check: if the candidate b with the smallest V beats every other
+    candidate c by more than 4 delta, then G(b) <= V(b) + 2 delta <
+    V(c) - 2 delta <= G(c), so b is the only candidate with the smallest
+    G, hence b = p*.  Otherwise (exact ties, near-ties, or more than
+    _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
+    the exact scan decides, so the tie rule never depends on this filter.
+    """
+    n, dim = unit.shape
+    eps = 1.01 * (3 * 2.0**-24 + _gamma(dim, 2.0**-24)) + dim * 2.0**-120
+    delta = 1.01 * _gamma(dim, 2.0**-53)
+    tol = 2 * eps + 2 * delta
+    if not tol < 1:  # dims where the bounds fail
+        return None
+    u32 = unit.astype(np.float32)
+    best = np.inf
+    ci = cj = np.empty(0, dtype=np.int64)
+    cf = np.empty(0, dtype=np.float32)
+    for r0 in range(0, n - 1, _FILTER_BLOCK):
+        rows = min(_FILTER_BLOCK, n - 1 - r0)
+        block = u32[r0 : r0 + rows] @ u32[r0:].T
+        block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
+        best = min(best, float(block.min()))
+        # rounded up to float32, so the comparison keeps a superset
+        limit = np.nextafter(np.float32(best + tol), np.float32(np.inf))
+        keep = cf <= limit
+        hit = block <= limit
+        if np.count_nonzero(keep) + np.count_nonzero(hit) > _MAX_CANDIDATES:
+            return None
+        li, lj = np.nonzero(hit)
+        ci = np.concatenate((ci[keep], r0 + li))
+        cj = np.concatenate((cj[keep], r0 + lj))
+        cf = np.concatenate((cf[keep], block[li, lj]))
+    value = np.einsum("ij,ij->i", unit[ci], unit[cj])
+    order = np.argsort(value)
+    if len(order) > 1 and not value[order[1]] - value[order[0]] > 4 * delta:
+        return None
+    return int(ci[order[0]]), int(cj[order[0]])
+
+
+def _seed_pair(unit: np.ndarray) -> tuple[int, int]:
+    """Lexicographically smallest pair attaining the maximum cosine distance.
+
+    The pair :func:`_exact_seed_pair` returns, bit for bit and ties
+    included: a certified float32 scan of the upper triangle finds it with
+    half the products at single precision, and the float64 scan decides
+    whatever that scan cannot certify.  The float32 rows and one 256-row
+    block of their gram are freed before the fallback runs.
+    """
+    pair = _certified_seed_pair(unit)
+    return _exact_seed_pair(unit) if pair is None else pair
+
+
 def greedy_rep_max(
     tokens: TokenMatrix, k: int, objective: str = "sum_distance"
 ) -> list[int]:
@@ -64,15 +159,15 @@ def greedy_rep_max(
     summed distance to the selected set (equivalently the smallest summed
     dot product, tracked incrementally); ``min_distance`` is the max-min
     farthest-point variant.  k >= rows returns every index.  Output is
-    sorted ascending; an unknown objective raises BadConfig.
+    sorted ascending.  An unknown objective raises BadConfig, and a k that
+    is not an integer >= 1 (a float or a bool) raises BadBudget.
 
     Selected tokens hold a score of +inf, which both updates keep because
     every dot product is finite, so each argmin is an unselected token.
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
-    if k < 1:
-        raise BadBudget(f"selection budget must be >= 1, got {k}")
+    _check_budget(k)
     n = tokens.rows
     if k >= n:
         return list(range(n))
@@ -193,13 +288,16 @@ def pareto_budgeted(
     the pool; the first front that overflows the remaining quota is ranked
     by the sum of its per-objective competition ranks and truncated, lower
     rank-sum (then lower index) first.  budget >= len(points) returns every
-    index.  Output sorted ascending.
+    index.  Output sorted ascending.  A budget that is not an integer >= 1
+    raises BadBudget; repeated indices or a non-finite objective raise
+    BadSubset.
     """
-    if budget < 1:
-        raise BadBudget(f"selection budget must be >= 1, got {budget}")
+    _check_budget(budget)
     by_index = {p.index: p for p in points}
     if len(by_index) != len(points):
         raise BadSubset("point indices must be unique")
+    if not all(math.isfinite(p.v) and math.isfinite(p.a) for p in points):
+        raise BadSubset("point objectives must be finite")
     if budget >= len(points):
         return sorted(by_index)
 

@@ -204,15 +204,18 @@ def _typed(name: str, annotation: str, value):
 GREEDY_OBJECTIVES = ("sum_distance", "min_distance")
 INTER_VARIANTS = ("global_mean", "position_wise")
 _JSON_KEYS = {"lam": "lambda"}  # PruneConfig fields whose JSON key differs
+_UNSET = object()  # retention_ratio not passed: 0.2 unless final_tokens is set
 
 
 @dataclass(frozen=True)
 class PruneConfig:
     """All pruning hyperparameters.
 
-    Exactly one of ``final_tokens`` (absolute count) and ``retention_ratio``
-    (fraction of the original token count) must be set.  Budgets here are
-    nominal; :func:`resolve_config` clamps them against a concrete bundle.
+    At most one of ``final_tokens`` (absolute count) and ``retention_ratio``
+    (fraction of the original token count) may be set; with neither given,
+    ``retention_ratio`` is 0.2, and passing None for both raises BadConfig.
+    Budgets here are nominal; :func:`resolve_config` clamps them against a
+    concrete bundle.
     A value of the wrong type (a bool or float count, a string or
     non-finite number, a non-bool flag) raises BadConfig.
     """
@@ -222,13 +225,16 @@ class PruneConfig:
     lam: float = 0.5
     m2: int = 252
     final_tokens: int | None = None
-    retention_ratio: float | None = 0.2
+    retention_ratio: float | None = _UNSET  # type: ignore[assignment]
     last_image_rule: bool = True
     inter_variant: str = "global_mean"
     align_on_normalized: bool = False
     greedy_objective: str = "sum_distance"
 
     def __post_init__(self):
+        if self.retention_ratio is _UNSET:
+            ratio = 0.2 if self.final_tokens is None else None
+            object.__setattr__(self, "retention_ratio", ratio)
         # Annotations are text here (postponed evaluation), e.g. "int | None".
         for f in fields(self):
             key = _JSON_KEYS.get(f.name, f.name)

@@ -126,6 +126,23 @@ class TestWorkflows:
         assert doc["config"]["final_tokens"] == 12  # flag wins
         assert doc["config"]["retention_ratio"] is None
 
+    def test_config_file_final_budget_alone(self, capsys, tmp_path):
+        inp = gen_bundle(capsys, tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "result.json"
+        args = ("prune", "--input", str(inp), "--output", str(out),
+                "--config", str(cfg_path))
+        cfg_path.write_text(json.dumps({"final_tokens": 30}))
+        code, _, _ = run(capsys, *args)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["final_tokens"] == 30
+        assert doc["config"]["retention_ratio"] is None
+        cfg_path.write_text(json.dumps({"final_tokens": 30, "retention_ratio": 0.2}))
+        code, _, err = run(capsys, *args)
+        assert code == 28
+        assert "exactly one of final_tokens and retention_ratio" in err
+
     def test_fast_path_switch_is_gone(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path)
         with pytest.raises(SystemExit) as exc:

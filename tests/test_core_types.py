@@ -239,6 +239,14 @@ class TestPruneConfig:
             PruneConfig(final_tokens=None, retention_ratio=None)
         assert PruneConfig(final_tokens=10, retention_ratio=None).final_tokens == 10
 
+    def test_unset_ratio_follows_final_budget(self):
+        assert PruneConfig().retention_ratio == 0.2
+        assert PruneConfig().final_tokens is None
+        cfg = PruneConfig(final_tokens=64)
+        assert (cfg.final_tokens, cfg.retention_ratio) == (64, None)
+        with pytest.raises(BadConfig):
+            PruneConfig(final_tokens=64, retention_ratio=0.2)
+
     def test_ratio_bounds(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(BadConfig):

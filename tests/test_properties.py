@@ -5,11 +5,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from test_selection import blockwise_greedy_oracle
 from tokentrim import (
     PruneConfig,
     TokenBundle,
     apply_selection,
     build_token_matrix,
+    greedy_rep_max,
     prune,
 )
 
@@ -103,3 +105,20 @@ def test_unit_rows_derive_exactly_from_norms(values):
     want = wide / np.sqrt(m.norms_sq)[:, None]
     np.testing.assert_array_equal(m.unit64(), want)
     assert np.all(np.abs(np.linalg.norm(m.unit64(), axis=1) - 1.0) <= 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    hnp.arrays(
+        np.int8,
+        st.tuples(st.integers(2, 40), st.integers(1, 6)),
+        elements=st.integers(-2, 2),
+    ),
+    st.sampled_from(["sum_distance", "min_distance"]),
+)
+def test_seed_pair_matches_blockwise_scan(values, objective):
+    """Small integer entries give many equal and nearly equal dot products,
+    so both the certified float32 scan and its float64 fallback are hit."""
+    assume(np.all(np.any(values != 0, axis=1)))
+    m = build_token_matrix(*values.shape, values)
+    assert greedy_rep_max(m, 2, objective) == blockwise_greedy_oracle(m, 2, objective)

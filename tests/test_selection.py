@@ -1,6 +1,7 @@
 """Greedy dispersion selection and Pareto-front machinery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from tokentrim import (
     pareto_budgeted,
     pareto_front_naive,
     pareto_front_sortscan,
+    selection,
 )
+from tokentrim.io_formats import SyntheticSpec, generate_synthetic
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -108,6 +111,14 @@ class TestGreedyRepMax:
         rng = np.random.default_rng(1)
         with pytest.raises(BadBudget):
             greedy_rep_max(random_matrix(rng, 3, 4), 0)
+
+    def test_non_integral_budget(self):
+        m = random_matrix(np.random.default_rng(1), 5, 4)
+        for k in (2.5, 2.0, True, "2"):
+            with pytest.raises(BadBudget):
+                greedy_rep_max(m, k)
+        assert greedy_rep_max(m, np.int64(5)) == list(range(5))
+        assert len(greedy_rep_max(m, np.int32(2))) == 2
 
     def test_unknown_objective(self):
         m = random_matrix(np.random.default_rng(1), 3, 4)
@@ -217,6 +228,72 @@ class TestGreedyRepMax:
                         assert greedy_rep_max(m, k, objective) == expected
 
 
+class TestSeedPairScan:
+    def test_near_tie_below_float32_resolution(self):
+        """Two near-antipodal pairs whose dot products differ by ~1e-9.
+
+        Both round to exactly -1 in float32, where the first occurrence
+        (0, 1) wins; in float64 the last pair is farther apart, by far more
+        than float64 rounding, so the float64 check must pick it.
+        """
+        rng = np.random.default_rng(13)
+        dim, n = 8, 300
+        rows = rng.standard_normal((n, dim))
+        rows[:2] = 0.0
+        rows[0, 0], rows[1, :2] = 1.0, (-1.0, np.sqrt(4e-9))  # gap 2e-9
+        rows[-2:] = 0.0
+        rows[-2, 2], rows[-1, 2:4] = 1.0, (-1.0, np.sqrt(2e-9))  # gap 1e-9
+        m = build_token_matrix(n, dim, rows.ravel())
+        u32 = m.unit64().astype(np.float32)
+        assert u32[0] @ u32[1] == u32[-2] @ u32[-1] == -1.0
+        expected = brute_force_farthest_pair(m)
+        assert expected == (n - 2, n - 1)
+        for objective in ("sum_distance", "min_distance"):
+            assert blockwise_greedy_oracle(m, 2, objective) == list(expected)
+            assert greedy_rep_max(m, 2, objective) == list(expected)
+
+    @pytest.mark.parametrize("seed", [2, 3, 22, 46, 56])
+    def test_float32_order_reversed(self, seed):
+        """Six pairs (x, -x + noise) whose dot products lie within ~1e-9 of
+        each other.  For these seeds OpenBLAS's float32 gemm put the
+        farthest pair two or three float32 steps above the smallest float32
+        value, so a filter keeping only the float32 minimum would miss it."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 8))
+        scale = 3e-5 * np.linalg.norm(x, axis=1, keepdims=True)
+        rows = np.stack([x, -x + scale * rng.standard_normal((6, 8))], axis=1)
+        m = build_token_matrix(12, 8, rows.ravel())
+        expected = brute_force_farthest_pair(m)
+        assert blockwise_greedy_oracle(m, 2, "sum_distance") == list(expected)
+        assert greedy_rep_max(m, 2) == list(expected)
+
+    def test_noisy_image_is_certified(self):
+        """On a noisy image the float32 filter decides without the fallback."""
+        spec = SyntheticSpec(
+            n_images=2, tokens_per_image=576, dim=64, seed=0, clusters=16,
+            noise=0.2, drift=0.1, text_tokens=4,
+        )
+        for img in generate_synthetic(spec).images:
+            unit = img.unit64()
+            pair = selection._certified_seed_pair(unit)
+            assert pair is not None
+            assert pair == selection._exact_seed_pair(unit)
+
+    def test_duplicate_rows_stay_within_memory(self):
+        """Every pair of 2880 copies is a candidate: the cap must fall back
+        before storing them (4.1M pairs would take ~80 MB)."""
+        one_row = np.random.default_rng(0).standard_normal((1, 64))
+        m = build_token_matrix(2880, 64, np.repeat(one_row, 2880, axis=0).ravel())
+        tracemalloc.start()
+        try:
+            got = greedy_rep_max(m, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+        assert got == blockwise_greedy_oracle(m, 2, "sum_distance")
+
+
 class TestGreedyObjectiveValue:
     def test_reference_values(self):
         assert greedy_objective_value(matrix([E1, E2]), [0, 1]) == pytest.approx(1.0)
@@ -324,6 +401,20 @@ class TestParetoBudgeted:
     def test_bad_budget(self):
         with pytest.raises(BadBudget):
             pareto_budgeted(points_from([1], [1]), 0)
+
+    def test_non_integral_budget(self):
+        pts = points_from([3, 2, 1], [1, 2, 3])
+        for budget in (2.5, 2.0, True, "2"):
+            with pytest.raises(BadBudget):
+                pareto_budgeted(pts, budget)
+        assert pareto_budgeted(pts, np.int64(2)) == [0, 1]
+
+    def test_non_finite_objectives(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for vs, avals in (([1, bad, 2], [3, 2, 1]), ([1, 2, 3], [3, 2, bad])):
+                for budget in (1, 2, 5):  # also when the budget covers all
+                    with pytest.raises(BadSubset):
+                        pareto_budgeted(points_from(vs, avals), budget)
 
     def test_duplicate_indices(self):
         pts = [ParetoPoint(0, 1.0, 2.0), ParetoPoint(0, 2.0, 1.0)]
