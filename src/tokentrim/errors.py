@@ -115,10 +115,8 @@ class BenchGateFailure(TokenTrimError):
     """Fast and naive benchmark paths disagreed beyond tolerance."""
 
 
-# One fixed, documented exit code per error class.  Code 2 is what argparse
-# uses for usage errors, so flag problems land there as well.
-EXIT_CODE_BAD_FLAGS = 2
-
+# One fixed, documented exit code per error class; argparse keeps code 2
+# for command-line usage errors.
 EXIT_CODES: dict[type, int] = {
     ZeroNormRow: 10,
     ShapeMismatch: 11,

@@ -18,13 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    BadSpec,
-    BadVersion,
-    IoFailure,
-    TruncatedFile,
-)
+from .errors import BadMagic, BadSpec, BadVersion, IoFailure, TruncatedFile
 from .types import (
     CONFIG_FIELDS,
     PruneConfig,

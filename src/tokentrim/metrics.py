@@ -1,10 +1,9 @@
 """Redundancy signals and per-token scores.
 
-Every score that has a linear-time form is implemented twice: a naive
-quadratic reference (the definition, spelled out) and a fast path that
-rewrites the same sum through the aggregate vector S = sum of rows.  The
-naive forms double as oracles in the test suite; the fast forms are what
-the pipeline runs.
+Each pairwise score is computed in linear time by rewriting its sum
+through an aggregate: the unit-row sum S for the diversities, the text
+mean and mean squared norm for alignment.  The quadratic definitions,
+spelled out, live in :mod:`tokentrim.bench` as test oracles.
 """
 
 from __future__ import annotations
@@ -27,41 +26,21 @@ from .types import TokenBundle, TokenMatrix
 _DEGENERATE_EPS = 1e-9
 _ZERO_MEAN_EPS = 1e-12
 
-# Row block of the quadratic references: no 8k-token gram in one piece.
-_BLOCK = 1024
-
-
-def intra_diversity_naive(img: TokenMatrix) -> float:
-    """Mean pairwise cosine distance over ordered pairs, the quadratic way.
-
-    Returns (1/(m(m-1))) * sum over i != j of (1 - cos(x_i, x_j)); 0.0 when
-    the image has a single token (no pairs).  Values lie in [0, 2].
-    """
-    n = img.rows
-    if n < 2:
-        return 0.0
-    unit = img.unit64()
-    total = 0.0
-    for r0 in range(0, n, _BLOCK):
-        block = unit[r0 : r0 + _BLOCK]
-        dist = 1.0 - block @ unit.T
-        rows = np.arange(block.shape[0])
-        dist[rows, rows + r0] = 0.0  # drop the i == j terms
-        total += float(dist.sum())
-    return total / (n * (n - 1))
-
-
 def intra_diversity_fast(img: TokenMatrix) -> float:
-    """Same value as :func:`intra_diversity_naive` in linear time.
+    """Mean pairwise cosine distance over ordered pairs, in linear time.
 
-    On unit rows the gram total is ||S||^2 with S the row sum, and the
+    The mean of 1 - cos(x_i, x_j) over i != j; 0.0 for a single token.  On
+    unit rows the gram total is ||S||^2 with S the row sum, and the
     diagonal contributes N, so the ordered-pair distance sum collapses to
-    N(N-1) - (||S||^2 - N).
+    N(N-1) - (||S||^2 - N).  S is accumulated in float64 straight from the
+    float32 rows, without a float64 copy of the image.
     """
     n = img.rows
     if n < 2:
         return 0.0
-    s = img.unit64().sum(axis=0)
+    s = np.einsum(
+        "i,ij->j", 1.0 / np.sqrt(img.norms_sq), img.data, dtype=np.float64
+    )
     ssq = float(s @ s)
     return (n * (n - 1) - (ssq - n)) / (n * (n - 1))
 
@@ -163,40 +142,14 @@ def build_alignment_context(
     return AlignmentContext(mu_t=mu, c_t=c, m_text=text.rows)
 
 
-def alignment_naive(
-    tokens: TokenMatrix, text: TokenMatrix, on_normalized: bool = False
-) -> np.ndarray:
-    """Negative mean squared distance to the text tokens, pair by pair.
-
-    a_i = -(1/M) * sum_j ||x_i - t_j||^2, evaluated literally over all
-    (token, text) pairs; higher (closer to zero) means better aligned.
-    """
-    if tokens.dim != text.dim:
-        raise DimMismatch(
-            f"tokens have dim {tokens.dim}, text has dim {text.dim}"
-        )
-    if text.rows < 1:
-        raise EmptyText("alignment needs at least one text token")
-    if on_normalized:
-        xs, ts = tokens.unit64(), text.unit64()
-    else:
-        xs, ts = tokens.data.astype(np.float64), text.data.astype(np.float64)
-    out = np.empty(tokens.rows, dtype=np.float64)
-    for r0 in range(0, tokens.rows, _BLOCK):
-        block = xs[r0 : r0 + _BLOCK]
-        diff = block[:, None, :] - ts[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        out[r0 : r0 + block.shape[0]] = -sq.mean(axis=1)
-    return out
-
-
 def alignment_fast(
     tokens: TokenMatrix, ctx: AlignmentContext, on_normalized: bool = False
 ) -> np.ndarray:
     """Alignment via the expanded square: a_i = -||x_i||^2 - C + 2 x_i . mu_t.
 
     ``ctx`` must come from the same text matrix with the same normalization
-    choice.  Agrees with :func:`alignment_naive` within 1e-4 absolute.
+    choice.  a_i is the negative mean squared distance -(1/M) sum_j
+    ||x_i - t_j||^2; higher (closer to zero) means better aligned.
     """
     if tokens.dim != ctx.mu_t.shape[0]:
         raise DimMismatch(
@@ -210,24 +163,11 @@ def alignment_fast(
     return -norms_sq - ctx.c_t + 2.0 * (xs @ ctx.mu_t)
 
 
-def token_diversity_naive(candidates: TokenMatrix) -> np.ndarray:
-    """Per-token dispersion v_i = (1/(N-1)) * sum over j != i of (1 - cos)."""
-    n = candidates.rows
-    if n < 2:
-        raise TooFewTokens(f"per-token diversity needs >= 2 tokens, got {n}")
-    unit = candidates.unit64()
-    out = np.empty(n, dtype=np.float64)
-    for r0 in range(0, n, _BLOCK):
-        block = unit[r0 : r0 + _BLOCK]
-        dist = 1.0 - block @ unit.T
-        rows = np.arange(block.shape[0])
-        dist[rows, rows + r0] = 0.0
-        out[r0 : r0 + block.shape[0]] = dist.sum(axis=1)
-    return out / (n - 1)
-
-
 def token_diversity_fast(candidates: TokenMatrix) -> np.ndarray:
-    """Per-token dispersion via the aggregate: v_i = (N - x_i . S) / (N - 1)."""
+    """Per-token dispersion v_i = (1/(N-1)) * sum over j != i of (1 - cos).
+
+    Via the aggregate: v_i = (N - x_i . S) / (N - 1) on unit rows.
+    """
     n = candidates.rows
     if n < 2:
         raise TooFewTokens(f"per-token diversity needs >= 2 tokens, got {n}")

@@ -68,6 +68,7 @@ def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
             best = gram.flat[flat]
             li, j = divmod(flat, n)
             best_pair = (r0 + li, j)
+        del gram  # free it before the next block's gram is allocated
     return best_pair
 
 
@@ -189,25 +190,6 @@ def greedy_rep_max(
     return sorted(selected)
 
 
-def greedy_objective_value(tokens: TokenMatrix, subset: Sequence[int]) -> float:
-    """Mean pairwise cosine distance over the subset's unordered pairs.
-
-    The quantity greedy selection approximately maximizes; used as the
-    quality oracle in tests.
-    """
-    idx = list(subset)
-    if len(idx) < 2:
-        raise BadSubset(f"subset needs >= 2 indices, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise BadSubset("subset contains duplicate indices")
-    if min(idx) < 0 or max(idx) >= tokens.rows:
-        raise BadSubset(f"subset index out of range for {tokens.rows} rows")
-    unit = tokens.unit64()[idx]
-    gram = unit @ unit.T
-    iu, ju = np.triu_indices(len(idx), k=1)
-    return float(np.mean(1.0 - gram[iu, ju]))
-
-
 def _collapsed_arrays(
     points: Sequence[ParetoPoint],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,29 +206,14 @@ def _collapsed_arrays(
     return idx[keep], v[keep], a[keep]
 
 
-def pareto_front_naive(points: Sequence[ParetoPoint]) -> list[int]:
-    """Non-dominated points by exhaustive pairwise comparison, O(N^2).
+def pareto_front_sortscan(points: Sequence[ParetoPoint]) -> list[int]:
+    """Non-dominated points via one sort and one scan, O(N log N).
 
     A point is dominated when some other point is >= in both objectives and
     > in at least one.  Exact (v, a) duplicates count as one point, kept at
-    the lowest index.  Returns original indices sorted ascending.
-    """
-    if not points:
-        return []
-    idx, v, a = _collapsed_arrays(points)
-    ge_v = v[None, :] >= v[:, None]
-    ge_a = a[None, :] >= a[:, None]
-    gt = (v[None, :] > v[:, None]) | (a[None, :] > a[:, None])
-    dominated = (ge_v & ge_a & gt).any(axis=1)
-    return sorted(int(i) for i in idx[~dominated])
-
-
-def pareto_front_sortscan(points: Sequence[ParetoPoint]) -> list[int]:
-    """Same front as :func:`pareto_front_naive` via one sort and one scan.
-
-    Sort descending by v (ties: descending a, then ascending index); a point
-    survives iff its a strictly exceeds the running maximum seen so far.
-    O(N log N).
+    the lowest index.  Sort descending by v (ties: descending a, then
+    ascending index); a point survives iff its a strictly exceeds the
+    running maximum seen so far.  Returns original indices sorted ascending.
     """
     if not points:
         return []

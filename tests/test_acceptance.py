@@ -12,38 +12,45 @@ import time
 import numpy as np
 
 from tokentrim import (
+    PruneConfig,
+    SyntheticSpec,
+    analyze,
+    build_token_matrix,
+    generate_synthetic,
+    make_bundle,
+    prune,
+    read_bundle,
+    write_bundle,
+)
+from tokentrim.allocation import per_image_budgets, stage1_budget
+from tokentrim.bench import (
+    SPEEDUP_FLOORS,
+    alignment_naive,
+    intra_diversity_naive,
+    pareto_front_naive,
+    run_suite,
+    token_diversity_naive,
+)
+from tokentrim.errors import (
     BadMagic,
     BadVersion,
     BenchGateFailure,
-    ParetoPoint,
-    PruneConfig,
-    SPEEDUP_FLOORS,
-    SyntheticSpec,
     TruncatedFile,
+)
+from tokentrim.metrics import (
     alignment_fast,
-    alignment_naive,
-    analyze,
     build_alignment_context,
-    build_token_matrix,
-    generate_synthetic,
-    greedy_rep_max,
     inter_variation_positionwise,
     inter_variation_steps,
     intra_diversity_fast,
-    intra_diversity_naive,
-    make_bundle,
-    pareto_front_naive,
-    pareto_front_sortscan,
-    per_image_budgets,
-    prune,
-    read_bundle,
-    resolve_config,
-    run_suite,
-    stage1_budget,
     token_diversity_fast,
-    token_diversity_naive,
-    write_bundle,
 )
+from tokentrim.selection import (
+    ParetoPoint,
+    greedy_rep_max,
+    pareto_front_sortscan,
+)
+from tokentrim.types import resolve_config
 
 
 def _finish(num, label, failures):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from tokentrim import (
-    InfeasibleBudget,
-    ShapeMismatch,
+from tokentrim.allocation import (
     image_weights,
     per_image_budgets,
     stage1_budget,
 )
+from tokentrim.errors import InfeasibleBudget, ShapeMismatch
 
 
 class TestStage1Budget:

@@ -5,17 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from tokentrim import (
-    PruneConfig,
-    analyze,
-    apply_selection,
-    prune,
-    read_bundle,
-    report_document,
-    resolve_config,
-    result_document,
-)
+from tokentrim import PruneConfig, analyze, apply_selection, prune, read_bundle
 from tokentrim.cli import main
+from tokentrim.io_formats import report_document, result_document
+from tokentrim.types import resolve_config
 
 
 def run(capsys, *argv):
@@ -255,6 +248,17 @@ class TestExitCodes:
         )
         assert code == 26
         assert "BadSpec" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--repeats", "0"), ("--repeats", "-1"), ("--n", "0"), ("--n", "-5")],
+        ids=["repeats-0", "repeats-neg", "n-0", "n-neg"],
+    )
+    def test_bad_bench_sizes(self, capsys, flags):
+        code, out, err = run(capsys, "bench", "--kernel", "pareto", *flags)
+        assert code == 26
+        assert err.startswith("tokentrim bench: stage bench: BadSpec:")
+        assert out == ""
 
     def test_config_file_errors(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path)

@@ -5,20 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from tokentrim import (
+from tokentrim import PruneConfig, TokenBundle, build_token_matrix, make_bundle
+from tokentrim.errors import (
     BadConfig,
     DimMismatch,
     EmptyText,
     NonFiniteRow,
-    PruneConfig,
     ShapeMismatch,
-    TokenBundle,
     ZeroNormRow,
-    build_token_matrix,
-    make_bundle,
-    resolve_config,
-    round_half_away,
 )
+from tokentrim.types import resolve_config, round_half_away
 
 
 def random_matrix(rng, rows, dim):

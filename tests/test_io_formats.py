@@ -10,32 +10,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokentrim import (
+    PruneConfig,
+    SyntheticSpec,
+    TokenTrimError,
+    analyze,
+    build_token_matrix,
+    generate_synthetic,
+    make_bundle,
+    prune,
+    read_bundle,
+    write_bundle,
+    write_result,
+)
+from tokentrim.errors import (
     BadMagic,
     BadSpec,
     BadVersion,
     IoFailure,
     NonFiniteRow,
-    PruneConfig,
     ShapeMismatch,
-    SyntheticSpec,
-    TokenTrimError,
     TruncatedFile,
     ZeroNormRow,
-    analyze,
-    build_token_matrix,
-    generate_synthetic,
+)
+from tokentrim.io_formats import result_document
+from tokentrim.metrics import (
     inter_variation_mean,
     inter_variation_steps,
     intra_diversity_fast,
     intra_diversity_mean,
-    make_bundle,
-    prune,
-    read_bundle,
-    resolve_config,
-    result_document,
-    write_bundle,
-    write_result,
 )
+from tokentrim.types import resolve_config
 
 
 def random_bundle(rng, sizes, dim, text_rows=5):

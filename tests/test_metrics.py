@@ -5,27 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from tokentrim import (
+from tokentrim import build_token_matrix, make_bundle
+from tokentrim.bench import (
+    alignment_naive,
+    intra_diversity_naive,
+    token_diversity_naive,
+)
+from tokentrim.errors import (
     DimMismatch,
     EmptySteps,
     EmptyText,
     PositionMismatch,
     TooFewTokens,
     ZeroMeanImage,
+)
+from tokentrim.metrics import (
     alignment_fast,
-    alignment_naive,
     build_alignment_context,
-    build_token_matrix,
     inter_variation_mean,
     inter_variation_positionwise,
     inter_variation_steps,
     intra_diversity_fast,
     intra_diversity_mean,
-    intra_diversity_naive,
-    make_bundle,
     s_factor,
     token_diversity_fast,
-    token_diversity_naive,
 )
 
 E1 = [1.0, 0.0]

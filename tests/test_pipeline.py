@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from tokentrim import (
-    EmptyText,
-    ParetoPoint,
     PruneConfig,
     Selection,
-    SelectionMismatch,
     analyze,
     apply_selection,
     build_token_matrix,
-    greedy_rep_max,
     make_bundle,
-    pareto_front_sortscan,
     prune,
+)
+from tokentrim.errors import EmptyText, SelectionMismatch
+from tokentrim.selection import (
+    ParetoPoint,
+    greedy_rep_max,
+    pareto_front_sortscan,
 )
 
 

@@ -11,9 +11,9 @@ from tokentrim import (
     TokenBundle,
     apply_selection,
     build_token_matrix,
-    greedy_rep_max,
     prune,
 )
+from tokentrim.selection import greedy_rep_max
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 

@@ -1,25 +1,20 @@
 """Greedy dispersion selection and Pareto-front machinery."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tokentrim import (
-    BadBudget,
-    BadConfig,
-    BadSubset,
+from tokentrim import build_token_matrix, selection
+from tokentrim.bench import greedy_objective_value, pareto_front_naive
+from tokentrim.errors import BadBudget, BadConfig, BadSubset
+from tokentrim.io_formats import SyntheticSpec, generate_synthetic
+from tokentrim.selection import (
     ParetoPoint,
-    build_token_matrix,
-    greedy_objective_value,
     greedy_rep_max,
     pareto_budgeted,
-    pareto_front_naive,
     pareto_front_sortscan,
-    selection,
 )
-from tokentrim.io_formats import SyntheticSpec, generate_synthetic
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -290,7 +285,7 @@ class TestSeedPairScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60e6
+        assert peak < 35e6
         assert got == blockwise_greedy_oracle(m, 2, "sum_distance")
 
 
