@@ -262,13 +262,20 @@ def run_suite(
     """Run the requested kernels with shared seeding; order is fixed.
 
     ``n`` overrides the per-kernel default problem size (8192 for the two
-    metric kernels, 500 for pareto).  BadSpec unless ``repeats`` >= 1 and
-    ``n`` is None or >= 1.
+    metric kernels, 500 for pareto).  BadSpec unless ``repeats``,
+    ``dim`` and ``m_text`` are >= 1, ``n`` is None or >= 1 and ``seed``
+    is >= 0, whichever kernels are requested.
     """
     if repeats < 1:
         raise BadSpec(f"repeats must be >= 1, got {repeats}")
     if n is not None and n < 1:
         raise BadSpec(f"problem size n must be >= 1, got {n}")
+    if dim < 1:
+        raise BadSpec(f"embedding dim must be >= 1, got {dim}")
+    if m_text < 1:
+        raise BadSpec(f"text tokens m_text must be >= 1, got {m_text}")
+    if seed < 0:
+        raise BadSpec(f"seed must be >= 0, got {seed}")
     sizes = {"diversity": 8192, "alignment": 8192, "pareto": 500}
     results = []
     for kernel in kernels:

@@ -4,6 +4,27 @@ Both selectors are deterministic.  Every tie anywhere — seed pair, greedy
 step, domination sort, rank-sum fill — breaks toward the lowest original
 index, so reruns and reorderings of equal inputs reproduce the same
 choices.
+
+Greedy dispersion runs on one float32 copy of the unit rows and makes the
+float64 computation's choices bit for bit: each float32 decision is either
+certified against proven rounding bounds or handed to float64.  The bounds
+(Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1): for
+any summation order, FMA included, |fl(x.y) - x.y| <= gamma_n |x|.|y|,
+and |x|.|y| <= 1 for unit rows.  For two float64 unit rows (those of
+``TokenMatrix.unit64()``) of dimension dim:
+
+- delta = gamma_dim(2**-53) bounds the error of a float64 dot product;
+- eps bounds the error of the float32 dot product of the same rows
+  rounded to float32: rounding the rows (relative error u = 2**-24 per
+  entry) moves a dot product by at most 2u + u**2 <= 3u; the float32 dot
+  adds gamma_dim(u), and gradual underflow (entries or products below
+  2**-126) at most dim * 2**-149, bounded here by dim * 2**-120.  The
+  float32 rows are rounded from float64 unit rows, not scaled in float32:
+  a row norm above 2**126 would make a float32 scale factor subnormal and
+  lose its relative precision.
+
+Both bounds get 1% slack, which also covers rows whose computed norm is
+not exactly 1 and the rounding of the threshold arithmetic.
 """
 
 from __future__ import annotations
@@ -48,6 +69,32 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else np.inf
 
 
+def _dot_bounds(dim: int) -> tuple[float, float]:
+    """(eps, delta): the module docstring's float32 and float64 dot bounds."""
+    eps = 1.01 * (3 * 2.0**-24 + _gamma(dim, 2.0**-24)) + dim * 2.0**-120
+    delta = 1.01 * _gamma(dim, 2.0**-53)
+    return eps, delta
+
+
+def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
+    """``tokens.unit64()[idx]`` bit for bit, widening only the given rows."""
+    rows = tokens.data[idx].astype(np.float64)
+    rows /= np.sqrt(tokens.norms_sq[idx])[:, None]
+    return rows
+
+
+def _unit32(tokens: TokenMatrix) -> np.ndarray:
+    """``tokens.unit64().astype(np.float32)`` bit for bit.
+
+    Each entry is widened to float64, divided there and rounded once to
+    float32; numpy does this in its small ufunc buffers, so no float64
+    copy of the image is made.
+    """
+    u32 = np.empty(tokens.data.shape, dtype=np.float32)
+    np.divide(tokens.data, np.sqrt(tokens.norms_sq)[:, None], out=u32, dtype=np.float64)
+    return u32
+
+
 def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
     """Lexicographically smallest pair attaining the smallest float64 gram value.
 
@@ -72,31 +119,22 @@ def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
     return best_pair
 
 
-def _certified_seed_pair(unit: np.ndarray) -> tuple[int, int] | None:
+def _certified_seed_pair(
+    tokens: TokenMatrix, u32: np.ndarray
+) -> tuple[int, int] | None:
     """:func:`_exact_seed_pair`'s pair from a float32 filter, or None.
 
-    Notation: E(p) is the exact dot product of the float64 unit rows of
-    pair p, G(p) the value :func:`_exact_seed_pair`'s gemm computes, F(p)
-    this filter's float32 value and V(p) a float64 recomputation.  By
-    Higham (Accuracy and Stability of Numerical Algorithms, sec. 3.1),
-    |fl(x.y) - x.y| <= gamma_n |x|.|y| for any summation order, FMA
-    included, and |x|.|y| <= 1 for unit rows, so:
-
-    - delta = gamma_dim(2**-53) bounds |G - E| and |V - E|;
-    - eps bounds |F - E|: rounding the unit rows to float32 (relative
-      error u = 2**-24 per entry) moves a dot product by at most
-      2u + u**2 <= 3u; the float32 dot adds gamma_dim(u), and gradual
-      underflow (entries or products below 2**-126) at most dim * 2**-149,
-      bounded here by dim * 2**-120.  The rows are rounded from ``unit``,
-      not scaled in float32: a row norm above 2**126 would make a float32
-      scale factor subnormal and lose its relative precision.
-
-    Both bounds get 1% slack, which also covers rows whose computed norm
-    is not exactly 1 and the rounding of the threshold arithmetic.
+    For a pair p, let G(p) be the value :func:`_exact_seed_pair`'s gemm
+    computes, F(p) this filter's value from ``u32`` (the output of
+    :func:`_unit32`) and V(p) a float64 recomputation; by the module
+    docstring, G and V lie within delta of the exact dot product and F
+    within eps.
 
     Filter: the winner p* minimizes G, so for the F-minimizer q,
     F(p*) <= G(p*) + delta + eps <= G(q) + delta + eps <= F(q) + 2 eps +
     2 delta; every pair within 2 eps + 2 delta of the smallest F is kept.
+    Each 256-row block is compared with that limit only in the rows whose
+    minimum is within it.
 
     Check: if the candidate b with the smallest V beats every other
     candidate c by more than 4 delta, then G(b) <= V(b) + 2 delta <
@@ -105,13 +143,11 @@ def _certified_seed_pair(unit: np.ndarray) -> tuple[int, int] | None:
     _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
     the exact scan decides, so the tie rule never depends on this filter.
     """
-    n, dim = unit.shape
-    eps = 1.01 * (3 * 2.0**-24 + _gamma(dim, 2.0**-24)) + dim * 2.0**-120
-    delta = 1.01 * _gamma(dim, 2.0**-53)
+    n, dim = u32.shape
+    eps, delta = _dot_bounds(dim)
     tol = 2 * eps + 2 * delta
     if not tol < 1:  # dims where the bounds fail
         return None
-    u32 = unit.astype(np.float32)
     best = np.inf
     ci = cj = np.empty(0, dtype=np.int64)
     cf = np.empty(0, dtype=np.float32)
@@ -119,35 +155,95 @@ def _certified_seed_pair(unit: np.ndarray) -> tuple[int, int] | None:
         rows = min(_FILTER_BLOCK, n - 1 - r0)
         block = u32[r0 : r0 + rows] @ u32[r0:].T
         block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
-        best = min(best, float(block.min()))
+        row_min = block.min(axis=1)
+        best = min(best, float(row_min.min()))
         # rounded up to float32, so the comparison keeps a superset
         limit = np.nextafter(np.float32(best + tol), np.float32(np.inf))
         keep = cf <= limit
-        hit = block <= limit
+        near = np.flatnonzero(row_min <= limit)
+        hit = block[near] <= limit
         if np.count_nonzero(keep) + np.count_nonzero(hit) > _MAX_CANDIDATES:
             return None
         li, lj = np.nonzero(hit)
+        li = near[li]
         ci = np.concatenate((ci[keep], r0 + li))
         cj = np.concatenate((cj[keep], r0 + lj))
         cf = np.concatenate((cf[keep], block[li, lj]))
-    value = np.einsum("ij,ij->i", unit[ci], unit[cj])
+    value = np.einsum("ij,ij->i", _unit64_rows(tokens, ci), _unit64_rows(tokens, cj))
     order = np.argsort(value)
     if len(order) > 1 and not value[order[1]] - value[order[0]] > 4 * delta:
         return None
     return int(ci[order[0]]), int(cj[order[0]])
 
 
-def _seed_pair(unit: np.ndarray) -> tuple[int, int]:
-    """Lexicographically smallest pair attaining the maximum cosine distance.
+def _certified_steps(
+    tokens: TokenMatrix,
+    u32: np.ndarray,
+    selected: list[int],
+    k: int,
+    combine: np.ufunc,
+) -> None:
+    """Extend ``selected`` toward k rows with :func:`_float64_steps`'s choices.
 
-    The pair :func:`_exact_seed_pair` returns, bit for bit and ties
-    included: a certified float32 scan of the upper triangle finds it with
-    half the products at single precision, and the float64 scan decides
-    whatever that scan cannot certify.  The float32 rows and one 256-row
-    block of their gram are freed before the fallback runs.
+    Keeps the float32 score of ``u32`` and certifies each step as
+    :func:`greedy_rep_max` derives.  Stops at the first step it cannot
+    certify, leaving in ``selected`` the choices made so far.
     """
-    pair = _certified_seed_pair(unit)
-    return _exact_seed_pair(unit) if pair is None else pair
+    dim = u32.shape[1]
+    eps, delta = _dot_bounds(dim)
+    sel64 = np.empty((k, dim))  # float64 unit rows of selected, filled lazily
+    filled = 0
+    score = combine(u32 @ u32[selected[0]], u32 @ u32[selected[1]])
+    score[selected] = np.inf
+    while len(selected) < k:
+        m = len(selected)
+        if combine is np.add:
+            b32 = 1.01 * m * (eps + _gamma(m, 2.0**-24) * (1 + eps))
+            b64 = 1.01 * m * (delta + _gamma(m, 2.0**-53) * (1 + delta))
+        else:
+            b32, b64 = eps, delta
+        lowest = float(score.min())
+        # rounded up to float32, so the comparison keeps a superset
+        limit = np.nextafter(
+            np.float32(lowest + 2 * b32 + 2 * b64), np.float32(np.inf)
+        )
+        cand = np.flatnonzero(score <= limit)
+        if len(cand) > 1:
+            if len(cand) > _MAX_CANDIDATES:
+                return
+            sel64[filled:m] = _unit64_rows(tokens, selected[filled:m])
+            filled = m
+            value = combine.reduce(_unit64_rows(tokens, cand) @ sel64[:m].T, axis=1)
+            order = np.argsort(value)
+            if not value[order[1]] - value[order[0]] > 4 * b64:
+                return
+            cand = cand[order[:1]]
+        nxt = int(cand[0])
+        selected.append(nxt)
+        combine(score, u32 @ u32[nxt], out=score)
+        score[nxt] = np.inf
+
+
+def _float64_steps(
+    unit: np.ndarray, selected: list[int], k: int, combine: np.ufunc
+) -> None:
+    """Extend ``selected`` to k rows, each step taking the smallest float64 score.
+
+    The score is replayed from ``selected`` with the same matvecs in the
+    same order as the steps that chose them, so it is bit for bit the
+    score this loop would hold had it chosen them itself.  Selected rows
+    hold +inf, which both updates keep because every dot product is
+    finite, so each argmin is an unselected row.
+    """
+    score = combine(unit @ unit[selected[0]], unit @ unit[selected[1]])
+    for s in selected[2:]:
+        combine(score, unit @ unit[s], out=score)
+    score[selected] = np.inf
+    while len(selected) < k:
+        nxt = int(np.argmin(score))  # first occurrence = lowest index
+        selected.append(nxt)
+        combine(score, unit @ unit[nxt], out=score)
+        score[nxt] = np.inf
 
 
 def greedy_rep_max(
@@ -163,8 +259,36 @@ def greedy_rep_max(
     sorted ascending.  An unknown objective raises BadConfig, and a k that
     is not an integer >= 1 (a float or a bool) raises BadBudget.
 
-    Selected tokens hold a score of +inf, which both updates keep because
-    every dot product is finite, so each argmin is an unselected token.
+    The reference is the float64 computation: :func:`_exact_seed_pair`,
+    then :func:`_float64_steps`, on ``tokens.unit64()``.  This function
+    returns its choices bit for bit, ties included, from one float32 copy
+    of the unit rows (:func:`_unit32`) and float64 rows of the few rows
+    it checks.  The seed comes from :func:`_certified_seed_pair`; each
+    step then works as follows.
+
+    With m rows selected, let S(r) be the reference's score of an
+    unselected row r, E(r) its exact value, F(r) the float32 score kept
+    here (``combine(F, u32 @ u32[nxt])`` per step) and V(r) a float64
+    recomputation, ``combine.reduce(unit[r] @ unit[selected].T)``.  With
+    the module docstring's eps and delta:
+
+    - ``min_distance``: a maximum is exact and moves by no more than its
+      terms, so |F - E| <= bF = eps and |S - E|, |V - E| <= b64 = delta.
+    - ``sum_distance``: m terms, each off by eps (delta), and summing m
+      terms of size at most 1 + eps (1 + delta) in any order adds at most
+      gamma_m(u) m (1 + eps) (Higham sec. 4.2), so bF = m eps +
+      gamma_m(2**-24) m (1 + eps) and b64 = m delta + gamma_m(2**-53)
+      m (1 + delta).
+
+    Both get 1% slack.  The reference takes p*, the first row with the
+    smallest S; for the F-minimizer q, F(p*) <= S(p*) + b64 + bF <=
+    S(q) + b64 + bF <= F(q) + 2 bF + 2 b64, so every row within 2 bF +
+    2 b64 of the smallest F is kept (the limit rounded up in float32).
+    One kept row is p*.  Of several, the one with the smallest V is p* if
+    it beats every other by more than 4 b64, by the seed pair's argument.
+    Otherwise (exact ties, near-ties, or more than _MAX_CANDIDATES kept
+    rows) the float32 copy is freed, ``tokens.unit64()`` is built, S is
+    replayed and the reference finishes the selection.
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
@@ -173,21 +297,19 @@ def greedy_rep_max(
     if k >= n:
         return list(range(n))
 
-    unit = tokens.unit64()
-    i, j = _seed_pair(unit)
-    if k == 1:
-        return [i]
-
     combine = np.add if objective == "sum_distance" else np.maximum
-    selected = [i, j]
-    score = combine(unit @ unit[i], unit @ unit[j])
-    score[selected] = np.inf
-    while len(selected) < k:
-        nxt = int(np.argmin(score))  # first occurrence = lowest index
-        selected.append(nxt)
-        combine(score, unit @ unit[nxt], out=score)
-        score[nxt] = np.inf
-    return sorted(selected)
+    u32 = _unit32(tokens)
+    pair = _certified_seed_pair(tokens, u32)
+    selected = [] if pair is None else list(pair)
+    if selected and k > 2:
+        _certified_steps(tokens, u32, selected, k, combine)
+    del u32  # freed before any float64 copy of the whole image
+    if not selected or len(selected) < k:
+        unit = tokens.unit64()
+        selected = selected or list(_exact_seed_pair(unit))
+        if len(selected) < k:
+            _float64_steps(unit, selected, k, combine)
+    return [selected[0]] if k == 1 else sorted(selected)
 
 
 def _collapsed_arrays(

@@ -250,11 +250,28 @@ class TestExitCodes:
         assert "BadSpec" in err
 
     @pytest.mark.parametrize(
-        "flags",
-        [("--repeats", "0"), ("--repeats", "-1"), ("--n", "0"), ("--n", "-5")],
-        ids=["repeats-0", "repeats-neg", "n-0", "n-neg"],
+        "flags, env_seed",
+        [
+            (("--repeats", "0"), None),
+            (("--repeats", "-1"), None),
+            (("--n", "0"), None),
+            (("--n", "-5"), None),
+            (("--dim", "0"), None),
+            (("--dim", "-3"), None),
+            (("--m", "0"), None),
+            (("--m", "-2"), None),
+            (("--seed", "-1"), None),
+            ((), "-5"),
+        ],
+        ids=[
+            "repeats-0", "repeats-neg", "n-0", "n-neg", "dim-0", "dim-neg",
+            "m-0", "m-neg", "seed-neg", "env-seed-neg",
+        ],
     )
-    def test_bad_bench_sizes(self, capsys, flags):
+    def test_bad_bench_sizes(self, capsys, monkeypatch, flags, env_seed):
+        """Checked up front, whichever kernel runs (pareto uses no dim)."""
+        if env_seed is not None:
+            monkeypatch.setenv("TOKENTRIM_SEED", env_seed)
         code, out, err = run(capsys, "bench", "--kernel", "pareto", *flags)
         assert code == 26
         assert err.startswith("tokentrim bench: stage bench: BadSpec:")

@@ -122,3 +122,22 @@ def test_seed_pair_matches_blockwise_scan(values, objective):
     assume(np.all(np.any(values != 0, axis=1)))
     m = build_token_matrix(*values.shape, values)
     assert greedy_rep_max(m, 2, objective) == blockwise_greedy_oracle(m, 2, objective)
+
+
+@PROPERTY_SETTINGS
+@given(
+    hnp.arrays(
+        np.int8,
+        st.tuples(st.integers(2, 24), st.integers(1, 6)),
+        elements=st.integers(-2, 2),
+    ),
+    st.sampled_from(["sum_distance", "min_distance"]),
+)
+def test_greedy_matches_blockwise_oracle_at_every_budget(values, objective):
+    """Small integer entries tie many rows' scores in exact arithmetic, so
+    both the certified float32 steps and the float64 replay are hit."""
+    assume(np.all(np.any(values != 0, axis=1)))
+    m = build_token_matrix(*values.shape, values)
+    for k in range(1, m.rows + 1):
+        want = blockwise_greedy_oracle(m, k, objective)
+        assert greedy_rep_max(m, k, objective) == want

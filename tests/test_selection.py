@@ -15,6 +15,7 @@ from tokentrim.selection import (
     pareto_budgeted,
     pareto_front_sortscan,
 )
+from tokentrim.types import TokenMatrix
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -270,7 +271,7 @@ class TestSeedPairScan:
         )
         for img in generate_synthetic(spec).images:
             unit = img.unit64()
-            pair = selection._certified_seed_pair(unit)
+            pair = selection._certified_seed_pair(img, selection._unit32(img))
             assert pair is not None
             assert pair == selection._exact_seed_pair(unit)
 
@@ -287,6 +288,158 @@ class TestSeedPairScan:
             tracemalloc.stop()
         assert peak < 35e6
         assert got == blockwise_greedy_oracle(m, 2, "sum_distance")
+
+
+def oracle_order(tokens, k, objective):
+    """The oracle's first k choices in the order it makes them."""
+    order = blockwise_greedy_oracle(tokens, 2, objective)
+    for t in range(3, k + 1):
+        step = set(blockwise_greedy_oracle(tokens, t, objective)) - set(order)
+        order.append(step.pop())
+    return order
+
+
+def float32_score(tokens, chosen, objective):
+    """The float32 score greedy_rep_max keeps after choosing ``chosen``."""
+    combine = np.add if objective == "sum_distance" else np.maximum
+    u32 = selection._unit32(tokens)
+    score = combine(u32 @ u32[chosen[0]], u32 @ u32[chosen[1]])
+    for c in chosen[2:]:
+        combine(score, u32 @ u32[c], out=score)
+    score[chosen] = np.inf
+    return score
+
+
+def no_widening(self):
+    raise AssertionError("the certified path built a float64 copy of the image")
+
+
+class TestCertifiedGreedyLoop:
+    def test_rows_round_from_float64_unit_rows(self):
+        """Float32 rows and float64 rows of a few indices are exactly the
+        whole-image unit rows, rounded or indexed, even for rows whose norm
+        is far from 1."""
+        rng = np.random.default_rng(14)
+        rows = rng.standard_normal((300, 24)) * 10.0 ** rng.integers(-10, 30, (300, 1))
+        rows[0, :12] *= 1e-30  # unit entries below the float32 range
+        m = build_token_matrix(300, 24, rows.ravel())
+        unit = m.unit64()
+        want = unit.astype(np.float32)
+        got = selection._unit32(m)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        idx = [299, 3, 3, 150]
+        assert np.array_equal(
+            selection._unit64_rows(m, idx).view(np.uint64), unit[idx].view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_near_tie_below_float32_resolution(self, monkeypatch, objective):
+        """At the fifth step, two rows whose float64 scores differ by about
+        1e-9, far below float32 resolution.
+
+        The oracle's fifth choice p is replaced by two copies with a tiny
+        component on an axis no other row uses: p keeps the one that
+        scores worse in float64, and the better one is appended last.  For
+        some of these seeds the float32 score ranks p first, so trusting
+        the float32 argmin picks the wrong row; the float64 recheck must
+        decide it without the fallback.
+        """
+        dim, n, step = 8, 40, 5
+        float32_wrong = 0
+        for seed in range(6):
+            rows = np.zeros((n + 1, dim))
+            rows[:n, :-2] = np.random.default_rng(seed).standard_normal((n, dim - 2))
+            m = build_token_matrix(n, dim, rows[:n].ravel())
+            order = oracle_order(m, step, objective)
+            p, prior = order[-1], order[:-1]
+            unit = m.unit64()
+            combine = np.add if objective == "sum_distance" else np.maximum
+            # a tilt t scales p's score by 1/sqrt(1 + t**2), so when the
+            # score is negative the larger tilt scores worse
+            negative = combine.reduce(unit[prior] @ unit[p]) < 0
+            worse, better = (4e-9, 2e-9) if negative else (2e-9, 4e-9)
+            norm = np.linalg.norm(rows[p])
+            rows[n] = rows[p]
+            rows[p, -2] = np.sqrt(worse) * norm
+            rows[n, -1] = np.sqrt(better) * norm
+            m = build_token_matrix(n + 1, dim, rows.ravel())
+            assert oracle_order(m, step, objective) == [*prior, n]
+            score = float32_score(m, prior, objective)
+            float32_wrong += bool(score[p] <= score[n])
+            expected = {
+                k: blockwise_greedy_oracle(m, k, objective) for k in (step, step + 4)
+            }
+            with monkeypatch.context() as patch:
+                patch.setattr(TokenMatrix, "unit64", no_widening)
+                for k, want in expected.items():
+                    assert greedy_rep_max(m, k, objective) == want
+        assert float32_wrong >= 1
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_tie_at_later_step_replays_float64(self, monkeypatch, objective):
+        """Rows (h, h) are fixed by swapping the two halves of the
+        coordinates, so each row (x, y) ties in exact arithmetic with its
+        swap (y, x) at every step.  Rows 0 and 1 are clearly the farthest
+        pair, so the seed certifies; the first tied step must hand the
+        selection to the float64 loop, which replays the score."""
+        replayed_at = []
+        float64_steps = selection._float64_steps
+
+        def spy(unit, selected, k, combine):
+            replayed_at.append(len(selected))
+            float64_steps(unit, selected, k, combine)
+
+        def exact_seed_pair(unit):
+            raise AssertionError("the seed pair was not certified")
+
+        monkeypatch.setattr(selection, "_float64_steps", spy)
+        monkeypatch.setattr(selection, "_exact_seed_pair", exact_seed_pair)
+        half, deepest = 32, 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            h = rng.standard_normal((12, half))
+            h[1] = -h[0] + 0.1 * rng.standard_normal(half)
+            x, y = rng.standard_normal((2, 8, half))
+            rows = np.vstack([np.hstack([h, h]), np.hstack([x, y]), np.hstack([y, x])])
+            m = build_token_matrix(len(rows), 2 * half, rows.ravel())
+            for k in range(3, m.rows):
+                replayed_at.clear()
+                assert greedy_rep_max(m, k, objective) == blockwise_greedy_oracle(
+                    m, k, objective
+                )
+                if k == m.rows - 1:
+                    assert len(replayed_at) == 1 and 2 <= replayed_at[0] < k
+                    deepest = max(deepest, replayed_at[0])
+        assert deepest >= 4  # the replay repeats certified steps' matvecs
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_noisy_image_takes_no_fallback(self, monkeypatch, objective):
+        """A noisy 576 x 1024 image is selected from float32 rows alone."""
+        spec = SyntheticSpec(
+            n_images=1, tokens_per_image=576, dim=1024, seed=3, clusters=16,
+            noise=0.3, drift=0.05, text_tokens=1,
+        )
+        img = generate_synthetic(spec).images[0]
+        want = blockwise_greedy_oracle(img, 144, objective)
+        monkeypatch.setattr(TokenMatrix, "unit64", no_widening)
+        assert greedy_rep_max(img, 144, objective) == want
+
+    def test_certified_path_stays_below_one_float64_copy(self):
+        """One float64 copy of a 2880 x 1024 image is 23.6 MB; the certified
+        path holds one float32 copy, one 256-row float32 gram block and a
+        few float64 rows."""
+        spec = SyntheticSpec(
+            n_images=1, tokens_per_image=2880, dim=1024, seed=0, clusters=16,
+            noise=0.3, drift=0.05, text_tokens=1,
+        )
+        img = generate_synthetic(spec).images[0]
+        tracemalloc.start()
+        try:
+            greedy_rep_max(img, 112)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2880 * 1024 * 8
 
 
 class TestGreedyObjectiveValue:
