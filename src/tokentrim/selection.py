@@ -5,23 +5,28 @@ step, domination sort, rank-sum fill — breaks toward the lowest original
 index, so reruns and reorderings of equal inputs reproduce the same
 choices.
 
-Greedy dispersion runs on one float32 copy of the unit rows and makes the
-float64 computation's choices bit for bit: each float32 decision is either
-certified against proven rounding bounds or handed to float64.  The bounds
+Greedy dispersion makes the float64 computation's choices bit for bit from
+a cheaper score source: one float32 copy of the unit rows, or one float64
+gram of them where that is smaller and cheaper (the rule is in
+:func:`greedy_rep_max`).  Each decision is either certified against
+proven rounding bounds or handed to the float64 computation.  The bounds
 (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1): for
 any summation order, FMA included, |fl(x.y) - x.y| <= gamma_n |x|.|y|,
 and |x|.|y| <= 1 for unit rows.  For two float64 unit rows (those of
 ``TokenMatrix.unit64()``) of dimension dim:
 
-- delta = gamma_dim(2**-53) bounds the error of a float64 dot product;
-- eps bounds the error of the float32 dot product of the same rows
-  rounded to float32: rounding the rows (relative error u = 2**-24 per
-  entry) moves a dot product by at most 2u + u**2 <= 3u; the float32 dot
-  adds gamma_dim(u), and gradual underflow (entries or products below
-  2**-126) at most dim * 2**-149, bounded here by dim * 2**-120.  The
-  float32 rows are rounded from float64 unit rows, not scaled in float32:
-  a row norm above 2**126 would make a float32 scale factor subnormal and
-  lose its relative precision.
+- delta = gamma_dim(2**-53) bounds the error of a float64 dot product, so
+  of every gram entry too, whatever order gemm or syrk sums in;
+- eps bounds the error of the float32 dot product of the float32 unit
+  rows.  Those are the data times a float32 scale, so each entry takes two
+  float32 roundings (the scale and the product) and differs from the
+  float64 unit row by a relative 2u + u**2 (u = 2**-24), plus float64
+  rounding far below u**2: within 2u(1 + u).  That moves a dot product by
+  at most 4u + O(u**2) <= 5u; the float32 dot adds gamma_dim(u), and
+  gradual underflow (entries or products below 2**-126) at most
+  dim * 2**-149, bounded here by dim * 2**-120.  A row norm above 2**126
+  would make its float32 scale subnormal and lose its relative precision,
+  so such an image skips the float32 rows and takes the float64 path.
 
 Both bounds get 1% slack, which also covers rows whose computed norm is
 not exactly 1 and the rounding of the threshold arithmetic.
@@ -69,11 +74,12 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else np.inf
 
 
-def _dot_bounds(dim: int) -> tuple[float, float]:
-    """(eps, delta): the module docstring's float32 and float64 dot bounds."""
-    eps = 1.01 * (3 * 2.0**-24 + _gamma(dim, 2.0**-24)) + dim * 2.0**-120
-    delta = 1.01 * _gamma(dim, 2.0**-53)
-    return eps, delta
+def _dot_bound(dim: int, dtype) -> float:
+    """The module docstring's bound on a dot product of two unit rows
+    computed in ``dtype``: eps for float32, delta for float64."""
+    if dtype == np.float32:
+        return 1.01 * (5 * 2.0**-24 + _gamma(dim, 2.0**-24)) + dim * 2.0**-120
+    return 1.01 * _gamma(dim, 2.0**-53)
 
 
 def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
@@ -83,16 +89,43 @@ def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
     return rows
 
 
-def _unit32(tokens: TokenMatrix) -> np.ndarray:
-    """``tokens.unit64().astype(np.float32)`` bit for bit.
+def _unit32(tokens: TokenMatrix) -> np.ndarray | None:
+    """Float32 unit rows, each the data times a float32 scale, or None.
 
-    Each entry is widened to float64, divided there and rounded once to
-    float32; numpy does this in its small ufunc buffers, so no float64
-    copy of the image is made.
+    One float32 multiply per entry, so each entry lies within
+    2u(1 + u) |unit64| + 2**-149 of ``tokens.unit64()``'s (u = 2**-24, the
+    last term for subnormal products).  None when some row's scale would
+    be subnormal (norm above 2**126), where that bound fails.
     """
-    u32 = np.empty(tokens.data.shape, dtype=np.float32)
-    np.divide(tokens.data, np.sqrt(tokens.norms_sq)[:, None], out=u32, dtype=np.float64)
-    return u32
+    scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
+    if scale.min() < np.finfo(np.float32).tiny:
+        return None
+    return tokens.data * scale[:, None]
+
+
+def _gram(tokens: TokenMatrix) -> np.ndarray:
+    """The float64 gram of ``tokens.unit64()``; the unit rows are freed."""
+    unit = tokens.unit64()
+    return unit @ unit.T
+
+
+def _dot_block(src: np.ndarray, r0: int, rows: int) -> np.ndarray:
+    """A fresh array of the dot products of unit rows r0 .. r0 + rows - 1
+    with unit rows r0 and up.
+
+    ``src`` is a score source: float32 unit rows (:func:`_unit32`), whose
+    products are computed, or the float64 gram (:func:`_gram`), which
+    holds them.
+    """
+    if src.dtype == np.float32:
+        return src[r0 : r0 + rows] @ src[r0:].T
+    return src[r0 : r0 + rows, r0:].copy()
+
+
+def _dot_column(src: np.ndarray, i: int) -> np.ndarray:
+    """The dot products of every unit row with row i, from ``src`` as in
+    :func:`_dot_block`; a read-only use may get a view of the gram."""
+    return src @ src[i] if src.dtype == np.float32 else src[i]
 
 
 def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
@@ -120,19 +153,19 @@ def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
 
 
 def _certified_seed_pair(
-    tokens: TokenMatrix, u32: np.ndarray
+    tokens: TokenMatrix, src: np.ndarray
 ) -> tuple[int, int] | None:
-    """:func:`_exact_seed_pair`'s pair from a float32 filter, or None.
+    """:func:`_exact_seed_pair`'s pair from a filter over ``src``, or None.
 
     For a pair p, let G(p) be the value :func:`_exact_seed_pair`'s gemm
-    computes, F(p) this filter's value from ``u32`` (the output of
-    :func:`_unit32`) and V(p) a float64 recomputation; by the module
+    computes, F(p) this filter's value from the score source ``src`` (see
+    :func:`_dot_block`) and V(p) a float64 recomputation; by the module
     docstring, G and V lie within delta of the exact dot product and F
-    within eps.
+    within bF: eps from float32 rows, delta from the gram.
 
     Filter: the winner p* minimizes G, so for the F-minimizer q,
-    F(p*) <= G(p*) + delta + eps <= G(q) + delta + eps <= F(q) + 2 eps +
-    2 delta; every pair within 2 eps + 2 delta of the smallest F is kept.
+    F(p*) <= G(p*) + delta + bF <= G(q) + delta + bF <= F(q) + 2 bF +
+    2 delta; every pair within 2 bF + 2 delta of the smallest F is kept.
     Each 256-row block is compared with that limit only in the rows whose
     minimum is within it.
 
@@ -143,22 +176,23 @@ def _certified_seed_pair(
     _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
     the exact scan decides, so the tie rule never depends on this filter.
     """
-    n, dim = u32.shape
-    eps, delta = _dot_bounds(dim)
-    tol = 2 * eps + 2 * delta
+    n, dim = tokens.data.shape
+    delta = _dot_bound(dim, np.float64)
+    tol = 2 * _dot_bound(dim, src.dtype) + 2 * delta
     if not tol < 1:  # dims where the bounds fail
         return None
+    dt = src.dtype.type
     best = np.inf
     ci = cj = np.empty(0, dtype=np.int64)
-    cf = np.empty(0, dtype=np.float32)
+    cf = np.empty(0)
     for r0 in range(0, n - 1, _FILTER_BLOCK):
         rows = min(_FILTER_BLOCK, n - 1 - r0)
-        block = u32[r0 : r0 + rows] @ u32[r0:].T
+        block = _dot_block(src, r0, rows)
         block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
         row_min = block.min(axis=1)
         best = min(best, float(row_min.min()))
-        # rounded up to float32, so the comparison keeps a superset
-        limit = np.nextafter(np.float32(best + tol), np.float32(np.inf))
+        # rounded up in the source's precision: the comparison keeps a superset
+        limit = np.nextafter(dt(best + tol), dt(np.inf))
         keep = cf <= limit
         near = np.flatnonzero(row_min <= limit)
         hit = block[near] <= limit
@@ -178,39 +212,42 @@ def _certified_seed_pair(
 
 def _certified_steps(
     tokens: TokenMatrix,
-    u32: np.ndarray,
+    src: np.ndarray,
     selected: list[int],
     k: int,
     combine: np.ufunc,
 ) -> None:
     """Extend ``selected`` toward k rows with :func:`_float64_steps`'s choices.
 
-    Keeps the float32 score of ``u32`` and certifies each step as
-    :func:`greedy_rep_max` derives.  Stops at the first step it cannot
-    certify, leaving in ``selected`` the choices made so far.
+    Keeps a running score read from the score source ``src`` (see
+    :func:`_dot_block`) and certifies each step as :func:`greedy_rep_max`
+    derives.  Stops at the first step it cannot certify, leaving in
+    ``selected`` the choices made so far.
     """
-    dim = u32.shape[1]
-    eps, delta = _dot_bounds(dim)
-    sel64 = np.empty((k, dim))  # float64 unit rows of selected, filled lazily
+    dim = tokens.dim
+    e, delta = _dot_bound(dim, src.dtype), _dot_bound(dim, np.float64)
+    u = np.finfo(src.dtype).eps / 2
+    sel64 = None  # float64 unit rows of selected, filled at rechecks
     filled = 0
-    score = combine(u32 @ u32[selected[0]], u32 @ u32[selected[1]])
+    score = combine(_dot_column(src, selected[0]), _dot_column(src, selected[1]))
     score[selected] = np.inf
+    dt = src.dtype.type
     while len(selected) < k:
         m = len(selected)
         if combine is np.add:
-            b32 = 1.01 * m * (eps + _gamma(m, 2.0**-24) * (1 + eps))
+            bF = 1.01 * m * (e + _gamma(m, u) * (1 + e))
             b64 = 1.01 * m * (delta + _gamma(m, 2.0**-53) * (1 + delta))
         else:
-            b32, b64 = eps, delta
+            bF, b64 = e, delta
         lowest = float(score.min())
-        # rounded up to float32, so the comparison keeps a superset
-        limit = np.nextafter(
-            np.float32(lowest + 2 * b32 + 2 * b64), np.float32(np.inf)
-        )
+        # rounded up in the score's precision: the comparison keeps a superset
+        limit = np.nextafter(dt(lowest + (2 * bF + 2 * b64)), dt(np.inf))
         cand = np.flatnonzero(score <= limit)
         if len(cand) > 1:
             if len(cand) > _MAX_CANDIDATES:
                 return
+            if sel64 is None:
+                sel64 = np.empty((k, dim))
             sel64[filled:m] = _unit64_rows(tokens, selected[filled:m])
             filled = m
             value = combine.reduce(_unit64_rows(tokens, cand) @ sel64[:m].T, axis=1)
@@ -220,7 +257,7 @@ def _certified_steps(
             cand = cand[order[:1]]
         nxt = int(cand[0])
         selected.append(nxt)
-        combine(score, u32 @ u32[nxt], out=score)
+        combine(score, _dot_column(src, nxt), out=score)
         score[nxt] = np.inf
 
 
@@ -261,49 +298,59 @@ def greedy_rep_max(
 
     The reference is the float64 computation: :func:`_exact_seed_pair`,
     then :func:`_float64_steps`, on ``tokens.unit64()``.  This function
-    returns its choices bit for bit, ties included, from one float32 copy
-    of the unit rows (:func:`_unit32`) and float64 rows of the few rows
-    it checks.  The seed comes from :func:`_certified_seed_pair`; each
-    step then works as follows.
+    returns its choices bit for bit, ties included, from one score source
+    and float64 rows of the few rows it checks.  The source is the float64
+    gram of the unit rows (:func:`_gram`) when it is no larger than float32
+    rows (2 n <= dim) and the k matvecs it replaces hold at least a quarter
+    as many products as its upper triangle (4 k >= n: float32 rows pay for
+    that triangle too, in float32, in the seed filter, and measured at
+    dim 1024 the two sources break even near k = n / 8); otherwise it is
+    one float32 copy of the unit rows (:func:`_unit32`).  The seed comes from
+    :func:`_certified_seed_pair`; each step then works as follows.
 
     With m rows selected, let S(r) be the reference's score of an
-    unselected row r, E(r) its exact value, F(r) the float32 score kept
-    here (``combine(F, u32 @ u32[nxt])`` per step) and V(r) a float64
-    recomputation, ``combine.reduce(unit[r] @ unit[selected].T)``.  With
-    the module docstring's eps and delta:
+    unselected row r, E(r) its exact value, F(r) the score kept here
+    (``combine(F, <source's dots with row nxt>)`` per step) and V(r) a
+    float64 recomputation, ``combine.reduce(unit[r] @ unit[selected].T)``.
+    Each source dot product is within e of the exact one, e = eps for
+    float32 rows and e = delta for the gram (module docstring), and F sums
+    in the source's unit roundoff u (2**-24 or 2**-53):
 
     - ``min_distance``: a maximum is exact and moves by no more than its
-      terms, so |F - E| <= bF = eps and |S - E|, |V - E| <= b64 = delta.
-    - ``sum_distance``: m terms, each off by eps (delta), and summing m
-      terms of size at most 1 + eps (1 + delta) in any order adds at most
-      gamma_m(u) m (1 + eps) (Higham sec. 4.2), so bF = m eps +
-      gamma_m(2**-24) m (1 + eps) and b64 = m delta + gamma_m(2**-53)
-      m (1 + delta).
+      terms, so |F - E| <= bF = e and |S - E|, |V - E| <= b64 = delta.
+    - ``sum_distance``: m terms, each off by e (delta), and summing m
+      terms of size at most 1 + e (1 + delta) in any order adds at most
+      gamma_m(u) m (1 + e) (Higham sec. 4.2), so bF = m e + gamma_m(u)
+      m (1 + e) and b64 = m delta + gamma_m(2**-53) m (1 + delta).
 
+    From the gram, bF = b64: its scores are as good as the reference's,
+    whatever order gemm or syrk summed in, so no further proof is needed.
     Both get 1% slack.  The reference takes p*, the first row with the
     smallest S; for the F-minimizer q, F(p*) <= S(p*) + b64 + bF <=
     S(q) + b64 + bF <= F(q) + 2 bF + 2 b64, so every row within 2 bF +
-    2 b64 of the smallest F is kept (the limit rounded up in float32).
-    One kept row is p*.  Of several, the one with the smallest V is p* if
-    it beats every other by more than 4 b64, by the seed pair's argument.
-    Otherwise (exact ties, near-ties, or more than _MAX_CANDIDATES kept
-    rows) the float32 copy is freed, ``tokens.unit64()`` is built, S is
-    replayed and the reference finishes the selection.
+    2 b64 of the smallest F is kept (the limit rounded up in F's
+    precision).  One kept row is p*.  Of several, the one with the
+    smallest V is p* if it beats every other by more than 4 b64, by the
+    seed pair's argument.  Otherwise (exact ties, near-ties, or more than
+    _MAX_CANDIDATES kept rows) the source is freed, ``tokens.unit64()`` is
+    built, S is replayed and the reference finishes the selection.  So do
+    images with a row norm above 2**126, which have no float32 rows.
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
     _check_budget(k)
-    n = tokens.rows
+    n, dim = tokens.data.shape
     if k >= n:
         return list(range(n))
 
     combine = np.add if objective == "sum_distance" else np.maximum
-    u32 = _unit32(tokens)
-    pair = _certified_seed_pair(tokens, u32)
-    selected = [] if pair is None else list(pair)
-    if selected and k > 2:
-        _certified_steps(tokens, u32, selected, k, combine)
-    del u32  # freed before any float64 copy of the whole image
+    src = _gram(tokens) if 2 * n <= dim and 4 * k >= n else _unit32(tokens)
+    selected = []
+    if src is not None:
+        selected = list(_certified_seed_pair(tokens, src) or ())
+        if selected and k > 2:
+            _certified_steps(tokens, src, selected, k, combine)
+    del src  # freed before any float64 copy of the whole image
     if not selected or len(selected) < k:
         unit = tokens.unit64()
         selected = selected or list(_exact_seed_pair(unit))

@@ -141,3 +141,22 @@ def test_greedy_matches_blockwise_oracle_at_every_budget(values, objective):
     for k in range(1, m.rows + 1):
         want = blockwise_greedy_oracle(m, k, objective)
         assert greedy_rep_max(m, k, objective) == want
+
+
+@st.composite
+def gram_shaped_int_rows(draw):
+    n = draw(st.integers(2, 16))
+    dim = draw(st.integers(2 * n, 2 * n + 8))
+    return draw(hnp.arrays(np.int8, (n, dim), elements=st.integers(-2, 2)))
+
+
+@PROPERTY_SETTINGS
+@given(gram_shaped_int_rows(), st.sampled_from(["sum_distance", "min_distance"]))
+def test_gram_source_matches_blockwise_oracle_at_every_budget(values, objective):
+    """With 2 n <= dim the larger budgets read the float64 gram, where small
+    integer entries tie many rows' scores too."""
+    assume(np.all(np.any(values != 0, axis=1)))
+    m = build_token_matrix(*values.shape, values)
+    for k in range(1, m.rows + 1):
+        want = blockwise_greedy_oracle(m, k, objective)
+        assert greedy_rep_max(m, k, objective) == want

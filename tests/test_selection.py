@@ -316,21 +316,47 @@ def no_widening(self):
 
 class TestCertifiedGreedyLoop:
     def test_rows_round_from_float64_unit_rows(self):
-        """Float32 rows and float64 rows of a few indices are exactly the
-        whole-image unit rows, rounded or indexed, even for rows whose norm
-        is far from 1."""
+        """Float32 rows lie within two float32 roundings of the whole-image
+        unit rows, and float64 rows of a few indices are exactly those
+        rows, even for rows whose norm is far from 1."""
         rng = np.random.default_rng(14)
         rows = rng.standard_normal((300, 24)) * 10.0 ** rng.integers(-10, 30, (300, 1))
-        rows[0, :12] *= 1e-30  # unit entries below the float32 range
+        rows[0, :12] *= 1e-30  # unit entries far below the others
+        rows[0, 12:18] *= 1e-40  # unit entries subnormal in float32
         m = build_token_matrix(300, 24, rows.ravel())
         unit = m.unit64()
-        want = unit.astype(np.float32)
-        got = selection._unit32(m)
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        got = selection._unit32(m).astype(np.float64)
+        u = 2.0**-24
+        assert np.all(np.abs(got - unit) <= 2 * u * (1 + u) * np.abs(unit) + 2.0**-149)
         idx = [299, 3, 3, 150]
         assert np.array_equal(
             selection._unit64_rows(m, idx).view(np.uint64), unit[idx].view(np.uint64)
         )
+
+    def test_huge_norms_take_the_float64_path(self, monkeypatch):
+        """A row norm above 2**126 would make its float32 scale subnormal,
+        outside the bound above, so such an image has no float32 rows and
+        the float64 computation selects it."""
+        calls = []
+        exact_seed_pair = selection._exact_seed_pair
+
+        def spy(unit):
+            calls.append(unit.shape)
+            return exact_seed_pair(unit)
+
+        monkeypatch.setattr(selection, "_exact_seed_pair", spy)
+        rng = np.random.default_rng(15)
+        rows = rng.standard_normal((40, 8))
+        rows[::3] *= 2.0**126  # norms near 2**126 .. 2**128
+        m = build_token_matrix(40, 8, rows.ravel())
+        assert np.sqrt(m.norms_sq).max() > 2.0**126
+        assert selection._unit32(m) is None
+        for objective in ("sum_distance", "min_distance"):
+            for k in (2, 3, 9, 39):
+                calls.clear()
+                got = greedy_rep_max(m, k, objective)
+                assert got == blockwise_greedy_oracle(m, k, objective)
+                assert calls == [(40, 8)]
 
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_near_tie_below_float32_resolution(self, monkeypatch, objective):
@@ -440,6 +466,116 @@ class TestCertifiedGreedyLoop:
         finally:
             tracemalloc.stop()
         assert peak < 2880 * 1024 * 8
+
+
+def count_gram_builds(monkeypatch):
+    """Patch ``selection._gram`` to record the shape of each image it builds
+    a gram for; returns that list."""
+    builds = []
+    gram = selection._gram
+
+    def spy(tokens):
+        builds.append(tokens.data.shape)
+        return gram(tokens)
+
+    monkeypatch.setattr(selection, "_gram", spy)
+    return builds
+
+
+class TestGramSource:
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_matches_blockwise_oracle(self, monkeypatch, objective):
+        """With 2 n <= dim and large budgets the steps read the float64
+        gram; the selections stay the oracle's, exact ties included."""
+        builds = count_gram_builds(monkeypatch)
+        rng = np.random.default_rng(16)
+        for n, dim in ((24, 48), (60, 128), (100, 200)):
+            half = rng.standard_normal((n // 2, dim))
+            inputs = (
+                rng.integers(0, 2, (n, dim)).astype(np.float64),
+                # every row an exact copy of one of five prototypes
+                rng.standard_normal((5, dim))[rng.integers(0, 5, n)],
+                # copies of seven prototypes, each moved by 1e-9 .. 1e-6
+                rng.standard_normal((7, dim))[rng.integers(0, 7, n)]
+                + 10.0 ** rng.integers(-9, -5, (n, 1)) * rng.standard_normal((n, dim)),
+                rng.integers(-3, 4, (n, dim)).astype(np.float64),
+                # antipodal pairs whose dot products differ by ~1e-16
+                np.vstack([half, -half + 1e-8 * rng.standard_normal(half.shape)]),
+            )
+            for rows in inputs:
+                m = build_token_matrix(len(rows), dim, rows.ravel())
+                for k in sorted({m.rows // 2, 3 * m.rows // 4, m.rows - 1}):
+                    builds.clear()
+                    want = blockwise_greedy_oracle(m, k, objective)
+                    assert greedy_rep_max(m, k, objective) == want
+                    assert builds == [m.data.shape]
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_tie_at_later_gram_step_replays_float64(self, monkeypatch, objective):
+        """TestCertifiedGreedyLoop's swapped halves at a gram shape: each row
+        (x, y) ties in exact arithmetic with (y, x) at every step, and the
+        gram's entries for the two need not round alike.  The first tied
+        step must hand the selection to the float64 loop."""
+        builds = count_gram_builds(monkeypatch)
+        replayed_at = []
+        float64_steps = selection._float64_steps
+
+        def spy(unit, selected, k, combine):
+            replayed_at.append(len(selected))
+            float64_steps(unit, selected, k, combine)
+
+        monkeypatch.setattr(selection, "_float64_steps", spy)
+        half, deepest = 64, 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            h = rng.standard_normal((12, half))
+            h[1] = -h[0] + 0.1 * rng.standard_normal(half)
+            x, y = rng.standard_normal((2, 8, half))
+            rows = np.vstack([np.hstack([h, h]), np.hstack([x, y]), np.hstack([y, x])])
+            m = build_token_matrix(len(rows), 2 * half, rows.ravel())
+            builds.clear()
+            replayed_at.clear()
+            k = m.rows - 1
+            assert greedy_rep_max(m, k, objective) == blockwise_greedy_oracle(
+                m, k, objective
+            )
+            assert builds == [m.data.shape]
+            assert len(replayed_at) == 1 and 2 <= replayed_at[0] < k
+            deepest = max(deepest, replayed_at[0])
+        assert deepest >= 4  # certified gram steps came before the tie
+
+    def test_rule_takes_the_gram_only_at_stage_two_shapes(self, monkeypatch):
+        """Stage-1 shapes stream float32 rows; a stage-2 shape (a few
+        hundred pooled rows of dim 1024, k = 252) reads the gram."""
+        builds = count_gram_builds(monkeypatch)
+        rng = np.random.default_rng(17)
+        for n, dim, k, grams in (
+            (576, 1024, 14, 0),
+            (2880, 1024, 104, 0),
+            (576, 4096, 14, 0),
+            (400, 1024, 252, 1),
+        ):
+            values = rng.standard_normal(n * dim, dtype=np.float32)
+            m = build_token_matrix(n, dim, values)
+            builds.clear()
+            assert len(greedy_rep_max(m, k)) == k
+            assert len(builds) == grams
+
+    def test_gram_path_memory(self):
+        """A stage-2-shaped call (454 x 1024, k = 252) holds the float64 unit
+        rows (3.7 MB) and their gram (1.6 MB) at once, and little else."""
+        spec = SyntheticSpec(
+            n_images=1, tokens_per_image=454, dim=1024, seed=0, clusters=16,
+            noise=0.3, drift=0.05, text_tokens=1,
+        )
+        img = generate_synthetic(spec).images[0]
+        tracemalloc.start()
+        try:
+            greedy_rep_max(img, 252)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
 
 
 class TestGreedyObjectiveValue:
