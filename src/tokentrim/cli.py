@@ -97,7 +97,7 @@ def _load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read config from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")

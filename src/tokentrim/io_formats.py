@@ -112,10 +112,10 @@ class SyntheticSpec:
             raise BadSpec(
                 f"clusters must be in [1, tokens_per_image], got {self.clusters}"
             )
-        if self.noise < 0:
-            raise BadSpec(f"noise must be >= 0, got {self.noise}")
-        if self.drift < 0:
-            raise BadSpec(f"drift must be >= 0, got {self.drift}")
+        for name in ("noise", "drift"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN fails every comparison
+                raise BadSpec(f"{name} must be finite and >= 0, got {value}")
         if self.text_tokens < 0:
             raise BadSpec(f"text_tokens must be >= 0, got {self.text_tokens}")
 

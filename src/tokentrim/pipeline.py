@@ -9,19 +9,17 @@ bundle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import allocation, metrics, selection
-from .errors import SelectionMismatch
+from .errors import BadConfig, SelectionMismatch
 from .types import (
     PruneConfig,
     RedundancyReport,
     ResolvedBudgets,
     Selection,
     TokenBundle,
-    TokenMatrix,
+    _typed,
     resolve_config,
 )
 
@@ -70,24 +68,20 @@ def prune(
     """Run the full two-stage pruning pipeline.
 
     Returns the redundancy report and a Selection whose indices, scores and
-    stage sizes all reference the original bundle.  ``threads`` > 1 runs
-    the per-image stage-1 selections in a thread pool; results are
-    identical to the sequential run.
+    stage sizes all reference the original bundle.  Stage 1 runs the
+    per-image selections one after another.  ``threads`` must be the
+    integer 1; any other value raises BadConfig before any work is done.
     """
+    if _typed("threads", "int", threads) != 1:
+        raise BadConfig(f"threads must be 1, got {threads!r}")
     budgets = resolve_config(cfg, bundle, require_text=True)
     report = _signals(bundle, cfg, budgets)
     offsets = bundle.offsets
 
-    def stage1(args: tuple[TokenMatrix, int]) -> list[int]:
-        img, quota = args
-        return selection.greedy_rep_max(img, quota, cfg.greedy_objective)
-
-    jobs = list(zip(bundle.images, report.per_image_budgets))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stage1_local = list(pool.map(stage1, jobs))
-    else:
-        stage1_local = [stage1(job) for job in jobs]
+    stage1_local = [
+        selection.greedy_rep_max(img, quota, cfg.greedy_objective)
+        for img, quota in zip(bundle.images, report.per_image_budgets)
+    ]
     x1_global = [
         offsets[k] + i for k, local in enumerate(stage1_local) for i in local
     ]

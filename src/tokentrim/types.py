@@ -1,9 +1,10 @@
 """Validated embedding containers, configuration and result records.
 
 Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
-squared norm; unit rows are derived in 64-bit where a kernel needs them, and
-every reduction (norms, sums, dot products) accumulates in 64-bit.  All
-containers are immutable after construction and safe to share across
+squared norm.  Greedy selection scores 32-bit unit rows (or a 64-bit gram
+of a small set) and certifies its choices in 64-bit (see ``selection``);
+every other reduction (norms, sums, dot products) accumulates in 64-bit.
+All containers are immutable after construction and safe to share across
 threads.
 """
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tokentrim import PruneConfig, analyze, apply_selection, prune, read_bundle
+from tokentrim import bench, metrics, selection
 from tokentrim.cli import main
+from tokentrim.errors import BenchGateFailure
 from tokentrim.io_formats import report_document, result_document
 from tokentrim.types import resolve_config
 
@@ -222,6 +224,25 @@ class TestBenchCommand:
         doc = json.loads(out[start:])
         assert doc["results"][0]["max_abs_err"] == 0.0  # identical index sets
 
+    def test_disagreeing_fast_kernels_trip_the_gate(self, capsys, monkeypatch):
+        diversity = metrics.intra_diversity_fast
+        monkeypatch.setattr(
+            metrics, "intra_diversity_fast", lambda mat: diversity(mat) + 1.0
+        )
+        # Peels one point per front, so it keeps the last `budget` indices.
+        monkeypatch.setattr(
+            selection, "pareto_front_sortscan", lambda points: [points[-1].index]
+        )
+        for kernel in ("diversity", "pareto"):
+            with pytest.raises(BenchGateFailure):
+                bench.run_suite((kernel,), repeats=1, n=64)
+
+        code, out, err = run(
+            capsys, "bench", "--kernel", "diversity", "--n", "64", "--repeats", "1",
+        )
+        assert code == 29 and out == ""
+        assert err.startswith("tokentrim bench: stage bench: BenchGateFailure:")
+
 
 class TestExitCodes:
     def test_missing_input(self, capsys, tmp_path):
@@ -248,6 +269,19 @@ class TestExitCodes:
         )
         assert code == 26
         assert "BadSpec" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise", "nan"), ("--noise", "inf"), ("--drift", "nan"), ("--drift", "inf")],
+    )
+    def test_non_finite_spec_via_gen(self, capsys, tmp_path, flag, value):
+        code, out, err = run(
+            capsys, "gen", "--images", "2", "--tokens", "4", "--dim", "4",
+            flag, value, "--output", str(tmp_path / "x.ttb"),
+        )
+        assert code == 26 and out == ""
+        assert err.startswith("tokentrim gen: stage configure: BadSpec:")
+        assert not (tmp_path / "x.ttb").exists()
 
     @pytest.mark.parametrize(
         "flags, env_seed",
@@ -285,6 +319,17 @@ class TestExitCodes:
             capsys, "analyze", "--input", str(inp), "--config", str(bad_json)
         )
         assert code == 28 and "BadConfig" in err
+
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b'\xff\xfe{"m2": 3}')
+        too_deep = tmp_path / "too_deep.json"
+        too_deep.write_text("[" * 100000)
+        for path in (not_utf8, too_deep):
+            code, out, err = run(
+                capsys, "analyze", "--input", str(inp), "--config", str(path)
+            )
+            assert code == 28 and out == ""
+            assert err.startswith("tokentrim analyze: stage configure: BadConfig:")
 
         unknown = tmp_path / "unknown.json"
         unknown.write_text(json.dumps({"m_min": 4, "bogus_key": 1}))

@@ -296,6 +296,10 @@ class TestSyntheticGenerator:
             SyntheticSpec(**{**good, "noise": -0.1})
         with pytest.raises(BadSpec):
             SyntheticSpec(**{**good, "drift": -0.1})
+        for field in ("noise", "drift"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(BadSpec, match=f"{field} must be finite"):
+                    SyntheticSpec(**{**good, field: value})
         with pytest.raises(BadSpec):
             SyntheticSpec(**{**good, "text_tokens": -1})
 

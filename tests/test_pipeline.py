@@ -14,7 +14,7 @@ from tokentrim import (
     make_bundle,
     prune,
 )
-from tokentrim.errors import EmptyText, SelectionMismatch
+from tokentrim.errors import BadConfig, EmptyText, SelectionMismatch
 from tokentrim.selection import (
     ParetoPoint,
     greedy_rep_max,
@@ -152,8 +152,11 @@ class TestPrune:
         cfg = PruneConfig()
         first = prune(bundle, cfg)
         second = prune(bundle, cfg)
-        threaded = prune(bundle, cfg, threads=4)
-        assert first == second == threaded
+        assert first == second == prune(bundle, cfg, 1)
+        # Stage 1 has one sequential path; threads admits only 1.
+        for threads in (0, 2, 4, True):
+            with pytest.raises(BadConfig, match="threads must be"):
+                prune(bundle, cfg, threads)
 
     def test_scores_are_permutation_equivariant(self):
         """With passthrough budgets, per-token scores follow the rows."""
