@@ -31,7 +31,7 @@ from .errors import (
     EmptyText,
     TooFewTokens,
 )
-from .types import TokenMatrix, build_token_matrix
+from .types import TokenMatrix, _integer, build_token_matrix
 
 # Acceptance floors for commodity hardware; the reference figures from the
 # original measurements are far higher, so these are deliberately derated.
@@ -176,13 +176,9 @@ def _random_matrix(rng: np.random.Generator, n: int, dim: int):
 
 
 def bench_diversity(
-    n: int = 8192,
-    dim: int = 64,
-    repeats: int = DEFAULT_REPEATS,
-    rng: np.random.Generator | None = None,
+    n: int, dim: int, repeats: int, rng: np.random.Generator
 ) -> BenchResult:
     """Intra-image diversity: quadratic gram sum versus aggregate identity."""
-    rng = rng or np.random.default_rng(DEFAULT_SEED)
     mat = _random_matrix(rng, n, dim)
     naive = intra_diversity_naive(mat)
     fast = metrics.intra_diversity_fast(mat)
@@ -197,14 +193,9 @@ def bench_diversity(
 
 
 def bench_alignment(
-    n: int = 8192,
-    m_text: int = 128,
-    dim: int = 64,
-    repeats: int = DEFAULT_REPEATS,
-    rng: np.random.Generator | None = None,
+    n: int, m_text: int, dim: int, repeats: int, rng: np.random.Generator
 ) -> BenchResult:
     """Text alignment: all-pairs squared distances versus expanded form."""
-    rng = rng or np.random.default_rng(DEFAULT_SEED)
     tokens = _random_matrix(rng, n, dim)
     text = _random_matrix(rng, m_text, dim)
     naive = alignment_naive(tokens, text)
@@ -226,13 +217,9 @@ def bench_alignment(
 
 
 def bench_pareto(
-    n: int = 500,
-    budget: int = 14,
-    repeats: int = DEFAULT_REPEATS,
-    rng: np.random.Generator | None = None,
+    n: int, budget: int, repeats: int, rng: np.random.Generator
 ) -> BenchResult:
     """Budgeted Pareto selection: pairwise domination versus sort-and-scan."""
-    rng = rng or np.random.default_rng(DEFAULT_SEED)
     points = [
         selection.ParetoPoint(i, float(v), float(a))
         for i, (v, a) in enumerate(rng.random((n, 2)))
@@ -262,20 +249,18 @@ def run_suite(
     """Run the requested kernels with shared seeding; order is fixed.
 
     ``n`` overrides the per-kernel default problem size (8192 for the two
-    metric kernels, 500 for pareto).  BadSpec unless ``repeats``,
-    ``dim`` and ``m_text`` are >= 1, ``n`` is None or >= 1 and ``seed``
-    is >= 0, whichever kernels are requested.
+    metric kernels, 500 for pareto).  BadSpec unless ``repeats``, ``dim``,
+    ``m_text`` and ``budget`` are integers >= 1, ``n`` is None or an
+    integer >= 1 and ``seed`` an integer >= 0, whichever kernels are
+    requested; a bool or float is not an integer.
     """
-    if repeats < 1:
-        raise BadSpec(f"repeats must be >= 1, got {repeats}")
-    if n is not None and n < 1:
-        raise BadSpec(f"problem size n must be >= 1, got {n}")
-    if dim < 1:
-        raise BadSpec(f"embedding dim must be >= 1, got {dim}")
-    if m_text < 1:
-        raise BadSpec(f"text tokens m_text must be >= 1, got {m_text}")
-    if seed < 0:
-        raise BadSpec(f"seed must be >= 0, got {seed}")
+    repeats = _integer("repeats", repeats, 1, BadSpec)
+    if n is not None:
+        n = _integer("problem size n", n, 1, BadSpec)
+    dim = _integer("embedding dim", dim, 1, BadSpec)
+    m_text = _integer("text tokens m_text", m_text, 1, BadSpec)
+    budget = _integer("budget", budget, 1, BadSpec)
+    seed = _integer("seed", seed, 0, BadSpec)
     sizes = {"diversity": 8192, "alignment": 8192, "pareto": 500}
     results = []
     for kernel in kernels:

@@ -13,6 +13,7 @@ order so documents diff cleanly.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass
 
@@ -26,6 +27,7 @@ from .types import (
     ResolvedBudgets,
     Selection,
     TokenBundle,
+    _integer,
     build_token_matrix,
 )
 
@@ -77,6 +79,12 @@ def read_bundle(path) -> TokenBundle:
     return TokenBundle(build_token_matrix(n_rows, dim, values), counts)
 
 
+# SyntheticSpec's integer fields and their smallest legal values.
+_SPEC_FLOORS = dict(
+    n_images=1, tokens_per_image=1, dim=1, seed=0, clusters=1, text_tokens=0
+)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Knobs for the synthetic bundle generator.
@@ -85,7 +93,10 @@ class SyntheticSpec:
     (orthonormal whenever clusters <= dim); ``noise`` is the Gaussian
     perturbation scale around a prototype and ``drift`` how far prototypes
     shift between consecutive images.  Low noise means high intra-image
-    redundancy, low drift high inter-image redundancy.
+    redundancy, low drift high inter-image redundancy.  BadSpec unless
+    every count and the seed is an integer (never a bool or float), seed
+    and text_tokens >= 0, the other counts >= 1 and clusters <=
+    tokens_per_image, and noise and drift are finite real numbers >= 0.
     """
 
     n_images: int
@@ -98,26 +109,18 @@ class SyntheticSpec:
     text_tokens: int = 8
 
     def __post_init__(self):
-        if self.n_images < 1:
-            raise BadSpec(f"n_images must be >= 1, got {self.n_images}")
-        if self.tokens_per_image < 1:
-            raise BadSpec(
-                f"tokens_per_image must be >= 1, got {self.tokens_per_image}"
-            )
-        if self.dim < 1:
-            raise BadSpec(f"dim must be >= 1, got {self.dim}")
-        if self.seed < 0:
-            raise BadSpec(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.clusters <= self.tokens_per_image:
+        for name, low in _SPEC_FLOORS.items():
+            value = _integer(name, getattr(self, name), low, BadSpec)
+            object.__setattr__(self, name, value)
+        if self.clusters > self.tokens_per_image:
             raise BadSpec(
                 f"clusters must be in [1, tokens_per_image], got {self.clusters}"
             )
         for name in ("noise", "drift"):
             value = getattr(self, name)
-            if not 0 <= value < np.inf:  # NaN fails every comparison
-                raise BadSpec(f"{name} must be finite and >= 0, got {value}")
-        if self.text_tokens < 0:
-            raise BadSpec(f"text_tokens must be >= 0, got {self.text_tokens}")
+            # NaN fails every comparison.
+            if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
+                raise BadSpec(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _unit(rows: np.ndarray) -> np.ndarray:

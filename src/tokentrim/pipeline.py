@@ -19,7 +19,7 @@ from .types import (
     ResolvedBudgets,
     Selection,
     TokenBundle,
-    _typed,
+    _integer,
     resolve_config,
 )
 
@@ -72,7 +72,7 @@ def prune(
     per-image selections one after another.  ``threads`` must be the
     integer 1; any other value raises BadConfig before any work is done.
     """
-    if _typed("threads", "int", threads) != 1:
+    if _integer("threads", threads, 1, BadConfig) != 1:
         raise BadConfig(f"threads must be 1, got {threads!r}")
     budgets = resolve_config(cfg, bundle, require_text=True)
     report = _signals(bundle, cfg, budgets)

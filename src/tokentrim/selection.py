@@ -35,14 +35,13 @@ not exactly 1 and the rounding of the threshold arithmetic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BadBudget, BadConfig, BadSubset
-from .types import GREEDY_OBJECTIVES, TokenMatrix
+from .types import GREEDY_OBJECTIVES, TokenMatrix, _integer
 
 _SEED_BLOCK = 1024
 _FILTER_BLOCK = 256
@@ -59,14 +58,6 @@ class ParetoPoint:
     index: int
     v: float
     a: float
-
-
-def _check_budget(k) -> None:
-    """BadBudget unless k is an integer >= 1 (numpy integers too, never a bool)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise BadBudget(f"selection budget must be an integer, got {k!r}")
-    if k < 1:
-        raise BadBudget(f"selection budget must be >= 1, got {k}")
 
 
 def _gamma(n: int, u: float) -> float:
@@ -294,7 +285,8 @@ def greedy_rep_max(
     dot product, tracked incrementally); ``min_distance`` is the max-min
     farthest-point variant.  k >= rows returns every index.  Output is
     sorted ascending.  An unknown objective raises BadConfig, and a k that
-    is not an integer >= 1 (a float or a bool) raises BadBudget.
+    is not an integer >= 1 (a float, a string or a bool; numpy integers
+    pass) raises BadBudget.
 
     The reference is the float64 computation: :func:`_exact_seed_pair`,
     then :func:`_float64_steps`, on ``tokens.unit64()``.  This function
@@ -338,7 +330,7 @@ def greedy_rep_max(
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
-    _check_budget(k)
+    k = _integer("selection budget", k, 1, BadBudget)
     n, dim = tokens.data.shape
     if k >= n:
         return list(range(n))
@@ -428,7 +420,7 @@ def pareto_budgeted(
     raises BadBudget; repeated indices or a non-finite objective raise
     BadSubset.
     """
-    _check_budget(budget)
+    budget = _integer("selection budget", budget, 1, BadBudget)
     by_index = {p.index: p for p in points}
     if len(by_index) != len(points):
         raise BadSubset("point indices must be unique")

@@ -24,6 +24,7 @@ from .errors import (
     EmptyText,
     NonFiniteRow,
     ShapeMismatch,
+    TokenTrimError,
     ZeroNormRow,
 )
 
@@ -33,6 +34,17 @@ _ZERO_NORM_EPS = 1e-12
 def round_half_away(x: float) -> int:
     """Round to the nearest integer, halves away from zero."""
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+
+
+def _integer(name: str, value, low: int, error: type[TokenTrimError]) -> int:
+    """``value`` as an int when it is integral (numpy integers too, never a
+    bool) and at least ``low``; anything else raises ``error``."""
+    # int first: it settles the common case without the slower ABC check.
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise error(f"{name} must be of type int, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +98,13 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
 
     The matrix shares ``values`` when it is an immutable float32 array (for
     example ``np.frombuffer`` over ``bytes``) and copies it otherwise.
-    Raises ShapeMismatch when the buffer length is not rows*dim (or dim < 1),
-    and ZeroNormRow or NonFiniteRow for the first row whose norm falls below
-    1e-12 or is not finite.
+    Raises ShapeMismatch when ``rows`` or ``dim`` is not an integer (a bool
+    or float included), rows < 0, dim < 1 or the buffer length is not
+    rows*dim, and ZeroNormRow or NonFiniteRow for the first row whose norm
+    falls below 1e-12 or is not finite.
     """
-    if dim < 1:
-        raise ShapeMismatch(f"dim must be >= 1, got {dim}")
-    if rows < 0:
-        raise ShapeMismatch(f"rows must be >= 0, got {rows}")
+    dim = _integer("dim", dim, 1, ShapeMismatch)
+    rows = _integer("rows", rows, 0, ShapeMismatch)
     flat = np.asarray(values, dtype=np.float32).ravel()
     if flat.size != rows * dim:
         raise ShapeMismatch(
@@ -125,7 +136,8 @@ class TokenBundle:
     read-only views into ``rows``, and ``offsets`` the global index of each
     image's first token.  Every image must have at least one token; the text
     may be empty for signal-only diagnostics but the full pipeline requires
-    text rows.
+    text rows.  A count that is not an integer >= 1 (a bool or float
+    included) raises ShapeMismatch; numpy integers are stored as int.
     """
 
     rows: TokenMatrix
@@ -135,11 +147,12 @@ class TokenBundle:
     offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        counts = tuple(int(m) for m in self.counts)
+        counts = tuple(
+            _integer(f"image {k} token count", m, 1, ShapeMismatch)
+            for k, m in enumerate(self.counts)
+        )
         if not counts:
             raise ShapeMismatch("bundle needs at least one image")
-        if min(counts) < 1:
-            raise ShapeMismatch(f"image {counts.index(min(counts))} has no tokens")
         ends = tuple(itertools.accumulate(counts))
         if ends[-1] > self.rows.rows:
             raise ShapeMismatch(
@@ -180,18 +193,19 @@ def make_bundle(images, text: TokenMatrix) -> TokenBundle:
 def _typed(name: str, annotation: str, value):
     """``value`` checked against a field annotation such as "int | None".
 
-    int and float fields take integral and finite real numbers (never a
-    bool), stored as int and float; bool and str fields take only their own
-    type; an ``X | None`` field also takes None.  Anything else: BadConfig.
+    int fields take integers >= 1 (every integer field is a positive
+    count) and float fields finite real numbers, never a bool, stored as
+    int and float; bool and str fields take only their own type; an
+    ``X | None`` field also takes None.  Anything else: BadConfig.
     """
     kind, _, optional = annotation.partition(" | ")
     if value is None and optional:
         return None
+    if kind == "int":
+        return _integer(name, value, 1, BadConfig)
     if isinstance(value, {"bool": bool, "str": str}.get(kind, ())):
         return value
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if kind == "int" and number and isinstance(value, numbers.Integral):
-        return int(value)
     if kind == "float" and number:
         try:
             if math.isfinite(value):
@@ -218,7 +232,7 @@ class PruneConfig:
     Budgets here are nominal; :func:`resolve_config` clamps them against a
     concrete bundle.
     A value of the wrong type (a bool or float count, a string or
-    non-finite number, a non-bool flag) raises BadConfig.
+    non-finite number, a non-bool flag) or a count below 1 raises BadConfig.
     """
 
     m_min: int = 294
@@ -241,22 +255,18 @@ class PruneConfig:
             key = _JSON_KEYS.get(f.name, f.name)
             checked = _typed(key, f.type, getattr(self, f.name))
             object.__setattr__(self, f.name, checked)
-        if not (0 < self.m_min <= self.m_max):
+        if self.m_min > self.m_max:
             raise BadConfig(
-                f"need 0 < m_min <= m_max, got ({self.m_min}, {self.m_max})"
+                f"need m_min <= m_max, got ({self.m_min}, {self.m_max})"
             )
         if not self.lam > 0:
             raise BadConfig(f"lambda must be positive, got {self.lam}")
-        if self.m2 < 1:
-            raise BadConfig(f"m2 must be >= 1, got {self.m2}")
         has_abs = self.final_tokens is not None
         has_ratio = self.retention_ratio is not None
         if has_abs == has_ratio:
             raise BadConfig(
                 "exactly one of final_tokens and retention_ratio must be set"
             )
-        if has_abs and self.final_tokens < 1:
-            raise BadConfig(f"final_tokens must be >= 1, got {self.final_tokens}")
         if has_ratio and not (0 < self.retention_ratio < 1):
             raise BadConfig(
                 f"retention_ratio must lie in (0, 1), got {self.retention_ratio}"

@@ -8,7 +8,7 @@ import pytest
 from tokentrim import PruneConfig, analyze, apply_selection, prune, read_bundle
 from tokentrim import bench, metrics, selection
 from tokentrim.cli import main
-from tokentrim.errors import BenchGateFailure
+from tokentrim.errors import BadSpec, BenchGateFailure
 from tokentrim.io_formats import report_document, result_document
 from tokentrim.types import resolve_config
 
@@ -296,10 +296,12 @@ class TestExitCodes:
             (("--m", "-2"), None),
             (("--seed", "-1"), None),
             ((), "-5"),
+            (("--budget", "0"), None),
+            (("--budget", "-4"), None),
         ],
         ids=[
             "repeats-0", "repeats-neg", "n-0", "n-neg", "dim-0", "dim-neg",
-            "m-0", "m-neg", "seed-neg", "env-seed-neg",
+            "m-0", "m-neg", "seed-neg", "env-seed-neg", "budget-0", "budget-neg",
         ],
     )
     def test_bad_bench_sizes(self, capsys, monkeypatch, flags, env_seed):
@@ -310,6 +312,27 @@ class TestExitCodes:
         assert code == 26
         assert err.startswith("tokentrim bench: stage bench: BadSpec:")
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"repeats": True},
+            {"n": 64.0},
+            {"dim": 4.0},
+            {"m_text": "8"},
+            {"seed": True},
+            {"budget": 2.5},
+            {"budget": 0},  # diversity runs no Pareto selection
+        ],
+        ids=[
+            "repeats-bool", "n-float", "dim-float", "m-str", "seed-bool",
+            "budget-float", "budget-0",
+        ],
+    )
+    def test_mistyped_bench_sizes(self, kwargs):
+        """The library checks what argparse's int conversion cannot."""
+        with pytest.raises(BadSpec):
+            bench.run_suite(("diversity",), **{"repeats": 1, "n": 8, **kwargs})
 
     def test_config_file_errors(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path)

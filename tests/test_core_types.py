@@ -181,6 +181,19 @@ class TestTokenBundle:
         b = TokenBundle(random_matrix(rng, 4, 2), (1, 2))
         assert b.total_tokens == 3 and b.text.rows == 1
 
+    def test_counts_must_be_integers(self):
+        rng = np.random.default_rng(7)
+        rows = random_matrix(rng, 5, 2)
+        for counts in ((2.5, 2), (True, 2), ("2", 2), (2, 2.0)):
+            with pytest.raises(ShapeMismatch):
+                TokenBundle(rows, counts)
+        b = TokenBundle(rows, (np.int64(2), np.int32(2)))
+        assert b.counts == (2, 2) and b.text.rows == 1
+        assert all(type(m) is int for m in b.counts)
+        for n_rows, dim in ((True, 4), (1, 4.0), (1.0, 4), (1, "4")):
+            with pytest.raises(ShapeMismatch):
+                build_token_matrix(n_rows, dim, np.ones(4))
+
     def test_rejects_no_images(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ShapeMismatch):

@@ -302,6 +302,17 @@ class TestSyntheticGenerator:
                     SyntheticSpec(**{**good, field: value})
         with pytest.raises(BadSpec):
             SyntheticSpec(**{**good, "text_tokens": -1})
+        for field, value in (
+            ("tokens_per_image", 4.0),
+            ("n_images", True),
+            ("seed", True),
+            ("text_tokens", 2.5),
+            ("noise", "0.3"),
+        ):
+            with pytest.raises(BadSpec, match=field):
+                SyntheticSpec(**{**good, field: value})
+        spec = SyntheticSpec(**{**good, "n_images": np.int64(2)})
+        assert type(spec.n_images) is int
 
     def test_noise_raises_intra_diversity(self):
         means = []

@@ -46,6 +46,15 @@ def test_production_modules_hold_no_reference_kernels():
         assert names == [], f"{module.__name__} defines {names}"
 
 
+def test_one_integer_rule():
+    """Every integer check in the package goes through ``types._integer``."""
+    package = Path(tokentrim.__file__).resolve().parent
+    users = sorted(
+        p.name for p in package.rglob("*.py") if "numbers.Integral" in p.read_text()
+    )
+    assert users == ["types.py"]
+
+
 def test_readme_library_quick_start_runs():
     text = README.read_text()
     section = text[text.index("## Quick start (library)") :]
