@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
+import stat
 import struct
 from dataclasses import asdict, dataclass
 
@@ -49,40 +51,83 @@ def write_bundle(bundle: TokenBundle, path) -> None:
         raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
 
 
+def _fill(fh, buf) -> int:
+    """Read from ``fh`` into ``buf`` until it is full or the file ends;
+    returns the number of bytes read."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
 def read_bundle(path) -> TokenBundle:
     """Load a TTB1 bundle, validating magic, version and exact payload size.
 
-    The returned bundle's rows share the bytes read from the file.
+    The header and the image counts are checked against the file's size
+    before the payload is allocated, so a hostile header costs no memory.
+    The payload is then read once, into a read-only buffer that the
+    returned bundle's rows share.  A path that is not a regular file (a
+    FIFO or a directory, say) raises IoFailure, as does any OS error; a
+    file that ends early, or runs past the declared payload, raises
+    TruncatedFile, also when it changes size while being read.
     """
     try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
+        # O_NONBLOCK: opening a FIFO must not wait for a writer.
+        flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
+        fd = os.open(path, flags | getattr(os, "O_BINARY", 0))
+        with open(fd, "rb", buffering=0) as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise IoFailure(f"cannot read bundle from {path}: not a regular file")
+            counts, n_rows, dim, values = _read_ttb1(fh, info.st_size)
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+    return TokenBundle(build_token_matrix(n_rows, dim, values), counts)
 
-    if len(buf) < _HEADER.size:
-        raise TruncatedFile(f"file ends inside the header at byte {len(buf)}")
-    magic, version, n_images, n_text, dim = _HEADER.unpack_from(buf)
+
+def _read_ttb1(fh, size: int) -> tuple[tuple[int, ...], int, int, np.ndarray]:
+    """The image counts, row count, dim and read-only ``<f4`` payload of
+    a TTB1 file of ``size`` bytes, open unbuffered at its start."""
+    head = bytearray(_HEADER.size)
+    got = _fill(fh, head)
+    if got < _HEADER.size:
+        raise TruncatedFile(f"file ends inside the header at byte {got}")
+    magic, version, n_images, n_text, dim = _HEADER.unpack(head)
     if magic != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}, found {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported format version {version}")
     start = _HEADER.size + 4 * n_images
-    if len(buf) < start:
-        raise TruncatedFile(f"file ends inside the image counts at byte {len(buf)}")
-    counts = struct.unpack_from(f"<{n_images}I", buf, _HEADER.size)
+    if size < start:
+        raise TruncatedFile(f"file ends inside the image counts at byte {size}")
+    raw = bytearray(start - _HEADER.size)
+    if _fill(fh, raw) < len(raw):
+        raise TruncatedFile("file shrank while its image counts were read")
+    counts = struct.unpack(f"<{n_images}I", raw)
     n_rows = sum(counts) + n_text
     end = start + 4 * n_rows * dim
-    if len(buf) != end:
-        raise TruncatedFile(f"header declares {end} bytes, file has {len(buf)}")
-    values = np.frombuffer(buf, dtype="<f4", count=n_rows * dim, offset=start)
-    return TokenBundle(build_token_matrix(n_rows, dim, values), counts)
+    if size != end:
+        raise TruncatedFile(f"header declares {end} bytes, file has {size}")
+    payload = np.empty(end - start, dtype=np.uint8)
+    got = _fill(fh, payload)
+    if got < len(payload) or fh.read(1):
+        raise TruncatedFile(
+            f"file changed size while read: header declares {end} bytes"
+        )
+    payload.setflags(write=False)
+    return counts, n_rows, dim, payload.view("<f4")
 
 
 # SyntheticSpec's integer fields and their smallest legal values.
 _SPEC_FLOORS = dict(
     n_images=1, tokens_per_image=1, dim=1, seed=0, clusters=1, text_tokens=0
 )
+# The largest legal noise and drift.
+_SPEC_SCALE_MAX = 1e8
 
 
 @dataclass(frozen=True)
@@ -96,7 +141,10 @@ class SyntheticSpec:
     redundancy, low drift high inter-image redundancy.  BadSpec unless
     every count and the seed is an integer (never a bool or float), seed
     and text_tokens >= 0, the other counts >= 1 and clusters <=
-    tokens_per_image, and noise and drift are finite real numbers >= 0.
+    tokens_per_image, and noise and drift are real numbers in [0, 1e8].
+    At that cap a prototype's share of each token entry, about 1 / noise,
+    is already below float32 resolution (2**-24), and the cap keeps every
+    perturbation and squared norm the generator forms finite.
     """
 
     n_images: int
@@ -119,8 +167,11 @@ class SyntheticSpec:
         for name in ("noise", "drift"):
             value = getattr(self, name)
             # NaN fails every comparison.
-            if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
-                raise BadSpec(f"{name} must be finite and >= 0, got {value!r}")
+            if not (isinstance(value, numbers.Real) and 0 <= value <= _SPEC_SCALE_MAX):
+                raise BadSpec(
+                    f"{name} must be finite and in [0, {_SPEC_SCALE_MAX:g}], "
+                    f"got {value!r}"
+                )
 
 
 def _unit(rows: np.ndarray) -> np.ndarray:

@@ -6,27 +6,38 @@ index, so reruns and reorderings of equal inputs reproduce the same
 choices.
 
 Greedy dispersion makes the float64 computation's choices bit for bit from
-a cheaper score source: one float32 copy of the unit rows, or one float64
-gram of them where that is smaller and cheaper (the rule is in
-:func:`greedy_rep_max`).  Each decision is either certified against
-proven rounding bounds or handed to the float64 computation.  The bounds
-(Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1): for
-any summation order, FMA included, |fl(x.y) - x.y| <= gamma_n |x|.|y|,
-and |x|.|y| <= 1 for unit rows.  For two float64 unit rows (those of
+a cheaper score source: the stored float32 rows with a float32 reciprocal
+norm per row, or one float64 gram of the unit rows where that is smaller
+and cheaper (the rule is in :func:`greedy_rep_max`).  Each decision is
+either certified against proven rounding bounds or handed to the float64
+computation.  The bounds (Higham, Accuracy and Stability of Numerical
+Algorithms, secs. 2.1 and 3.1): for any summation order, FMA included,
+|fl(x.y) - x.y| <= gamma_n |x|.|y| while no result is subnormal, and
+|x|.|y| <= 1 for unit rows.  For two float64 unit rows (those of
 ``TokenMatrix.unit64()``) of dimension dim:
 
 - delta = gamma_dim(2**-53) bounds the error of a float64 dot product, so
   of every gram entry too, whatever order gemm or syrk sums in;
-- eps bounds the error of the float32 dot product of the float32 unit
-  rows.  Those are the data times a float32 scale, so each entry takes two
-  float32 roundings (the scale and the product) and differs from the
-  float64 unit row by a relative 2u + u**2 (u = 2**-24), plus float64
-  rounding far below u**2: within 2u(1 + u).  That moves a dot product by
-  at most 4u + O(u**2) <= 5u; the float32 dot adds gamma_dim(u), and
-  gradual underflow (entries or products below 2**-126) at most
-  dim * 2**-149, bounded here by dim * 2**-120.  A row norm above 2**126
-  would make its float32 scale subnormal and lose its relative precision,
-  so such an image skips the float32 rows and takes the float64 path.
+- eps bounds the error of a dot product read from the float32 rows d_i.
+  With r_i the float64 norm that ``unit64()`` divides by, the scale s_i
+  is 1 / r_i rounded to float32, a relative error within u (u = 2**-24)
+  plus float64 rounding far below u**2.  The source scales one row,
+  a = fl(d_i s_i) (u per entry), takes the float32 dot a.d_j (gamma_dim(u)
+  relative to |a|.|d_j| <= (1 + u) s_i r_i r_j) and scales the result,
+  fl(a.d_j s_j) (u).  Against the unit rows' dot x, |x| <= 1, the three
+  roundings of s_i, s_j and the last product move x by (1 + u)**3 - 1 and
+  the entry roundings and the dot add (1 + u)**3 (u + gamma_dim(u)
+  (1 + u)): at most 5u + gamma_dim(u) (1 + 4u) in all, about 4u +
+  gamma_dim(u).  Gradual underflow adds an absolute error of at most
+  2**-150 to each entry of a, each product of the dot and the final
+  product.  Those of the dot are then multiplied by s_j, so with s the
+  largest scale of the image the underflow term is at most
+  (dim max(1, s) + sqrt(dim) + 1) 2**-150 <= dim max(1, s) 2**-148.  For
+  rows whose norm is near 1 that is dim 2**-148, but a row of norm 1e-12
+  makes it about dim 2**-108.  A row norm above 2**126 would make its
+  float32 scale subnormal and lose its relative precision, so such an
+  image takes the float64 path; the guard also keeps every |a.d_j| <=
+  (1 + u) r_j within float32 range.
 
 Both bounds get 1% slack, which also covers rows whose computed norm is
 not exactly 1 and the rounding of the threshold arithmetic.
@@ -65,11 +76,25 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else np.inf
 
 
-def _dot_bound(dim: int, dtype) -> float:
-    """The module docstring's bound on a dot product of two unit rows
-    computed in ``dtype``: eps for float32, delta for float64."""
-    if dtype == np.float32:
-        return 1.01 * (5 * 2.0**-24 + _gamma(dim, 2.0**-24)) + dim * 2.0**-120
+@dataclass(frozen=True)
+class _ScaledRows:
+    """The float32 score source: the stored rows ``data`` and ``scale``,
+    each row's reciprocal norm in float32, so unit row i is about
+    data[i] * scale[i]."""
+
+    data: np.ndarray
+    scale: np.ndarray
+    dtype = np.dtype(np.float32)
+
+
+def _dot_bound(dim: int, src=None) -> float:
+    """The module docstring's bound on a dot product of two unit rows read
+    from the score source ``src``: eps for :class:`_ScaledRows`, delta for
+    the float64 gram or with no source (the float64 computation)."""
+    if isinstance(src, _ScaledRows):
+        u = 2.0**-24
+        underflow = dim * max(1.0, float(src.scale.max())) * 2.0**-148
+        return 1.01 * (5 * u + _gamma(dim, u) * (1 + 4 * u) + underflow)
     return 1.01 * _gamma(dim, 2.0**-53)
 
 
@@ -80,18 +105,13 @@ def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
     return rows
 
 
-def _unit32(tokens: TokenMatrix) -> np.ndarray | None:
-    """Float32 unit rows, each the data times a float32 scale, or None.
-
-    One float32 multiply per entry, so each entry lies within
-    2u(1 + u) |unit64| + 2**-149 of ``tokens.unit64()``'s (u = 2**-24, the
-    last term for subnormal products).  None when some row's scale would
-    be subnormal (norm above 2**126), where that bound fails.
-    """
+def _scaled_rows(tokens: TokenMatrix) -> _ScaledRows | None:
+    """The stored rows as a score source, or None when some row's scale
+    would be subnormal (norm above 2**126), where the bound fails."""
     scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
     if scale.min() < np.finfo(np.float32).tiny:
         return None
-    return tokens.data * scale[:, None]
+    return _ScaledRows(tokens.data, scale)
 
 
 def _gram(tokens: TokenMatrix) -> np.ndarray:
@@ -100,23 +120,31 @@ def _gram(tokens: TokenMatrix) -> np.ndarray:
     return unit @ unit.T
 
 
-def _dot_block(src: np.ndarray, r0: int, rows: int) -> np.ndarray:
+def _dot_block(src, r0: int, rows: int) -> np.ndarray:
     """A fresh array of the dot products of unit rows r0 .. r0 + rows - 1
     with unit rows r0 and up.
 
-    ``src`` is a score source: float32 unit rows (:func:`_unit32`), whose
-    products are computed, or the float64 gram (:func:`_gram`), which
-    holds them.
+    ``src`` is a score source: the scaled float32 rows
+    (:func:`_scaled_rows`), whose products are computed with the left
+    block scaled before the gemm and the columns after it, or the float64
+    gram (:func:`_gram`), which holds them.
     """
-    if src.dtype == np.float32:
-        return src[r0 : r0 + rows] @ src[r0:].T
+    if isinstance(src, _ScaledRows):
+        data, scale = src.data, src.scale
+        block = (data[r0 : r0 + rows] * scale[r0 : r0 + rows, None]) @ data[r0:].T
+        block *= scale[r0:]
+        return block
     return src[r0 : r0 + rows, r0:].copy()
 
 
-def _dot_column(src: np.ndarray, i: int) -> np.ndarray:
+def _dot_column(src, i: int) -> np.ndarray:
     """The dot products of every unit row with row i, from ``src`` as in
     :func:`_dot_block`; a read-only use may get a view of the gram."""
-    return src @ src[i] if src.dtype == np.float32 else src[i]
+    if isinstance(src, _ScaledRows):
+        column = src.data @ (src.data[i] * src.scale[i])
+        column *= src.scale
+        return column
+    return src[i]
 
 
 def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
@@ -143,16 +171,14 @@ def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
     return best_pair
 
 
-def _certified_seed_pair(
-    tokens: TokenMatrix, src: np.ndarray
-) -> tuple[int, int] | None:
+def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
     """:func:`_exact_seed_pair`'s pair from a filter over ``src``, or None.
 
     For a pair p, let G(p) be the value :func:`_exact_seed_pair`'s gemm
     computes, F(p) this filter's value from the score source ``src`` (see
     :func:`_dot_block`) and V(p) a float64 recomputation; by the module
     docstring, G and V lie within delta of the exact dot product and F
-    within bF: eps from float32 rows, delta from the gram.
+    within bF: eps from the scaled rows, delta from the gram.
 
     Filter: the winner p* minimizes G, so for the F-minimizer q,
     F(p*) <= G(p*) + delta + bF <= G(q) + delta + bF <= F(q) + 2 bF +
@@ -168,8 +194,8 @@ def _certified_seed_pair(
     the exact scan decides, so the tie rule never depends on this filter.
     """
     n, dim = tokens.data.shape
-    delta = _dot_bound(dim, np.float64)
-    tol = 2 * _dot_bound(dim, src.dtype) + 2 * delta
+    delta = _dot_bound(dim)
+    tol = 2 * _dot_bound(dim, src) + 2 * delta
     if not tol < 1:  # dims where the bounds fail
         return None
     dt = src.dtype.type
@@ -203,7 +229,7 @@ def _certified_seed_pair(
 
 def _certified_steps(
     tokens: TokenMatrix,
-    src: np.ndarray,
+    src,
     selected: list[int],
     k: int,
     combine: np.ufunc,
@@ -216,7 +242,7 @@ def _certified_steps(
     ``selected`` the choices made so far.
     """
     dim = tokens.dim
-    e, delta = _dot_bound(dim, src.dtype), _dot_bound(dim, np.float64)
+    e, delta = _dot_bound(dim, src), _dot_bound(dim)
     u = np.finfo(src.dtype).eps / 2
     sel64 = None  # float64 unit rows of selected, filled at rechecks
     filled = 0
@@ -292,20 +318,22 @@ def greedy_rep_max(
     then :func:`_float64_steps`, on ``tokens.unit64()``.  This function
     returns its choices bit for bit, ties included, from one score source
     and float64 rows of the few rows it checks.  The source is the float64
-    gram of the unit rows (:func:`_gram`) when it is no larger than float32
-    rows (2 n <= dim) and the k matvecs it replaces hold at least a quarter
-    as many products as its upper triangle (4 k >= n: float32 rows pay for
-    that triangle too, in float32, in the seed filter, and measured at
-    dim 1024 the two sources break even near k = n / 8); otherwise it is
-    one float32 copy of the unit rows (:func:`_unit32`).  The seed comes from
-    :func:`_certified_seed_pair`; each step then works as follows.
+    gram of the unit rows (:func:`_gram`) when it is no larger than the
+    stored float32 rows (2 n <= dim) and the k matvecs it replaces hold at
+    least a quarter as many products as its upper triangle (4 k >= n: the
+    scaled rows pay for that triangle too, in float32, in the seed filter,
+    and measured at dim 1024 the two sources break even near k = n / 8);
+    otherwise it is the stored float32 rows with a float32 reciprocal norm
+    per row (:func:`_scaled_rows`), which copies no more than one 256-row
+    block of the image.  The seed comes from :func:`_certified_seed_pair`;
+    each step then works as follows.
 
     With m rows selected, let S(r) be the reference's score of an
     unselected row r, E(r) its exact value, F(r) the score kept here
     (``combine(F, <source's dots with row nxt>)`` per step) and V(r) a
     float64 recomputation, ``combine.reduce(unit[r] @ unit[selected].T)``.
     Each source dot product is within e of the exact one, e = eps for
-    float32 rows and e = delta for the gram (module docstring), and F sums
+    the scaled rows and e = delta for the gram (module docstring), and F sums
     in the source's unit roundoff u (2**-24 or 2**-53):
 
     - ``min_distance``: a maximum is exact and moves by no more than its
@@ -326,7 +354,7 @@ def greedy_rep_max(
     seed pair's argument.  Otherwise (exact ties, near-ties, or more than
     _MAX_CANDIDATES kept rows) the source is freed, ``tokens.unit64()`` is
     built, S is replayed and the reference finishes the selection.  So do
-    images with a row norm above 2**126, which have no float32 rows.
+    images with a row norm above 2**126, which have no scaled rows.
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
@@ -336,7 +364,7 @@ def greedy_rep_max(
         return list(range(n))
 
     combine = np.add if objective == "sum_distance" else np.maximum
-    src = _gram(tokens) if 2 * n <= dim and 4 * k >= n else _unit32(tokens)
+    src = _gram(tokens) if 2 * n <= dim and 4 * k >= n else _scaled_rows(tokens)
     selected = []
     if src is not None:
         selected = list(_certified_seed_pair(tokens, src) or ())

@@ -1,9 +1,10 @@
 """Validated embedding containers, configuration and result records.
 
 Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
-squared norm.  Greedy selection scores 32-bit unit rows (or a 64-bit gram
-of a small set) and certifies its choices in 64-bit (see ``selection``);
-every other reduction (norms, sums, dot products) accumulates in 64-bit.
+squared norm.  Greedy selection scores those stored rows, scaled by a
+32-bit reciprocal norm per row (or a 64-bit gram of a small set), and
+certifies its choices in 64-bit (see ``selection``); every other reduction
+(norms, sums, dot products) accumulates in 64-bit.
 All containers are immutable after construction and safe to share across
 threads.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,6 +47,28 @@ def _integer(name: str, value, low: int, error: type[TokenTrimError]) -> int:
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _instance(name: str, value, kind: type, error: type[TokenTrimError]):
+    """``value`` when it is an instance of ``kind``; anything else raises
+    ``error``."""
+    if not isinstance(value, kind):
+        got = type(value).__name__
+        raise error(f"{name} must be of type {kind.__name__}, got {got}")
+    return value
+
+
+def _real_array(name: str, value, error: type[TokenTrimError]) -> np.ndarray:
+    """``value`` as a float32 array when it is an array or a nested sequence
+    of real numbers (bools and integers too); anything else, a string or a
+    ragged sequence included, raises ``error``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise error(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +120,17 @@ def _immutable(arr: np.ndarray) -> bool:
 def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
     """Build a TokenMatrix from a flat row-major value buffer.
 
-    The matrix shares ``values`` when it is an immutable float32 array (for
-    example ``np.frombuffer`` over ``bytes``) and copies it otherwise.
-    Raises ShapeMismatch when ``rows`` or ``dim`` is not an integer (a bool
-    or float included), rows < 0, dim < 1 or the buffer length is not
-    rows*dim, and ZeroNormRow or NonFiniteRow for the first row whose norm
-    falls below 1e-12 or is not finite.
+    The matrix shares ``values`` when it is an immutable float32 array (a
+    read-only array that owns its buffer, or ``np.frombuffer`` over
+    ``bytes``) and copies it otherwise.  Raises ShapeMismatch when ``rows``
+    or ``dim`` is not an integer (a bool or float included), rows < 0,
+    dim < 1, ``values`` is not an array of real numbers (a string, say) or
+    its length is not rows*dim, and ZeroNormRow or NonFiniteRow for the
+    first row whose norm falls below 1e-12 or is not finite.
     """
     dim = _integer("dim", dim, 1, ShapeMismatch)
     rows = _integer("rows", rows, 0, ShapeMismatch)
-    flat = np.asarray(values, dtype=np.float32).ravel()
+    flat = _real_array("values", values, ShapeMismatch).ravel()
     if flat.size != rows * dim:
         raise ShapeMismatch(
             f"expected {rows * dim} values for {rows}x{dim}, got {flat.size}"
@@ -136,8 +161,9 @@ class TokenBundle:
     read-only views into ``rows``, and ``offsets`` the global index of each
     image's first token.  Every image must have at least one token; the text
     may be empty for signal-only diagnostics but the full pipeline requires
-    text rows.  A count that is not an integer >= 1 (a bool or float
-    included) raises ShapeMismatch; numpy integers are stored as int.
+    text rows.  ``rows`` that is not a TokenMatrix, ``counts`` that is not
+    iterable and a count that is not an integer >= 1 (a bool or float
+    included) raise ShapeMismatch; numpy integers are stored as int.
     """
 
     rows: TokenMatrix
@@ -147,9 +173,11 @@ class TokenBundle:
     offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        _instance("rows", self.rows, TokenMatrix, ShapeMismatch)
+        given = _instance("counts", self.counts, Iterable, ShapeMismatch)
         counts = tuple(
             _integer(f"image {k} token count", m, 1, ShapeMismatch)
-            for k, m in enumerate(self.counts)
+            for k, m in enumerate(given)
         )
         if not counts:
             raise ShapeMismatch("bundle needs at least one image")

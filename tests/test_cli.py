@@ -1,6 +1,7 @@
 """Command-line interface: workflows, parity with the API, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,23 @@ class TestExitCodes:
             capsys, "gen", "--images", "2", "--tokens", "4", "--dim", "4",
             flag, value, "--output", str(tmp_path / "x.ttb"),
         )
+        assert code == 26 and out == ""
+        assert err.startswith("tokentrim gen: stage configure: BadSpec:")
+        assert not (tmp_path / "x.ttb").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise", "1e308"), ("--drift", "1e308"), ("--noise", "1e9")],
+    )
+    def test_huge_spec_via_gen(self, capsys, tmp_path, flag, value):
+        """noise or drift above 1e8 fails before generating, with no numpy
+        warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "gen", "--images", "2", "--tokens", "4", "--dim", "4",
+                flag, value, "--output", str(tmp_path / "x.ttb"),
+            )
         assert code == 26 and out == ""
         assert err.startswith("tokentrim gen: stage configure: BadSpec:")
         assert not (tmp_path / "x.ttb").exists()

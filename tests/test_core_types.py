@@ -194,6 +194,29 @@ class TestTokenBundle:
             with pytest.raises(ShapeMismatch):
                 build_token_matrix(n_rows, dim, np.ones(4))
 
+    def test_arguments_of_the_wrong_kind(self):
+        """Rows that are not a TokenMatrix, counts that are not iterable and
+        values that are not real numbers raise ShapeMismatch, not a raw
+        Python or numpy error."""
+        rows = random_matrix(np.random.default_rng(8), 5, 2)
+        calls = (
+            lambda: TokenBundle(rows, 3),
+            lambda: TokenBundle(np.ones((5, 2)), (2,)),
+            lambda: TokenBundle(rows.data, (2,)),
+            lambda: build_token_matrix(1, 2, "ab"),
+            lambda: build_token_matrix(1, 2, ["1", "2"]),
+            lambda: build_token_matrix(2, 2, [[1, 2], [3]]),
+            lambda: build_token_matrix(1, 2, [1 + 1j, 2]),
+            lambda: build_token_matrix(1, 2, None),
+        )
+        for call in calls:
+            with pytest.raises(ShapeMismatch):
+                call()
+        assert TokenBundle(rows, np.array([2, 3])).counts == (2, 3)
+        assert TokenBundle(rows, [4]).counts == (4,)
+        matrix = build_token_matrix(1, 2, [True, 2])
+        np.testing.assert_array_equal(matrix.data, [[1, 2]])
+
     def test_rejects_no_images(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ShapeMismatch):

@@ -2,13 +2,20 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tokentrim
 from tokentrim import (
     PruneConfig,
     SyntheticSpec,
@@ -127,6 +134,64 @@ class TestMalformedFiles:
         path.write_bytes(good_bytes + b"\x00")
         with pytest.raises(TruncatedFile):
             read_bundle(path)
+
+    def test_bad_magic_reads_no_payload(self, tmp_path):
+        """The header is checked before the payload is allocated, so a bad
+        magic in front of a 64 MB payload costs well under 1 MB."""
+        path = tmp_path / "big.ttb"
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<4sIIII", b"XXXX", 1, 1, 0, 1024))
+            fh.write(struct.pack("<I", 16384))
+            fh.truncate(20 + 4 + 64 * 2**20)  # 16384 rows of 1024 floats
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadMagic):
+                read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("change", ["shrink", "grow"])
+    def test_file_changes_size_while_read(
+        self, tmp_path, monkeypatch, good_bytes, change
+    ):
+        """The file loses or gains 8 bytes right after its size is taken:
+        the payload read comes up short, or bytes follow it."""
+        path = tmp_path / f"{change}.ttb"
+        path.write_bytes(good_bytes)
+        fstat = os.fstat
+
+        def racing_fstat(fd):
+            info = fstat(fd)
+            if change == "shrink":
+                os.truncate(path, len(good_bytes) - 8)
+            else:
+                with open(path, "ab") as fh:
+                    fh.write(bytes(8))
+            return info
+
+        monkeypatch.setattr(os, "fstat", racing_fstat)
+        with pytest.raises(TruncatedFile):
+            read_bundle(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+    def test_fifo_input_is_refused(self, tmp_path):
+        """A FIFO is not a regular file: the CLI fails at load-input with
+        IoFailure's exit code instead of waiting for a writer."""
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        src = str(Path(tokentrim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tokentrim.cli", "prune", "--input", str(fifo),
+             "--output", str(tmp_path / "out.json")],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 27
+        assert proc.stderr.startswith("tokentrim prune: stage load-input: IoFailure:")
+        with pytest.raises(IoFailure, match="not a regular file"):
+            read_bundle(fifo)
 
     def test_io_failures(self, tmp_path):
         with pytest.raises(IoFailure):
@@ -313,6 +378,19 @@ class TestSyntheticGenerator:
                 SyntheticSpec(**{**good, field: value})
         spec = SyntheticSpec(**{**good, "n_images": np.int64(2)})
         assert type(spec.n_images) is int
+
+    def test_noise_and_drift_are_capped(self):
+        """Beyond 1e8 noise or drift raises BadSpec, without a numpy
+        warning; at the cap the generator's rows stay finite."""
+        good = dict(n_images=2, tokens_per_image=4, dim=4, seed=0, clusters=2)
+        for field in ("noise", "drift"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for value in (1e308, 10**400, np.nextafter(1e8, np.inf)):
+                    with pytest.raises(BadSpec, match=field):
+                        SyntheticSpec(**{**good, field: value})
+                bundle = generate_synthetic(SyntheticSpec(**{**good, field: 1e8}))
+            assert np.all(np.isfinite(bundle.rows.data))
 
     def test_noise_raises_intra_diversity(self):
         means = []

@@ -160,3 +160,32 @@ def test_gram_source_matches_blockwise_oracle_at_every_budget(values, objective)
     for k in range(1, m.rows + 1):
         want = blockwise_greedy_oracle(m, k, objective)
         assert greedy_rep_max(m, k, objective) == want
+
+
+@st.composite
+def rows_across_norm_scales(draw):
+    """Small-integer rows times per-row powers of ten from 1e-11 to 1e37;
+    zero entries may hold a subnormal float32 value instead."""
+    n = draw(st.integers(2, 16))
+    dim = draw(st.integers(1, 6))
+    ints = draw(hnp.arrays(np.int8, (n, dim), elements=st.integers(-2, 2)))
+    ints[~np.any(ints != 0, axis=1), 0] = 1
+    exponents = draw(hnp.arrays(np.int64, n, elements=st.integers(-11, 37)))
+    tiny = draw(hnp.arrays(np.int64, (n, dim), elements=st.integers(-3, 3)))
+    rows = ints * 10.0 ** exponents[:, None]
+    rows = np.where(ints == 0, tiny * 2.0**-140, rows)  # 2**-140 < 2**-126
+    return rows.astype(np.float32)
+
+
+@PROPERTY_SETTINGS
+@given(rows_across_norm_scales())
+def test_greedy_matches_blockwise_oracle_across_norm_scales(values):
+    """Row norms 1e-11 .. 1e37 within one image make the largest scale and
+    the underflow term of the float32 bound large, and subnormal entries
+    make products underflow; the certified steps must still pick the
+    float64 computation's rows."""
+    m = build_token_matrix(*values.shape, values)
+    for objective in ("sum_distance", "min_distance"):
+        for k in range(1, m.rows + 1):
+            want = blockwise_greedy_oracle(m, k, objective)
+            assert greedy_rep_max(m, k, objective) == want

@@ -242,18 +242,22 @@ class TestSeedPairScan:
         m = build_token_matrix(n, dim, rows.ravel())
         u32 = m.unit64().astype(np.float32)
         assert u32[0] @ u32[1] == u32[-2] @ u32[-1] == -1.0
+        src = selection._scaled_rows(m)
+        column = selection._dot_column
+        assert column(src, 0)[1] == column(src, n - 2)[n - 1] == -1.0
         expected = brute_force_farthest_pair(m)
         assert expected == (n - 2, n - 1)
         for objective in ("sum_distance", "min_distance"):
             assert blockwise_greedy_oracle(m, 2, objective) == list(expected)
             assert greedy_rep_max(m, 2, objective) == list(expected)
 
-    @pytest.mark.parametrize("seed", [2, 3, 22, 46, 56])
+    @pytest.mark.parametrize("seed", [2, 3, 22, 31, 46, 56, 75, 115])
     def test_float32_order_reversed(self, seed):
         """Six pairs (x, -x + noise) whose dot products lie within ~1e-9 of
-        each other.  For these seeds OpenBLAS's float32 gemm put the
-        farthest pair two or three float32 steps above the smallest float32
-        value, so a filter keeping only the float32 minimum would miss it."""
+        each other.  For most of these seeds the scaled float32 rows put
+        the farthest pair one to four float32 steps above the smallest
+        float32 value (measured with OpenBLAS; four for seed 115), so a
+        filter keeping only the float32 minimum would miss it."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((6, 8))
         scale = 3e-5 * np.linalg.norm(x, axis=1, keepdims=True)
@@ -264,14 +268,15 @@ class TestSeedPairScan:
         assert greedy_rep_max(m, 2) == list(expected)
 
     def test_noisy_image_is_certified(self):
-        """On a noisy image the float32 filter decides without the fallback."""
+        """On a noisy image the filter over the scaled float32 rows decides
+        without the fallback."""
         spec = SyntheticSpec(
             n_images=2, tokens_per_image=576, dim=64, seed=0, clusters=16,
             noise=0.2, drift=0.1, text_tokens=4,
         )
         for img in generate_synthetic(spec).images:
             unit = img.unit64()
-            pair = selection._certified_seed_pair(img, selection._unit32(img))
+            pair = selection._certified_seed_pair(img, selection._scaled_rows(img))
             assert pair is not None
             assert pair == selection._exact_seed_pair(unit)
 
@@ -302,10 +307,14 @@ def oracle_order(tokens, k, objective):
 def float32_score(tokens, chosen, objective):
     """The float32 score greedy_rep_max keeps after choosing ``chosen``."""
     combine = np.add if objective == "sum_distance" else np.maximum
-    u32 = selection._unit32(tokens)
-    score = combine(u32 @ u32[chosen[0]], u32 @ u32[chosen[1]])
+    src = selection._scaled_rows(tokens)
+
+    def column(c):
+        return selection._dot_column(src, c)
+
+    score = combine(column(chosen[0]), column(chosen[1]))
     for c in chosen[2:]:
-        combine(score, u32 @ u32[c], out=score)
+        combine(score, column(c), out=score)
     score[chosen] = np.inf
     return score
 
@@ -316,18 +325,32 @@ def no_widening(self):
 
 class TestCertifiedGreedyLoop:
     def test_rows_round_from_float64_unit_rows(self):
-        """Float32 rows lie within two float32 roundings of the whole-image
-        unit rows, and float64 rows of a few indices are exactly those
-        rows, even for rows whose norm is far from 1."""
+        """Each scale is one float32 rounding of the reciprocal norm that
+        ``unit64()`` divides by, a scaled row lies within two float32
+        roundings of the whole-image unit row, every block and column dot
+        product lies within eps of the float64 unit rows' one, and float64
+        rows of a few indices are exactly those rows, even for rows whose
+        norm is far from 1."""
         rng = np.random.default_rng(14)
         rows = rng.standard_normal((300, 24)) * 10.0 ** rng.integers(-10, 30, (300, 1))
         rows[0, :12] *= 1e-30  # unit entries far below the others
         rows[0, 12:18] *= 1e-40  # unit entries subnormal in float32
         m = build_token_matrix(300, 24, rows.ravel())
         unit = m.unit64()
-        got = selection._unit32(m).astype(np.float64)
+        src = selection._scaled_rows(m)
         u = 2.0**-24
+        recip = 1 / np.sqrt(m.norms_sq)
+        assert np.all(np.abs(src.scale - recip) <= u * recip)
+        got = (src.data * src.scale[:, None]).astype(np.float64)
         assert np.all(np.abs(got - unit) <= 2 * u * (1 + u) * np.abs(unit) + 2.0**-149)
+        # eps for the source, delta for the float64 gram it is compared with
+        bound = selection._dot_bound(24, src) + selection._dot_bound(24)
+        gram = unit @ unit.T
+        for r0, height in ((0, 299), (256, 43)):
+            block = selection._dot_block(src, r0, height)
+            assert np.all(np.abs(block - gram[r0 : r0 + height, r0:]) <= bound)
+        for i in (0, 1, 150, 299):
+            assert np.all(np.abs(selection._dot_column(src, i) - gram[i]) <= bound)
         idx = [299, 3, 3, 150]
         assert np.array_equal(
             selection._unit64_rows(m, idx).view(np.uint64), unit[idx].view(np.uint64)
@@ -335,7 +358,7 @@ class TestCertifiedGreedyLoop:
 
     def test_huge_norms_take_the_float64_path(self, monkeypatch):
         """A row norm above 2**126 would make its float32 scale subnormal,
-        outside the bound above, so such an image has no float32 rows and
+        outside the bound above, so such an image has no scaled rows and
         the float64 computation selects it."""
         calls = []
         exact_seed_pair = selection._exact_seed_pair
@@ -350,7 +373,7 @@ class TestCertifiedGreedyLoop:
         rows[::3] *= 2.0**126  # norms near 2**126 .. 2**128
         m = build_token_matrix(40, 8, rows.ravel())
         assert np.sqrt(m.norms_sq).max() > 2.0**126
-        assert selection._unit32(m) is None
+        assert selection._scaled_rows(m) is None
         for objective in ("sum_distance", "min_distance"):
             for k in (2, 3, 9, 39):
                 calls.clear()
@@ -450,10 +473,10 @@ class TestCertifiedGreedyLoop:
         monkeypatch.setattr(TokenMatrix, "unit64", no_widening)
         assert greedy_rep_max(img, 144, objective) == want
 
-    def test_certified_path_stays_below_one_float64_copy(self):
-        """One float64 copy of a 2880 x 1024 image is 23.6 MB; the certified
-        path holds one float32 copy, one 256-row float32 gram block and a
-        few float64 rows."""
+    def test_certified_path_stays_below_one_float32_copy(self):
+        """The scaled rows are the stored rows, so the certified path holds
+        no copy of the image: one 256-row float32 gram block, its scaled
+        left rows and a few float64 rows, under one float32 copy (11.8 MB)."""
         spec = SyntheticSpec(
             n_images=1, tokens_per_image=2880, dim=1024, seed=0, clusters=16,
             noise=0.3, drift=0.05, text_tokens=1,
@@ -465,7 +488,7 @@ class TestCertifiedGreedyLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2880 * 1024 * 8
+        assert peak < 2880 * 1024 * 4
 
 
 def count_gram_builds(monkeypatch):
