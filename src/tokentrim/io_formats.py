@@ -21,7 +21,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadMagic, BadSpec, BadVersion, IoFailure, TruncatedFile
+from .errors import (
+    BadMagic,
+    BadSpec,
+    BadVersion,
+    IoFailure,
+    ShapeMismatch,
+    TruncatedFile,
+)
 from .types import (
     CONFIG_FIELDS,
     PruneConfig,
@@ -29,17 +36,26 @@ from .types import (
     ResolvedBudgets,
     Selection,
     TokenBundle,
+    _instance,
     _integer,
-    build_token_matrix,
+    _token_matrix,
 )
 
 MAGIC = b"TTB1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
+_PATH_TYPES = (str, bytes, os.PathLike)
 
 
 def write_bundle(bundle: TokenBundle, path) -> None:
-    """Serialize a bundle to TTB1; read_bundle(write_bundle(b)) is bit-exact."""
+    """Serialize a bundle to TTB1; read_bundle(write_bundle(b)) is bit-exact.
+
+    A ``bundle`` that is not a TokenBundle raises ShapeMismatch, and a
+    ``path`` that is not a str, bytes or os.PathLike IoFailure, as does
+    any OS error.
+    """
+    _instance("bundle", bundle, TokenBundle, ShapeMismatch)
+    _instance("path", path, _PATH_TYPES, IoFailure)
     header = _HEADER.pack(
         MAGIC, VERSION, bundle.n_images, bundle.text.rows, bundle.dim
     ) + struct.pack(f"<{bundle.n_images}I", *bundle.counts)
@@ -69,12 +85,14 @@ def read_bundle(path) -> TokenBundle:
 
     The header and the image counts are checked against the file's size
     before the payload is allocated, so a hostile header costs no memory.
-    The payload is then read once, into a read-only buffer that the
-    returned bundle's rows share.  A path that is not a regular file (a
-    FIFO or a directory, say) raises IoFailure, as does any OS error; a
+    The payload is then read once, into a buffer that only the returned
+    bundle's rows hold.  A ``path`` that is not a str, bytes or
+    os.PathLike, or that names no regular file (a FIFO or a directory,
+    say), raises IoFailure, as does any OS error; a
     file that ends early, or runs past the declared payload, raises
     TruncatedFile, also when it changes size while being read.
     """
+    _instance("path", path, _PATH_TYPES, IoFailure)
     try:
         # O_NONBLOCK: opening a FIFO must not wait for a writer.
         flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
@@ -86,7 +104,7 @@ def read_bundle(path) -> TokenBundle:
             counts, n_rows, dim, values = _read_ttb1(fh, info.st_size)
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
-    return TokenBundle(build_token_matrix(n_rows, dim, values), counts)
+    return TokenBundle(_token_matrix(n_rows, dim, values, private=True), counts)
 
 
 def _read_ttb1(fh, size: int) -> tuple[tuple[int, ...], int, int, np.ndarray]:
@@ -206,7 +224,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
 
     n_rows = spec.n_images * spec.tokens_per_image + spec.text_tokens
     return TokenBundle(
-        build_token_matrix(n_rows, spec.dim, np.concatenate(rows)),
+        _token_matrix(n_rows, spec.dim, np.concatenate(rows), private=True),
         (spec.tokens_per_image,) * spec.n_images,
     )
 
@@ -271,7 +289,9 @@ def write_result(
 
 
 def write_json(doc, path, noun: str) -> None:
-    """Write ``doc`` as indented JSON plus a newline; IoFailure names ``noun``."""
+    """Write ``doc`` as indented JSON plus a newline; IoFailure names
+    ``noun``, also for a ``path`` that is not a str, bytes or os.PathLike."""
+    _instance(f"{noun} path", path, _PATH_TYPES, IoFailure)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import allocation, metrics, selection
-from .errors import BadConfig, SelectionMismatch
+from .errors import BadConfig, SelectionMismatch, ShapeMismatch
 from .types import (
     PruneConfig,
     RedundancyReport,
     ResolvedBudgets,
     Selection,
     TokenBundle,
+    _instance,
     _integer,
     resolve_config,
 )
@@ -57,7 +58,11 @@ def _signals(
 
 
 def analyze(bundle: TokenBundle, cfg: PruneConfig) -> RedundancyReport:
-    """Compute all redundancy signals and budgets without touching a token."""
+    """Compute all redundancy signals and budgets without touching a token.
+
+    A ``cfg`` that is not a PruneConfig raises BadConfig, and a ``bundle``
+    that is not a TokenBundle ShapeMismatch (see :func:`resolve_config`).
+    """
     budgets = resolve_config(cfg, bundle)
     return _signals(bundle, cfg, budgets)
 
@@ -71,6 +76,7 @@ def prune(
     stage sizes all reference the original bundle.  Stage 1 runs the
     per-image selections one after another.  ``threads`` must be the
     integer 1; any other value raises BadConfig before any work is done.
+    Arguments of the wrong type raise as in :func:`analyze`.
     """
     if _integer("threads", threads, 1, BadConfig) != 1:
         raise BadConfig(f"threads must be 1, got {threads!r}")
@@ -132,8 +138,11 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     Row values are copied bit-exactly in their original relative order;
     images left with zero kept tokens are dropped from the output (the
     report still records them).  Raises SelectionMismatch when the
-    selection does not fit this bundle.
+    selection does not fit this bundle or is not a Selection, and
+    ShapeMismatch when ``bundle`` is not a TokenBundle.
     """
+    _instance("bundle", bundle, TokenBundle, ShapeMismatch)
+    _instance("selection", sel, Selection, SelectionMismatch)
     if sel.stage_sizes[0] != bundle.total_tokens:
         raise SelectionMismatch(
             f"selection was made for {sel.stage_sizes[0]} tokens, "

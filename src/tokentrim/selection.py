@@ -7,37 +7,39 @@ choices.
 
 Greedy dispersion makes the float64 computation's choices bit for bit from
 a cheaper score source: the stored float32 rows with a float32 reciprocal
-norm per row, or one float64 gram of the unit rows where that is smaller
-and cheaper (the rule is in :func:`greedy_rep_max`).  Each decision is
-either certified against proven rounding bounds or handed to the float64
-computation.  The bounds (Higham, Accuracy and Stability of Numerical
-Algorithms, secs. 2.1 and 3.1): for any summation order, FMA included,
-|fl(x.y) - x.y| <= gamma_n |x|.|y| while no result is subnormal, and
-|x|.|y| <= 1 for unit rows.  For two float64 unit rows (those of
-``TokenMatrix.unit64()``) of dimension dim:
+norm per row, whose whole scaled gram is kept when an image has no more
+rows than dims and streamed in row blocks otherwise, or one float64 gram
+of the unit rows where that is smaller and cheaper (the rule is in
+:func:`greedy_rep_max`).  Each decision is either certified against
+proven rounding bounds or handed to the float64 computation.  The bounds
+(Higham, Accuracy and Stability of Numerical Algorithms, secs. 2.1 and
+3.1): for any summation order, FMA included, |fl(x.y) - x.y| <= gamma_n
+|x|.|y| while no result is subnormal, and |x|.|y| <= 1 for unit rows.
+For two float64 unit rows (those of ``TokenMatrix.unit64()``) of
+dimension dim:
 
 - delta = gamma_dim(2**-53) bounds the error of a float64 dot product, so
   of every gram entry too, whatever order gemm or syrk sums in;
 - eps bounds the error of a dot product read from the float32 rows d_i.
   With r_i the float64 norm that ``unit64()`` divides by, the scale s_i
   is 1 / r_i rounded to float32, a relative error within u (u = 2**-24)
-  plus float64 rounding far below u**2.  The source scales one row,
-  a = fl(d_i s_i) (u per entry), takes the float32 dot a.d_j (gamma_dim(u)
-  relative to |a|.|d_j| <= (1 + u) s_i r_i r_j) and scales the result,
-  fl(a.d_j s_j) (u).  Against the unit rows' dot x, |x| <= 1, the three
-  roundings of s_i, s_j and the last product move x by (1 + u)**3 - 1 and
-  the entry roundings and the dot add (1 + u)**3 (u + gamma_dim(u)
-  (1 + u)): at most 5u + gamma_dim(u) (1 + 4u) in all, about 4u +
-  gamma_dim(u).  Gradual underflow adds an absolute error of at most
-  2**-150 to each entry of a, each product of the dot and the final
-  product.  Those of the dot are then multiplied by s_j, so with s the
-  largest scale of the image the underflow term is at most
-  (dim max(1, s) + sqrt(dim) + 1) 2**-150 <= dim max(1, s) 2**-148.  For
-  rows whose norm is near 1 that is dim 2**-148, but a row of norm 1e-12
-  makes it about dim 2**-108.  A row norm above 2**126 would make its
-  float32 scale subnormal and lose its relative precision, so such an
-  image takes the float64 path; the guard also keeps every |a.d_j| <=
-  (1 + u) r_j within float32 range.
+  plus float64 rounding far below u**2.  Both forms of the source compute
+  fl(fl(fl(d_i.d_j) s_i) s_j): the raw float32 dot, within gamma_dim(u)
+  |d_i|.|d_j| <= gamma_dim(u) r_i r_j of d_i.d_j, then two scalings (u
+  each).  Against the unit rows' dot x = d_i.d_j / (r_i r_j), |x| <= 1,
+  the roundings of s_i, s_j and the two products move x by (1 + u)**4 - 1
+  and the dot adds gamma_dim(u) (1 + u)**4: at most 5u + gamma_dim(u)
+  (1 + 5u) in all, about 4u + gamma_dim(u).  Gradual underflow adds an
+  absolute error of at most 2**-150 to each product of the dot and to each
+  scaling.  Those of the dot are then multiplied by s_i s_j and that of
+  the first scaling by s_j, so with s the largest scale of the image the
+  underflow term is at most (dim (1 + u)**4 max(1, s)**2 + max(1, s) + 1)
+  2**-150 <= dim max(1, s)**2 2**-148.  For rows whose norm is near 1
+  that is dim 2**-148, but a row of norm 1e-12 makes it about dim 2**-68.
+  The raw dot and each of its partial sums are at most about r_i r_j in
+  magnitude, so an image with a row norm of 2**63 or more, where that
+  could leave float32 range, takes the float64 path; below the guard
+  every scale exceeds 2**-63, far from subnormal.
 
 Both bounds get 1% slack, which also covers rows whose computed norm is
 not exactly 1 and the rounding of the threshold arithmetic.
@@ -80,10 +82,12 @@ def _gamma(n: int, u: float) -> float:
 class _ScaledRows:
     """The float32 score source: the stored rows ``data`` and ``scale``,
     each row's reciprocal norm in float32, so unit row i is about
-    data[i] * scale[i]."""
+    data[i] * scale[i]; ``gram`` is their whole scaled gram
+    (:func:`_scaled_gram`) when one is kept."""
 
     data: np.ndarray
     scale: np.ndarray
+    gram: np.ndarray | None
     dtype = np.dtype(np.float32)
 
 
@@ -93,8 +97,8 @@ def _dot_bound(dim: int, src=None) -> float:
     the float64 gram or with no source (the float64 computation)."""
     if isinstance(src, _ScaledRows):
         u = 2.0**-24
-        underflow = dim * max(1.0, float(src.scale.max())) * 2.0**-148
-        return 1.01 * (5 * u + _gamma(dim, u) * (1 + 4 * u) + underflow)
+        underflow = dim * max(1.0, float(src.scale.max())) ** 2 * 2.0**-148
+        return 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
     return 1.01 * _gamma(dim, 2.0**-53)
 
 
@@ -106,45 +110,66 @@ def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
 
 
 def _scaled_rows(tokens: TokenMatrix) -> _ScaledRows | None:
-    """The stored rows as a score source, or None when some row's scale
-    would be subnormal (norm above 2**126), where the bound fails."""
-    scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
-    if scale.min() < np.finfo(np.float32).tiny:
+    """The stored rows as a score source, keeping their scaled gram when
+    the image has no more rows than dims (so the gram is no larger than
+    the rows), or None when some row's norm is 2**63 or more, where the
+    bound fails."""
+    if tokens.norms_sq.max() >= 2.0**126:
         return None
-    return _ScaledRows(tokens.data, scale)
+    scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
+    n, dim = tokens.data.shape
+    gram = _scaled_gram(tokens.data, scale) if n <= dim else None
+    return _ScaledRows(tokens.data, scale, gram)
+
+
+def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The scaled float32 gram, fl(fl(fl(d_i.d_j) s_i) s_j) at (i, j), with
+    +inf on the diagonal.  Both operands of the product are one buffer, so
+    numpy computes it with syrk."""
+    gram = data @ data.T
+    gram *= scale[:, None]
+    gram *= scale
+    np.fill_diagonal(gram, np.inf)
+    return gram
 
 
 def _gram(tokens: TokenMatrix) -> np.ndarray:
-    """The float64 gram of ``tokens.unit64()``; the unit rows are freed."""
+    """The float64 gram of ``tokens.unit64()`` with +inf on the diagonal;
+    the unit rows are freed."""
     unit = tokens.unit64()
-    return unit @ unit.T
+    gram = unit @ unit.T
+    np.fill_diagonal(gram, np.inf)
+    return gram
 
 
-def _dot_block(src, r0: int, rows: int) -> np.ndarray:
+def _kept_gram(src) -> np.ndarray | None:
+    """The whole gram the score source ``src`` keeps, or None when it
+    streams row blocks."""
+    return src.gram if isinstance(src, _ScaledRows) else src
+
+
+def _dot_block(src: _ScaledRows, r0: int, rows: int) -> np.ndarray:
     """A fresh array of the dot products of unit rows r0 .. r0 + rows - 1
-    with unit rows r0 and up.
-
-    ``src`` is a score source: the scaled float32 rows
-    (:func:`_scaled_rows`), whose products are computed with the left
-    block scaled before the gemm and the columns after it, or the float64
-    gram (:func:`_gram`), which holds them.
-    """
-    if isinstance(src, _ScaledRows):
-        data, scale = src.data, src.scale
-        block = (data[r0 : r0 + rows] * scale[r0 : r0 + rows, None]) @ data[r0:].T
-        block *= scale[r0:]
-        return block
-    return src[r0 : r0 + rows, r0:].copy()
+    with unit rows r0 and up, from the scaled float32 rows: the raw
+    products, then each row's scale, then each column's."""
+    data, scale = src.data, src.scale
+    block = data[r0 : r0 + rows] @ data[r0:].T
+    block *= scale[r0 : r0 + rows, None]
+    block *= scale[r0:]
+    return block
 
 
 def _dot_column(src, i: int) -> np.ndarray:
-    """The dot products of every unit row with row i, from ``src`` as in
-    :func:`_dot_block`; a read-only use may get a view of the gram."""
-    if isinstance(src, _ScaledRows):
-        column = src.data @ (src.data[i] * src.scale[i])
-        column *= src.scale
-        return column
-    return src[i]
+    """The dot products of every unit row with row i, from ``src``: a
+    read-only view of row i of a kept gram (whose entry i is +inf), or
+    computed as in :func:`_dot_block`."""
+    gram = _kept_gram(src)
+    if gram is not None:
+        return gram[i]
+    column = src.data @ src.data[i]
+    column *= src.scale[i]
+    column *= src.scale
+    return column
 
 
 def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
@@ -176,15 +201,16 @@ def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
 
     For a pair p, let G(p) be the value :func:`_exact_seed_pair`'s gemm
     computes, F(p) this filter's value from the score source ``src`` (see
-    :func:`_dot_block`) and V(p) a float64 recomputation; by the module
-    docstring, G and V lie within delta of the exact dot product and F
-    within bF: eps from the scaled rows, delta from the gram.
+    :func:`_dot_column`; from a kept gram the smaller of its two entries
+    for p) and V(p) a float64 recomputation; by the module docstring, G
+    and V lie within delta of the exact dot product and F within bF: eps
+    from the float32 rows, delta from the float64 gram.
 
     Filter: the winner p* minimizes G, so for the F-minimizer q,
     F(p*) <= G(p*) + delta + bF <= G(q) + delta + bF <= F(q) + 2 bF +
     2 delta; every pair within 2 bF + 2 delta of the smallest F is kept.
-    Each 256-row block is compared with that limit only in the rows whose
-    minimum is within it.
+    A gram's row, or a streamed 256-row block, is compared with that limit
+    only where its minimum is within it.
 
     Check: if the candidate b with the smallest V beats every other
     candidate c by more than 4 delta, then G(b) <= V(b) + 2 delta <
@@ -193,11 +219,57 @@ def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
     _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
     the exact scan decides, so the tie rule never depends on this filter.
     """
-    n, dim = tokens.data.shape
+    dim = tokens.dim
     delta = _dot_bound(dim)
     tol = 2 * _dot_bound(dim, src) + 2 * delta
     if not tol < 1:  # dims where the bounds fail
         return None
+    gram = _kept_gram(src)
+    if gram is None:
+        found = _streamed_candidates(src, tol)
+    else:
+        found = _gram_candidates(gram, tol)
+    if found is None:
+        return None
+    ci, cj = found
+    value = np.einsum("ij,ij->i", _unit64_rows(tokens, ci), _unit64_rows(tokens, cj))
+    order = np.argsort(value)
+    if len(order) > 1 and not value[order[1]] - value[order[0]] > 4 * delta:
+        return None
+    return int(ci[order[0]]), int(cj[order[0]])
+
+
+def _limit(best: float, tol: float, dt) -> np.floating:
+    """best + tol rounded up in the precision ``dt``, so that a comparison
+    with it keeps a superset of the pairs within tol of best."""
+    return np.nextafter(dt(best + tol), dt(np.inf))
+
+
+def _gram_candidates(gram: np.ndarray, tol: float):
+    """The pairs i < j within tol of the smallest off-diagonal entry of a
+    kept gram, as index arrays (ci, cj), or None when there are more than
+    _MAX_CANDIDATES."""
+    row_min = gram.min(axis=1)
+    limit = _limit(float(row_min.min()), tol, gram.dtype.type)
+    # Each pair puts at most two rows in near and two entries in hit.
+    near = np.flatnonzero(row_min <= limit)
+    if len(near) > 2 * _MAX_CANDIDATES:
+        return None
+    hit = gram[near] <= limit
+    if np.count_nonzero(hit) > 2 * _MAX_CANDIDATES:
+        return None
+    li, lj = np.nonzero(hit)
+    pairs = {(min(i, j), max(i, j)) for i, j in zip(near[li].tolist(), lj.tolist())}
+    if len(pairs) > _MAX_CANDIDATES:
+        return None
+    ci, cj = np.array(sorted(pairs), dtype=np.int64).T
+    return ci, cj
+
+
+def _streamed_candidates(src: _ScaledRows, tol: float):
+    """:func:`_gram_candidates` over 256-row blocks of the upper triangle
+    (:func:`_dot_block`), keeping the candidates of the blocks so far."""
+    n = src.data.shape[0]
     dt = src.dtype.type
     best = np.inf
     ci = cj = np.empty(0, dtype=np.int64)
@@ -208,8 +280,7 @@ def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
         block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
         row_min = block.min(axis=1)
         best = min(best, float(row_min.min()))
-        # rounded up in the source's precision: the comparison keeps a superset
-        limit = np.nextafter(dt(best + tol), dt(np.inf))
+        limit = _limit(best, tol, dt)
         keep = cf <= limit
         near = np.flatnonzero(row_min <= limit)
         hit = block[near] <= limit
@@ -220,11 +291,7 @@ def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
         ci = np.concatenate((ci[keep], r0 + li))
         cj = np.concatenate((cj[keep], r0 + lj))
         cf = np.concatenate((cf[keep], block[li, lj]))
-    value = np.einsum("ij,ij->i", _unit64_rows(tokens, ci), _unit64_rows(tokens, cj))
-    order = np.argsort(value)
-    if len(order) > 1 and not value[order[1]] - value[order[0]] > 4 * delta:
-        return None
-    return int(ci[order[0]]), int(cj[order[0]])
+    return ci, cj
 
 
 def _certified_steps(
@@ -237,7 +304,7 @@ def _certified_steps(
     """Extend ``selected`` toward k rows with :func:`_float64_steps`'s choices.
 
     Keeps a running score read from the score source ``src`` (see
-    :func:`_dot_block`) and certifies each step as :func:`greedy_rep_max`
+    :func:`_dot_column`) and certifies each step as :func:`greedy_rep_max`
     derives.  Stops at the first step it cannot certify, leaving in
     ``selected`` the choices made so far.
     """
@@ -256,9 +323,7 @@ def _certified_steps(
             b64 = 1.01 * m * (delta + _gamma(m, 2.0**-53) * (1 + delta))
         else:
             bF, b64 = e, delta
-        lowest = float(score.min())
-        # rounded up in the score's precision: the comparison keeps a superset
-        limit = np.nextafter(dt(lowest + (2 * bF + 2 * b64)), dt(np.inf))
+        limit = _limit(float(score.min()), 2 * bF + 2 * b64, dt)
         cand = np.flatnonzero(score <= limit)
         if len(cand) > 1:
             if len(cand) > _MAX_CANDIDATES:
@@ -321,20 +386,25 @@ def greedy_rep_max(
     gram of the unit rows (:func:`_gram`) when it is no larger than the
     stored float32 rows (2 n <= dim) and the k matvecs it replaces hold at
     least a quarter as many products as its upper triangle (4 k >= n: the
-    scaled rows pay for that triangle too, in float32, in the seed filter,
-    and measured at dim 1024 the two sources break even near k = n / 8);
+    float32 source pays for that triangle too, in the seed filter, and
+    measured at dim 1024 the two sources break even near k = n / 8);
     otherwise it is the stored float32 rows with a float32 reciprocal norm
-    per row (:func:`_scaled_rows`), which copies no more than one 256-row
-    block of the image.  The seed comes from :func:`_certified_seed_pair`;
-    each step then works as follows.
+    per row (:func:`_scaled_rows`).  When the image has no more rows than
+    dims (n <= dim) their scaled gram is no larger than the rows, so it is
+    built once by one syrk (:func:`_scaled_gram`): the seed filter reads
+    it whole and each step reads one of its rows.  A larger image streams
+    256-row blocks of it through the seed filter and computes one column
+    per step, copying no more than one block.  The seed comes from
+    :func:`_certified_seed_pair`; each step then works as follows.
 
     With m rows selected, let S(r) be the reference's score of an
     unselected row r, E(r) its exact value, F(r) the score kept here
     (``combine(F, <source's dots with row nxt>)`` per step) and V(r) a
     float64 recomputation, ``combine.reduce(unit[r] @ unit[selected].T)``.
     Each source dot product is within e of the exact one, e = eps for
-    the scaled rows and e = delta for the gram (module docstring), and F sums
-    in the source's unit roundoff u (2**-24 or 2**-53):
+    the float32 rows and e = delta for the float64 gram (module
+    docstring), and F sums in the source's unit roundoff u (2**-24 or
+    2**-53):
 
     - ``min_distance``: a maximum is exact and moves by no more than its
       terms, so |F - E| <= bF = e and |S - E|, |V - E| <= b64 = delta.
@@ -343,8 +413,9 @@ def greedy_rep_max(
       gamma_m(u) m (1 + e) (Higham sec. 4.2), so bF = m e + gamma_m(u)
       m (1 + e) and b64 = m delta + gamma_m(2**-53) m (1 + delta).
 
-    From the gram, bF = b64: its scores are as good as the reference's,
-    whatever order gemm or syrk summed in, so no further proof is needed.
+    From the float64 gram, bF = b64: its scores are as good as the
+    reference's, whatever order gemm or syrk summed in, so no further
+    proof is needed.
     Both get 1% slack.  The reference takes p*, the first row with the
     smallest S; for the F-minimizer q, F(p*) <= S(p*) + b64 + bF <=
     S(q) + b64 + bF <= F(q) + 2 bF + 2 b64, so every row within 2 bF +
@@ -354,7 +425,7 @@ def greedy_rep_max(
     seed pair's argument.  Otherwise (exact ties, near-ties, or more than
     _MAX_CANDIDATES kept rows) the source is freed, ``tokens.unit64()`` is
     built, S is replayed and the reference finishes the selection.  So do
-    images with a row norm above 2**126, which have no scaled rows.
+    images with a row norm of 2**63 or more, which have no scaled rows.
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")

@@ -2,11 +2,16 @@
 
 Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
 squared norm.  Greedy selection scores those stored rows, scaled by a
-32-bit reciprocal norm per row (or a 64-bit gram of a small set), and
+32-bit reciprocal norm per row (keeping their whole scaled gram when an
+image has no more rows than dims, or a 64-bit gram of a small set), and
 certifies its choices in 64-bit (see ``selection``); every other reduction
 (norms, sums, dot products) accumulates in 64-bit.
 All containers are immutable after construction and safe to share across
-threads.
+threads.  A matrix shares a caller's buffer only when nobody can write it
+again (an array over ``bytes``) and copies any other; the package's own
+fresh buffers (a file just read, a concatenation) are shared as they are.
+Arguments of the wrong type raise the package's error for that argument,
+checked at each entry point by ``_instance``.
 """
 
 from __future__ import annotations
@@ -49,12 +54,14 @@ def _integer(name: str, value, low: int, error: type[TokenTrimError]) -> int:
     return int(value)
 
 
-def _instance(name: str, value, kind: type, error: type[TokenTrimError]):
-    """``value`` when it is an instance of ``kind``; anything else raises
-    ``error``."""
+def _instance(name: str, value, kind, error: type[TokenTrimError]):
+    """``value`` when it is an instance of ``kind``, a type or a tuple of
+    types; anything else raises ``error``."""
     if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        wanted = " or ".join(k.__name__ for k in kinds)
         got = type(value).__name__
-        raise error(f"{name} must be of type {kind.__name__}, got {got}")
+        raise error(f"{name} must be of type {wanted}, got {got}")
     return value
 
 
@@ -109,25 +116,33 @@ class TokenMatrix:
 
 
 def _immutable(arr: np.ndarray) -> bool:
-    """True when neither the array nor any array it views can be written."""
+    """True when the array views a ``bytes`` object, which nobody can make
+    writable again.  An array that owns its memory can always be made
+    writable by whoever holds it, even after ``setflags(write=False)``."""
     while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return False
         arr = arr.base
-    return arr is None or isinstance(arr, bytes)
+    return isinstance(arr, bytes)
 
 
 def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
     """Build a TokenMatrix from a flat row-major value buffer.
 
-    The matrix shares ``values`` when it is an immutable float32 array (a
-    read-only array that owns its buffer, or ``np.frombuffer`` over
-    ``bytes``) and copies it otherwise.  Raises ShapeMismatch when ``rows``
-    or ``dim`` is not an integer (a bool or float included), rows < 0,
-    dim < 1, ``values`` is not an array of real numbers (a string, say) or
-    its length is not rows*dim, and ZeroNormRow or NonFiniteRow for the
-    first row whose norm falls below 1e-12 or is not finite.
+    The matrix shares ``values`` when it is a float32 array over
+    ``bytes`` (``np.frombuffer``), which nobody can write, and copies it
+    otherwise, a read-only array included.  Raises ShapeMismatch when
+    ``rows`` or ``dim`` is not an integer (a bool or float included),
+    rows < 0, dim < 1, ``values`` is not an array of real numbers (a
+    string, say) or its length is not rows*dim, and ZeroNormRow or
+    NonFiniteRow for the first row whose norm falls below 1e-12 or is not
+    finite.
     """
+    return _token_matrix(rows, dim, values, private=False)
+
+
+def _token_matrix(rows: int, dim: int, values, private: bool) -> TokenMatrix:
+    """:func:`build_token_matrix`, which also shares ``values`` when
+    ``private`` says that the caller made it and holds it alone (a buffer
+    it has just read or concatenated)."""
     dim = _integer("dim", dim, 1, ShapeMismatch)
     rows = _integer("rows", rows, 0, ShapeMismatch)
     flat = _real_array("values", values, ShapeMismatch).ravel()
@@ -136,7 +151,7 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
             f"expected {rows * dim} values for {rows}x{dim}, got {flat.size}"
         )
     data = flat.reshape(rows, dim)
-    if not _immutable(data):
+    if not (private or _immutable(data)):
         data = data.copy()
 
     # einsum widens in small buffered chunks, so no float64 copy of the rows
@@ -208,13 +223,20 @@ class TokenBundle:
 
 
 def make_bundle(images, text: TokenMatrix) -> TokenBundle:
-    """Bundle image matrices and a text matrix, copying their rows into one."""
-    images = tuple(images)
+    """Bundle image matrices and a text matrix, copying their rows into one.
+
+    ``images`` must be an iterable of TokenMatrix and ``text`` a
+    TokenMatrix, or ShapeMismatch is raised; an image whose dim differs
+    from the text's raises DimMismatch.
+    """
+    text = _instance("text", text, TokenMatrix, ShapeMismatch)
+    images = tuple(_instance("images", images, Iterable, ShapeMismatch))
     for k, img in enumerate(images):
+        _instance(f"image {k}", img, TokenMatrix, ShapeMismatch)
         if img.dim != text.dim:
             raise DimMismatch(f"image {k} has dim {img.dim}, text has {text.dim}")
     data = np.concatenate([m.data for m in (*images, text)])
-    rows = build_token_matrix(len(data), text.dim, data)
+    rows = _token_matrix(len(data), text.dim, data, private=True)
     return TokenBundle(rows, tuple(img.rows for img in images))
 
 
@@ -331,7 +353,11 @@ def resolve_config(
     Applies the chain m_max' = min(m_max, M0), m_min' = min(m_min, m_max'),
     m2' = min(m2, m_min'), m_final' = min(final, m2'), with m_final' >= 1.
     Idempotent: resolving already-resolved budgets changes nothing.
+    A ``cfg`` that is not a PruneConfig raises BadConfig, and a ``bundle``
+    that is not a TokenBundle ShapeMismatch.
     """
+    _instance("cfg", cfg, PruneConfig, BadConfig)
+    _instance("bundle", bundle, TokenBundle, ShapeMismatch)
     m0 = bundle.total_tokens
     if m0 < bundle.n_images:
         raise BudgetUnsatisfiable(

@@ -99,6 +99,19 @@ class TestBuildTokenMatrix:
         frozen = np.frombuffer(values.tobytes(), dtype=np.float32)
         assert np.shares_memory(build_token_matrix(2, 2, frozen).data, frozen)
 
+    def test_read_only_arrays_are_copied(self):
+        """Whoever holds a read-only array that owns its memory, or an array
+        it views, can make it writable again, so the matrix copies it:
+        later writes leave its rows and their norms as built."""
+        for size, view in ((4, slice(None)), (8, slice(2, 6))):
+            owner = np.ones(size, np.float32)
+            owner.setflags(write=False)
+            m = build_token_matrix(2, 2, owner[view])
+            owner.setflags(write=True)
+            owner[:] = 100
+            np.testing.assert_array_equal(m.data, np.ones((2, 2)))
+            np.testing.assert_array_equal(m.norms_sq, [2, 2])
+
     def test_gather_reuses_cached_rows(self):
         rng = np.random.default_rng(14)
         m = random_matrix(rng, 9, 5)
@@ -216,6 +229,23 @@ class TestTokenBundle:
         assert TokenBundle(rows, [4]).counts == (4,)
         matrix = build_token_matrix(1, 2, [True, 2])
         np.testing.assert_array_equal(matrix.data, [[1, 2]])
+
+    def test_make_bundle_arguments_of_the_wrong_kind(self):
+        """Images that are not an iterable of TokenMatrix, or text that is
+        not a TokenMatrix, raise ShapeMismatch, not a raw Python error."""
+        rng = np.random.default_rng(9)
+        img, text = random_matrix(rng, 3, 2), random_matrix(rng, 2, 2)
+        calls = (
+            lambda: make_bundle(5, text),
+            lambda: make_bundle(None, text),
+            lambda: make_bundle([img], "text"),
+            lambda: make_bundle([img], text.data),
+            lambda: make_bundle([img, img.data], text),
+            lambda: make_bundle("ab", text),
+        )
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match="must be of type"):
+                call()
 
     def test_rejects_no_images(self):
         rng = np.random.default_rng(1)

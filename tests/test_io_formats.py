@@ -201,6 +201,42 @@ class TestMalformedFiles:
         with pytest.raises(IoFailure):
             write_bundle(bundle, tmp_path / "missing-dir" / "out.ttb")
 
+    def test_arguments_of_the_wrong_kind(self, tmp_path):
+        """A path that is not a str, bytes or os.PathLike raises IoFailure
+        and a bundle that is not a TokenBundle ShapeMismatch, before any
+        file is touched."""
+        rng = np.random.default_rng(4)
+        bundle = random_bundle(rng, [3], dim=2)
+        report, sel = prune(bundle, PruneConfig(final_tokens=2))
+        calls = (
+            (lambda: read_bundle(None), IoFailure),
+            (lambda: read_bundle(3), IoFailure),
+            (lambda: write_bundle(bundle, None), IoFailure),
+            (lambda: write_bundle(None, tmp_path / "out.ttb"), ShapeMismatch),
+            (lambda: write_result(report, sel, None), IoFailure),
+            (lambda: write_result(report, sel, 1), IoFailure),
+        )
+        for call, error in calls:
+            with pytest.raises(error, match="must be of type"):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_share_the_read_buffer(self, tmp_path):
+        """The rows are the buffer the payload was read into, not a copy of
+        it: reading a 4 MB payload peaks near 4 MB."""
+        rng = np.random.default_rng(5)
+        bundle = random_bundle(rng, [1000], dim=1024, text_rows=24)
+        path = tmp_path / "rows.ttb"
+        write_bundle(bundle, path)
+        tracemalloc.start()
+        try:
+            got = read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * got.rows.data.nbytes
+        np.testing.assert_array_equal(got.rows.data, bundle.rows.data)
+
 
 def ttb1_bytes(counts, n_text, dim, rows) -> bytes:
     """A TTB1 file written by hand, so it may hold rows no bundle accepts."""

@@ -14,7 +14,7 @@ from tokentrim import (
     make_bundle,
     prune,
 )
-from tokentrim.errors import BadConfig, EmptyText, SelectionMismatch
+from tokentrim.errors import BadConfig, EmptyText, SelectionMismatch, ShapeMismatch
 from tokentrim.selection import (
     ParetoPoint,
     greedy_rep_max,
@@ -318,3 +318,24 @@ class TestApplySelection:
         )
         with pytest.raises(SelectionMismatch):
             apply_selection(bundle, inconsistent)
+
+
+def test_arguments_of_the_wrong_kind():
+    """A bundle, config or selection of the wrong type raises the
+    package's error for that argument, not a raw Python error."""
+    rng = np.random.default_rng(17)
+    bundle = random_bundle(rng, [4, 4], dim=4)
+    cfg = PruneConfig(final_tokens=3, retention_ratio=None)
+    _, sel = prune(bundle, cfg)
+    calls = (
+        (lambda: prune(bundle, "cfg"), BadConfig),
+        (lambda: prune(None, cfg), ShapeMismatch),
+        (lambda: analyze(bundle, None), BadConfig),
+        (lambda: analyze(bundle.rows, cfg), ShapeMismatch),
+        (lambda: apply_selection(bundle, None), SelectionMismatch),
+        (lambda: apply_selection(bundle, sel.kept_global), SelectionMismatch),
+        (lambda: apply_selection(None, sel), ShapeMismatch),
+    )
+    for call, error in calls:
+        with pytest.raises(error, match="must be of type"):
+            call()

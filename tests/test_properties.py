@@ -189,3 +189,36 @@ def test_greedy_matches_blockwise_oracle_across_norm_scales(values):
         for k in range(1, m.rows + 1):
             want = blockwise_greedy_oracle(m, k, objective)
             assert greedy_rep_max(m, k, objective) == want
+
+
+@st.composite
+def rows_up_to_the_norm_guard(draw):
+    """Small-integer rows, no more of them than dims, times per-row powers
+    of two, so that row norms run from 2**-39 to just under 2**63, the
+    float32 sources' guard; zero entries may hold a subnormal float32
+    value instead."""
+    dim = draw(st.integers(2, 12))
+    n = draw(st.integers(2, dim))
+    ints = draw(hnp.arrays(np.int8, (n, dim), elements=st.integers(-2, 2)))
+    ints[~np.any(ints != 0, axis=1), 0] = 1
+    # 1 <= |ints row| < 8 = 2**3, so the norms stay below 2**63
+    exponents = draw(hnp.arrays(np.int64, n, elements=st.integers(-39, 60)))
+    tiny = draw(hnp.arrays(np.int64, (n, dim), elements=st.integers(-3, 3)))
+    rows = ints * 2.0 ** exponents[:, None]
+    rows = np.where(ints == 0, tiny * 2.0**-140, rows)  # 2**-140 < 2**-126
+    return rows.astype(np.float32)
+
+
+@PROPERTY_SETTINGS
+@given(rows_up_to_the_norm_guard())
+def test_kept_gram_matches_blockwise_oracle_up_to_the_norm_guard(values):
+    """Raw float32 dot products of rows with norms up to just under 2**63
+    come close to float32's range, and their scales up to 2**39 make the
+    underflow term of the bound large; the kept float32 gram (n <= dim)
+    must still pick the float64 computation's rows at every budget."""
+    m = build_token_matrix(*values.shape, values)
+    assert np.sqrt(m.norms_sq).max() < 2.0**63
+    for objective in ("sum_distance", "min_distance"):
+        for k in range(1, m.rows + 1):
+            want = blockwise_greedy_oracle(m, k, objective)
+            assert greedy_rep_max(m, k, objective) == want

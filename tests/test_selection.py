@@ -1,5 +1,6 @@
 """Greedy dispersion selection and Pareto-front machinery."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -323,43 +324,108 @@ def no_widening(self):
     raise AssertionError("the certified path built a float64 copy of the image")
 
 
+def step_near_ties(monkeypatch, objective, dim):
+    """Six 41-row images of the given dim, each with two rows whose float64
+    scores at the fifth step differ by about 1e-9, far below float32
+    resolution; returns how many of them the float32 score ranks wrong.
+
+    The oracle's fifth choice p is replaced by two copies with a tiny
+    component on an axis no other row uses: p keeps the one that scores
+    worse in float64, and the better one is appended last.  Where the
+    float32 score ranks p first, trusting the float32 argmin picks the
+    wrong row; each selection must be the oracle's without the fallback.
+    """
+    n, step = 40, 5
+    float32_wrong = 0
+    for seed in range(6):
+        rows = np.zeros((n + 1, dim))
+        rows[:n, :-2] = np.random.default_rng(seed).standard_normal((n, dim - 2))
+        m = build_token_matrix(n, dim, rows[:n].ravel())
+        order = oracle_order(m, step, objective)
+        p, prior = order[-1], order[:-1]
+        unit = m.unit64()
+        combine = np.add if objective == "sum_distance" else np.maximum
+        # a tilt t scales p's score by 1/sqrt(1 + t**2), so when the
+        # score is negative the larger tilt scores worse
+        negative = combine.reduce(unit[prior] @ unit[p]) < 0
+        worse, better = (4e-9, 2e-9) if negative else (2e-9, 4e-9)
+        norm = np.linalg.norm(rows[p])
+        rows[n] = rows[p]
+        rows[p, -2] = np.sqrt(worse) * norm
+        rows[n, -1] = np.sqrt(better) * norm
+        m = build_token_matrix(n + 1, dim, rows.ravel())
+        assert oracle_order(m, step, objective) == [*prior, n]
+        score = float32_score(m, prior, objective)
+        float32_wrong += bool(score[p] <= score[n])
+        expected = {
+            k: blockwise_greedy_oracle(m, k, objective) for k in (step, step + 4)
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(TokenMatrix, "unit64", no_widening)
+            for k, want in expected.items():
+                assert greedy_rep_max(m, k, objective) == want
+    return float32_wrong
+
+
 class TestCertifiedGreedyLoop:
     def test_rows_round_from_float64_unit_rows(self):
         """Each scale is one float32 rounding of the reciprocal norm that
-        ``unit64()`` divides by, a scaled row lies within two float32
-        roundings of the whole-image unit row, every block and column dot
-        product lies within eps of the float64 unit rows' one, and float64
-        rows of a few indices are exactly those rows, even for rows whose
-        norm is far from 1."""
-        rng = np.random.default_rng(14)
-        rows = rng.standard_normal((300, 24)) * 10.0 ** rng.integers(-10, 30, (300, 1))
-        rows[0, :12] *= 1e-30  # unit entries far below the others
-        rows[0, 12:18] *= 1e-40  # unit entries subnormal in float32
-        m = build_token_matrix(300, 24, rows.ravel())
+        ``unit64()`` divides by, every dot product read from either form of
+        the float32 source (streamed blocks and columns, or the kept gram)
+        lies within eps of the float64 unit rows' one, and float64 rows of
+        a few indices are exactly those rows, even for rows whose norm is
+        far from 1.  Norms up to 1e30 are above the 2**63 guard, so there
+        the same construction has no float32 source."""
+
+        def construction(top):
+            rng = np.random.default_rng(14)
+            scales = 10.0 ** rng.integers(-10, top, (300, 1))
+            rows = rng.standard_normal((300, 24)) * scales
+            rows[0, :12] *= 1e-30  # unit entries far below the others
+            rows[0, 12:18] *= 1e-40  # unit entries subnormal in float32
+            return build_token_matrix(300, 24, rows.ravel())
+
+        assert selection._scaled_rows(construction(30)) is None
+        m = construction(18)
+        assert 2.0**55 < np.sqrt(m.norms_sq).max() < 2.0**63
         unit = m.unit64()
-        src = selection._scaled_rows(m)
+        streamed = selection._scaled_rows(m)
+        assert streamed.gram is None  # 300 rows > 24 dims
+        kept = dataclasses.replace(
+            streamed, gram=selection._scaled_gram(m.data, streamed.scale)
+        )
         u = 2.0**-24
         recip = 1 / np.sqrt(m.norms_sq)
-        assert np.all(np.abs(src.scale - recip) <= u * recip)
-        got = (src.data * src.scale[:, None]).astype(np.float64)
-        assert np.all(np.abs(got - unit) <= 2 * u * (1 + u) * np.abs(unit) + 2.0**-149)
+        assert np.all(np.abs(streamed.scale - recip) <= u * recip)
+        # eps exactly as the module docstring derives it, for both forms
+        s = max(1.0, float(streamed.scale.max()))
+        gamma = 24 * u / (1 - 24 * u)
+        eps = 1.01 * (5 * u + gamma * (1 + 5 * u) + 24 * s**2 * 2.0**-148)
+        for src in (streamed, kept):
+            assert selection._dot_bound(24, src) == eps
         # eps for the source, delta for the float64 gram it is compared with
-        bound = selection._dot_bound(24, src) + selection._dot_bound(24)
+        bound = eps + selection._dot_bound(24)
         gram = unit @ unit.T
         for r0, height in ((0, 299), (256, 43)):
-            block = selection._dot_block(src, r0, height)
+            block = selection._dot_block(streamed, r0, height)
             assert np.all(np.abs(block - gram[r0 : r0 + height, r0:]) <= bound)
-        for i in (0, 1, 150, 299):
-            assert np.all(np.abs(selection._dot_column(src, i) - gram[i]) <= bound)
+        off = ~np.eye(300, dtype=bool)
+        assert np.all(np.abs(kept.gram - gram)[off] <= bound)
+        assert np.all(np.isposinf(np.diag(kept.gram)))
+        for src in (streamed, kept):
+            for i in (0, 1, 150, 299):
+                error = np.abs(selection._dot_column(src, i) - gram[i])
+                assert np.all(np.delete(error, i) <= bound)
         idx = [299, 3, 3, 150]
         assert np.array_equal(
             selection._unit64_rows(m, idx).view(np.uint64), unit[idx].view(np.uint64)
         )
 
     def test_huge_norms_take_the_float64_path(self, monkeypatch):
-        """A row norm above 2**126 would make its float32 scale subnormal,
-        outside the bound above, so such an image has no scaled rows and
-        the float64 computation selects it."""
+        """A row norm of 2**63 or more could take a raw float32 dot product
+        out of range (and above 2**126 its float32 scale is subnormal), so
+        such an image has no float32 source, streamed or kept, and the
+        float64 computation selects it."""
         calls = []
         exact_seed_pair = selection._exact_seed_pair
 
@@ -369,60 +435,26 @@ class TestCertifiedGreedyLoop:
 
         monkeypatch.setattr(selection, "_exact_seed_pair", spy)
         rng = np.random.default_rng(15)
-        rows = rng.standard_normal((40, 8))
-        rows[::3] *= 2.0**126  # norms near 2**126 .. 2**128
-        m = build_token_matrix(40, 8, rows.ravel())
-        assert np.sqrt(m.norms_sq).max() > 2.0**126
-        assert selection._scaled_rows(m) is None
-        for objective in ("sum_distance", "min_distance"):
-            for k in (2, 3, 9, 39):
-                calls.clear()
-                got = greedy_rep_max(m, k, objective)
-                assert got == blockwise_greedy_oracle(m, k, objective)
-                assert calls == [(40, 8)]
+        for n, dim in ((40, 8), (30, 40)):
+            for power in (126, 64):
+                rows = rng.standard_normal((n, dim))
+                rows[::3] *= 2.0**power  # norms near 2**power .. 2**(power + 2)
+                m = build_token_matrix(n, dim, rows.ravel())
+                assert np.sqrt(m.norms_sq).max() >= 2.0**63
+                assert selection._scaled_rows(m) is None
+                for objective in ("sum_distance", "min_distance"):
+                    for k in (2, 3, 9, n - 1):
+                        calls.clear()
+                        got = greedy_rep_max(m, k, objective)
+                        assert got == blockwise_greedy_oracle(m, k, objective)
+                        assert calls == [(n, dim)]
 
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_near_tie_below_float32_resolution(self, monkeypatch, objective):
         """At the fifth step, two rows whose float64 scores differ by about
-        1e-9, far below float32 resolution.
-
-        The oracle's fifth choice p is replaced by two copies with a tiny
-        component on an axis no other row uses: p keeps the one that
-        scores worse in float64, and the better one is appended last.  For
-        some of these seeds the float32 score ranks p first, so trusting
-        the float32 argmin picks the wrong row; the float64 recheck must
-        decide it without the fallback.
-        """
-        dim, n, step = 8, 40, 5
-        float32_wrong = 0
-        for seed in range(6):
-            rows = np.zeros((n + 1, dim))
-            rows[:n, :-2] = np.random.default_rng(seed).standard_normal((n, dim - 2))
-            m = build_token_matrix(n, dim, rows[:n].ravel())
-            order = oracle_order(m, step, objective)
-            p, prior = order[-1], order[:-1]
-            unit = m.unit64()
-            combine = np.add if objective == "sum_distance" else np.maximum
-            # a tilt t scales p's score by 1/sqrt(1 + t**2), so when the
-            # score is negative the larger tilt scores worse
-            negative = combine.reduce(unit[prior] @ unit[p]) < 0
-            worse, better = (4e-9, 2e-9) if negative else (2e-9, 4e-9)
-            norm = np.linalg.norm(rows[p])
-            rows[n] = rows[p]
-            rows[p, -2] = np.sqrt(worse) * norm
-            rows[n, -1] = np.sqrt(better) * norm
-            m = build_token_matrix(n + 1, dim, rows.ravel())
-            assert oracle_order(m, step, objective) == [*prior, n]
-            score = float32_score(m, prior, objective)
-            float32_wrong += bool(score[p] <= score[n])
-            expected = {
-                k: blockwise_greedy_oracle(m, k, objective) for k in (step, step + 4)
-            }
-            with monkeypatch.context() as patch:
-                patch.setattr(TokenMatrix, "unit64", no_widening)
-                for k, want in expected.items():
-                    assert greedy_rep_max(m, k, objective) == want
-        assert float32_wrong >= 1
+        1e-9, far below float32 resolution (see :func:`step_near_ties`):
+        the float64 recheck must decide it without the fallback."""
+        assert step_near_ties(monkeypatch, objective, dim=8) >= 1
 
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_tie_at_later_step_replays_float64(self, monkeypatch, objective):
@@ -474,9 +506,10 @@ class TestCertifiedGreedyLoop:
         assert greedy_rep_max(img, 144, objective) == want
 
     def test_certified_path_stays_below_one_float32_copy(self):
-        """The scaled rows are the stored rows, so the certified path holds
-        no copy of the image: one 256-row float32 gram block, its scaled
-        left rows and a few float64 rows, under one float32 copy (11.8 MB)."""
+        """The float32 source is the stored rows, so the certified path
+        holds no copy of the image: a 2880-row image streams one 256-row
+        float32 gram block at a time and a few float64 rows, under one
+        float32 copy (11.8 MB)."""
         spec = SyntheticSpec(
             n_images=1, tokens_per_image=2880, dim=1024, seed=0, clusters=16,
             noise=0.3, drift=0.05, text_tokens=1,
@@ -599,6 +632,136 @@ class TestGramSource:
         finally:
             tracemalloc.stop()
         assert peak < 5.5e6
+
+
+def record_sources(monkeypatch):
+    """Patch selection to record, per image, the score source it reads:
+    "float32 gram", "streamed" (its seed filter streams blocks) or
+    "float64 gram"; returns that list."""
+    sources = []
+
+    def spy(name, label):
+        inner = getattr(selection, name)
+
+        def wrapper(*args):
+            sources.append(label)
+            return inner(*args)
+
+        monkeypatch.setattr(selection, name, wrapper)
+
+    spy("_scaled_gram", "float32 gram")
+    spy("_streamed_candidates", "streamed")
+    spy("_gram", "float64 gram")
+    return sources
+
+
+class TestKeptFloat32Gram:
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_matches_blockwise_oracle(self, monkeypatch, objective):
+        """With n <= dim, outside the float64 gram rule, the seed and every
+        step read the kept float32 gram; the selections stay the oracle's
+        at every budget, exact ties and near-ties included."""
+        sources = record_sources(monkeypatch)
+        rng = np.random.default_rng(18)
+        for n, dim in ((40, 64), (64, 64), (20, 64)):
+            half = rng.standard_normal((n // 2, dim))
+            inputs = (
+                rng.standard_normal((n, dim)),
+                rng.integers(-2, 3, (n, dim)).astype(np.float64),
+                rng.integers(0, 2, (n, dim)).astype(np.float64) + np.eye(n, dim),
+                # every row an exact copy of one of five prototypes
+                rng.standard_normal((5, dim))[rng.integers(0, 5, n)],
+                # antipodal pairs whose dot products differ by ~1e-16
+                np.vstack([half, -half + 1e-8 * rng.standard_normal(half.shape)]),
+            )
+            for rows in inputs:
+                m = build_token_matrix(n, dim, rows.ravel())
+                for k in range(1, n + 1):
+                    sources.clear()
+                    want = blockwise_greedy_oracle(m, k, objective)
+                    assert greedy_rep_max(m, k, objective) == want
+                    if k < n:
+                        gram64 = 2 * n <= dim and 4 * k >= n
+                        assert sources == ["float64 gram" if gram64 else "float32 gram"]
+
+    def test_seed_near_ties_below_float32_resolution(self):
+        """TestSeedPairScan's six pairs (x, -x + noise) at dim 16, so the
+        12 rows keep their gram: their dot products lie within ~1e-9 of
+        each other, and for most seeds the gram puts the farthest pair one
+        to three float32 steps above its smallest entry."""
+        above = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((6, 16))
+            scale = 3e-5 * np.linalg.norm(x, axis=1, keepdims=True)
+            rows = np.stack([x, -x + scale * rng.standard_normal((6, 16))], axis=1)
+            m = build_token_matrix(12, 16, rows.ravel())
+            i, j = brute_force_farthest_pair(m)
+            gram = selection._scaled_rows(m).gram
+            above += bool(min(gram[i, j], gram[j, i]) > gram.min())
+            for objective in ("sum_distance", "min_distance"):
+                assert greedy_rep_max(m, 2, objective) == [i, j]
+        assert above >= 6
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_step_near_ties_below_float32_resolution(self, monkeypatch, objective):
+        """TestCertifiedGreedyLoop's step near-ties at dim 48, where the 41
+        rows keep their gram."""
+        sources = record_sources(monkeypatch)
+        assert step_near_ties(monkeypatch, objective, dim=48) >= 1
+        assert set(sources) == {"float32 gram"}
+
+    def test_rule_keeps_the_float32_gram_only_when_rows_fit_in_dims(
+        self, monkeypatch
+    ):
+        """The float32 gram is built exactly when n <= dim and the float64
+        gram rule does not apply, and never for n > dim."""
+        sources = record_sources(monkeypatch)
+        rng = np.random.default_rng(19)
+        for n, dim, k, want in (
+            (65, 64, 2, "streamed"),
+            (65, 64, 40, "streamed"),
+            (300, 24, 10, "streamed"),
+            (64, 64, 2, "float32 gram"),
+            (64, 64, 63, "float32 gram"),
+            (33, 64, 20, "float32 gram"),
+            (32, 64, 7, "float32 gram"),
+            (32, 64, 8, "float64 gram"),
+            (8, 1024, 1, "float32 gram"),
+            (8, 1024, 2, "float64 gram"),
+        ):
+            m = random_matrix(rng, n, dim)
+            sources.clear()
+            assert len(greedy_rep_max(m, k)) == k
+            assert sources == [want], (n, dim, k)
+
+    def test_benchmark_shapes_take_their_sources(self, monkeypatch):
+        """A video frame (576 x 1024, k = 12) keeps its float32 gram, a
+        high-resolution image (2880 x 1024, k = 112) streams blocks and a
+        stage-2 pool (400 x 1024, k = 252) reads the float64 gram."""
+        sources = record_sources(monkeypatch)
+        rng = np.random.default_rng(20)
+        for n, k in ((576, 12), (2880, 112), (400, 252)):
+            values = rng.standard_normal(n * 1024, dtype=np.float32)
+            assert len(greedy_rep_max(build_token_matrix(n, 1024, values), k)) == k
+        assert sources == ["float32 gram", "streamed", "float64 gram"]
+
+    def test_kept_gram_stays_below_one_float32_copy(self):
+        """A 576 x 1024 frame at its video quota (k = 12) keeps its 1.3 MB
+        float32 gram and a few float64 rows, under one float32 copy of the
+        frame (2.4 MB)."""
+        spec = SyntheticSpec(
+            n_images=1, tokens_per_image=576, dim=1024, seed=0, clusters=16,
+            noise=0.3, drift=0.05, text_tokens=1,
+        )
+        img = generate_synthetic(spec).images[0]
+        tracemalloc.start()
+        try:
+            greedy_rep_max(img, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 576 * 1024 * 4
 
 
 class TestGreedyObjectiveValue:
