@@ -104,7 +104,8 @@ def read_bundle(path) -> TokenBundle:
             counts, n_rows, dim, values = _read_ttb1(fh, info.st_size)
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
-    return TokenBundle(_token_matrix(n_rows, dim, values, private=True), counts)
+    rows = _token_matrix(n_rows, dim, values, private=True, counts=counts)
+    return TokenBundle(rows, counts)
 
 
 def _read_ttb1(fh, size: int) -> tuple[tuple[int, ...], int, int, np.ndarray]:
@@ -223,10 +224,11 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
     rows.append(rng.standard_normal((spec.text_tokens, spec.dim)).astype(np.float32))
 
     n_rows = spec.n_images * spec.tokens_per_image + spec.text_tokens
-    return TokenBundle(
-        _token_matrix(n_rows, spec.dim, np.concatenate(rows), private=True),
-        (spec.tokens_per_image,) * spec.n_images,
+    counts = (spec.tokens_per_image,) * spec.n_images
+    matrix = _token_matrix(
+        n_rows, spec.dim, np.concatenate(rows), private=True, counts=counts
     )
+    return TokenBundle(matrix, counts)
 
 
 def _config_block(

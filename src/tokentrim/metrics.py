@@ -2,8 +2,11 @@
 
 Each pairwise score is computed in linear time by rewriting its sum
 through an aggregate: the unit-row sum S for the diversities, the text
-mean and mean squared norm for alignment.  The quadratic definitions,
-spelled out, live in :mod:`tokentrim.bench` as test oracles.
+mean and mean squared norm for alignment.  The redundancy signals and the
+text mean read the float64 unit-row and raw-row sums that each image and
+the text carry from the bundle's build (:meth:`TokenMatrix.row_sums`), so
+they widen no stored row again.  The quadratic definitions, spelled out,
+live in :mod:`tokentrim.bench` as test oracles.
 """
 
 from __future__ import annotations
@@ -32,15 +35,14 @@ def intra_diversity_fast(img: TokenMatrix) -> float:
     The mean of 1 - cos(x_i, x_j) over i != j; 0.0 for a single token.  On
     unit rows the gram total is ||S||^2 with S the row sum, and the
     diagonal contributes N, so the ordered-pair distance sum collapses to
-    N(N-1) - (||S||^2 - N).  S is accumulated in float64 straight from the
-    float32 rows, without a float64 copy of the image.
+    N(N-1) - (||S||^2 - N).  S is the float64 unit-row sum the image
+    carries from its build (:meth:`TokenMatrix.row_sums`), so no row is
+    widened here.
     """
     n = img.rows
     if n < 2:
         return 0.0
-    s = np.einsum(
-        "i,ij->j", 1.0 / np.sqrt(img.norms_sq), img.data, dtype=np.float64
-    )
+    s = img.row_sums()[0]
     ssq = float(s @ s)
     return (n * (n - 1) - (ssq - n)) / (n * (n - 1))
 
@@ -55,13 +57,14 @@ def inter_variation_steps(bundle: TokenBundle) -> list[float]:
     """Cosine distance between consecutive images' mean raw embeddings.
 
     Step k (k = 2..n) compares image k against image k-1; the result has
-    n-1 entries and is empty for a single-image bundle.  Raises
-    ZeroMeanImage (1-based index) when an image's token mean has near-zero
-    norm, which makes the cosine undefined.
+    n-1 entries and is empty for a single-image bundle.  Each mean is the
+    float64 raw-row sum the image carries from its build over its token
+    count.  Raises ZeroMeanImage (1-based index) when an image's token mean
+    has near-zero norm, which makes the cosine undefined.
     """
     means = []
     for k, img in enumerate(bundle.images, start=1):
-        mu = img.data.mean(axis=0, dtype=np.float64)
+        mu = img.row_sums()[1] / img.rows
         norm = float(np.linalg.norm(mu))
         if norm < _ZERO_MEAN_EPS:
             raise ZeroMeanImage(k)
@@ -80,12 +83,16 @@ def inter_variation_positionwise(bundle: TokenBundle) -> list[float]:
     when image k-1 and image k differ in length.
     """
     steps = []
+    prev = bundle.images[0]
+    prev_unit = prev.unit64()
     for k in range(1, bundle.n_images):
-        prev, cur = bundle.images[k - 1], bundle.images[k]
+        cur = bundle.images[k]
         if prev.rows != cur.rows:
             raise PositionMismatch(k + 1)
-        dots = np.einsum("ij,ij->i", cur.unit64(), prev.unit64())
+        cur_unit = cur.unit64()
+        dots = np.einsum("ij,ij->i", cur_unit, prev_unit)
         steps.append(float(np.mean(1.0 - dots)))
+        prev, prev_unit = cur, cur_unit
     return steps
 
 
@@ -136,7 +143,7 @@ def build_alignment_context(
         mu = rows.mean(axis=0)
         c = float(np.einsum("ij,ij->i", rows, rows).mean())
     else:
-        mu = text.data.mean(axis=0, dtype=np.float64)
+        mu = text.row_sums()[1] / text.rows
         c = float(text.norms_sq.mean())
     mu.setflags(write=False)
     return AlignmentContext(mu_t=mu, c_t=c, m_text=text.rows)

@@ -59,6 +59,7 @@ from .types import GREEDY_OBJECTIVES, TokenMatrix, _integer
 _SEED_BLOCK = 1024
 _FILTER_BLOCK = 256
 _MAX_CANDIDATES = 64
+_HELD_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,10 @@ def _certified_steps(
     dim = tokens.dim
     e, delta = _dot_bound(dim, src), _dot_bound(dim)
     u = np.finfo(src.dtype).eps / 2
-    sel64 = None  # float64 unit rows of selected, filled at rechecks
+    # The float64 unit rows of selected[:filled], widened at rechecks:
+    # sum_distance holds only their sum, min_distance the rows, in arrays
+    # of at least _HELD_BLOCK rows but the last.
+    total, held = np.zeros(dim), []
     filled = 0
     score = combine(_dot_column(src, selected[0]), _dot_column(src, selected[1]))
     score[selected] = np.inf
@@ -328,11 +332,17 @@ def _certified_steps(
         if len(cand) > 1:
             if len(cand) > _MAX_CANDIDATES:
                 return
-            if sel64 is None:
-                sel64 = np.empty((k, dim))
-            sel64[filled:m] = _unit64_rows(tokens, selected[filled:m])
+            new = _unit64_rows(tokens, selected[filled:m])
             filled = m
-            value = combine.reduce(_unit64_rows(tokens, cand) @ sel64[:m].T, axis=1)
+            cand64 = _unit64_rows(tokens, cand)
+            if combine is np.add:
+                total += new.sum(axis=0)
+                value = cand64 @ total
+            else:
+                if held and len(held[-1]) < _HELD_BLOCK:
+                    new = np.concatenate((held.pop(), new))
+                held.append(new)
+                value = np.maximum.reduce([(cand64 @ h.T).max(axis=1) for h in held])
             order = np.argsort(value)
             if not value[order[1]] - value[order[0]] > 4 * b64:
                 return
@@ -400,7 +410,9 @@ def greedy_rep_max(
     With m rows selected, let S(r) be the reference's score of an
     unselected row r, E(r) its exact value, F(r) the score kept here
     (``combine(F, <source's dots with row nxt>)`` per step) and V(r) a
-    float64 recomputation, ``combine.reduce(unit[r] @ unit[selected].T)``.
+    float64 recomputation: ``unit[r] @ unit[selected].sum(axis=0)`` for
+    ``sum_distance``, ``(unit[r] @ unit[selected].T).max()`` for
+    ``min_distance``.
     Each source dot product is within e of the exact one, e = eps for
     the float32 rows and e = delta for the float64 gram (module
     docstring), and F sums in the source's unit roundoff u (2**-24 or
@@ -411,7 +423,11 @@ def greedy_rep_max(
     - ``sum_distance``: m terms, each off by e (delta), and summing m
       terms of size at most 1 + e (1 + delta) in any order adds at most
       gamma_m(u) m (1 + e) (Higham sec. 4.2), so bF = m e + gamma_m(u)
-      m (1 + e) and b64 = m delta + gamma_m(2**-53) m (1 + delta).
+      m (1 + e) and b64 = m delta + gamma_m(2**-53) m (1 + delta).  V
+      holds too: the sum of the m selected rows is off by gamma_m(2**-53)
+      times the sum of their entries' sizes, which moves the dot by at most
+      gamma_m(2**-53) m, and the dot then adds gamma_dim(2**-53) (1 +
+      gamma_m(2**-53)) m at most, so |V - E| <= b64.
 
     From the float64 gram, bF = b64: its scores are as good as the
     reference's, whatever order gemm or syrk summed in, so no further

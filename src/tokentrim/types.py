@@ -1,11 +1,15 @@
 """Validated embedding containers, configuration and result records.
 
 Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
-squared norm.  Greedy selection scores those stored rows, scaled by a
-32-bit reciprocal norm per row (keeping their whole scaled gram when an
-image has no more rows than dims, or a 64-bit gram of a small set), and
-certifies its choices in 64-bit (see ``selection``); every other reduction
-(norms, sums, dot products) accumulates in 64-bit.
+squared norm.  One pass at construction widens every stored row to 64-bit
+exactly once, a few rows at a time, and yields those norms plus, for each
+image and for the text, the 64-bit sum of its unit rows and of its raw
+rows: the aggregates the redundancy signals read.  Greedy selection scores
+the stored rows, scaled by a 32-bit reciprocal norm per row (keeping their
+whole scaled gram when an image has no more rows than dims, or a 64-bit
+gram of a small set), and certifies its choices in 64-bit (see
+``selection``); every other reduction (norms, sums, dot products)
+accumulates in 64-bit.
 All containers are immutable after construction and safe to share across
 threads.  A matrix shares a caller's buffer only when nobody can write it
 again (an array over ``bytes``) and copies any other; the package's own
@@ -19,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,6 +39,11 @@ from .errors import (
 )
 
 _ZERO_NORM_EPS = 1e-12
+# Values widened to float64 at a time by :func:`_widen`: a 256 KiB buffer
+# (32 rows at dim 1024) stays in cache while it is reduced.
+_WIDEN_VALUES = 32 * 1024
+# The largest dim: what a TTB1 header can store.
+_MAX_DIM = 2**32 - 1
 
 
 def round_half_away(x: float) -> int:
@@ -43,14 +51,19 @@ def round_half_away(x: float) -> int:
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
 
 
-def _integer(name: str, value, low: int, error: type[TokenTrimError]) -> int:
+def _integer(
+    name: str, value, low: int, error: type[TokenTrimError], high: int | None = None
+) -> int:
     """``value`` as an int when it is integral (numpy integers too, never a
-    bool) and at least ``low``; anything else raises ``error``."""
+    bool), at least ``low`` and at most ``high`` when given; anything else
+    raises ``error``."""
     # int first: it settles the common case without the slower ABC check.
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise error(f"{name} must be of type int, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
     return int(value)
 
 
@@ -75,7 +88,20 @@ def _real_array(name: str, value, error: type[TokenTrimError]) -> np.ndarray:
         raise error(f"{name} must be an array of real numbers: {exc}") from None
     if arr.dtype.kind not in "biuf":
         raise error(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
-    return arr.astype(np.float32, copy=False)
+    # A value beyond float32's range is stored as +-inf, which the row
+    # check then rejects as NonFiniteRow.
+    with np.errstate(over="ignore"):
+        return arr.astype(np.float32, copy=False)
+
+
+def _items(name: str, value, error: type[TokenTrimError]) -> tuple:
+    """``value``'s items as a tuple when it is iterable; anything else, a
+    0-d array included, raises ``error``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        got = type(value).__name__
+        raise error(f"{name} must be of type Iterable, got {got}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +111,21 @@ class TokenMatrix:
     ``data`` holds one float32 row per token and ``norms_sq`` each row's
     squared Euclidean norm, accumulated in float64.  Rows with norm below
     1e-12 or with a non-finite value are rejected at construction.
+    ``segment_sums[s]`` holds the float64 (unit-row sum, raw-row sum) of
+    rows ``segment_ends[s - 1]`` (0 for the first) up to
+    ``segment_ends[s]``, as the build's widening pass left them; a matrix
+    made without them (a :meth:`gather` result) has none.
     """
 
     data: np.ndarray
     norms_sq: np.ndarray
+    segment_ends: tuple[int, ...] = field(default=(), repr=False)
+    segment_sums: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for arr in (self.data, self.norms_sq):
-            arr.setflags(write=False)
+        for arr in (self.data, self.norms_sq, self.segment_sums):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def rows(self) -> int:
@@ -107,6 +140,14 @@ class TokenMatrix:
         unit = self.data.astype(np.float64)
         unit /= np.sqrt(self.norms_sq)[:, None]
         return unit
+
+    def row_sums(self) -> np.ndarray:
+        """The float64 (unit-row sum, raw-row sum) over all rows, shape
+        (2, dim): kept from the build when the matrix is one segment, else
+        taken by the same widening pass."""
+        if self.segment_ends == (self.rows,):
+            return self.segment_sums[0]
+        return _widen(self.data, (self.rows,))[1][0]
 
     def gather(self, indices) -> "TokenMatrix":
         """The given rows in order (views for a slice); nothing is recomputed."""
@@ -125,25 +166,30 @@ def _immutable(arr: np.ndarray) -> bool:
 
 
 def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
-    """Build a TokenMatrix from a flat row-major value buffer.
+    """Build a TokenMatrix from a flat row-major value buffer, as one segment.
 
     The matrix shares ``values`` when it is a float32 array over
     ``bytes`` (``np.frombuffer``), which nobody can write, and copies it
     otherwise, a read-only array included.  Raises ShapeMismatch when
     ``rows`` or ``dim`` is not an integer (a bool or float included),
-    rows < 0, dim < 1, ``values`` is not an array of real numbers (a
-    string, say) or its length is not rows*dim, and ZeroNormRow or
-    NonFiniteRow for the first row whose norm falls below 1e-12 or is not
-    finite.
+    rows < 0, dim < 1 or dim >= 2**32 (more than TTB1 can store),
+    ``values`` is not an array of real numbers (a string, say) or its
+    length is not rows*dim, and ZeroNormRow or NonFiniteRow for the first
+    row whose norm falls below 1e-12 or is not finite (a value beyond
+    float32's range included).
     """
     return _token_matrix(rows, dim, values, private=False)
 
 
-def _token_matrix(rows: int, dim: int, values, private: bool) -> TokenMatrix:
+def _token_matrix(
+    rows: int, dim: int, values, private: bool, counts=None
+) -> TokenMatrix:
     """:func:`build_token_matrix`, which also shares ``values`` when
     ``private`` says that the caller made it and holds it alone (a buffer
-    it has just read or concatenated)."""
-    dim = _integer("dim", dim, 1, ShapeMismatch)
+    it has just read or concatenated), and splits the rows into segments
+    of the given image ``counts`` (checked as :class:`TokenBundle` checks
+    them), then the remaining (text) rows."""
+    dim = _integer("dim", dim, 1, ShapeMismatch, _MAX_DIM)
     rows = _integer("rows", rows, 0, ShapeMismatch)
     flat = _real_array("values", values, ShapeMismatch).ravel()
     if flat.size != rows * dim:
@@ -153,18 +199,67 @@ def _token_matrix(rows: int, dim: int, values, private: bool) -> TokenMatrix:
     data = flat.reshape(rows, dim)
     if not (private or _immutable(data)):
         data = data.copy()
+    if counts is None:
+        ends = (rows,)
+    else:
+        ends = (*itertools.accumulate(_token_counts(counts)), rows)
+    norms_sq, sums = _widen(data, ends)
+    return TokenMatrix(data, norms_sq, ends, sums)
 
-    # einsum widens in small buffered chunks, so no float64 copy of the rows
-    # materializes.  A row holding NaN or +-inf has a non-finite squared
-    # norm; a finite float32 row cannot overflow float64.
-    norms_sq = np.einsum("ij,ij->i", data, data, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(norms_sq) | (norms_sq < _ZERO_NORM_EPS**2))
-    if bad.size:
-        i = int(bad[0])
-        if not np.isfinite(norms_sq[i]):
-            raise NonFiniteRow(i)
-        raise ZeroNormRow(i)
-    return TokenMatrix(data=data, norms_sq=norms_sq)
+
+def _widen(data: np.ndarray, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's float64 squared norm, and each segment's float64
+    (unit-row sum, raw-row sum), shape (segments, 2, dim), from one
+    widening of every row.
+
+    Segment s holds the rows from ``ends[s - 1]`` (0 for the first) to
+    ``ends[s]``; ``ends`` must not decrease and must end at the row count.
+    Rows are copied into a float64 buffer of at most _WIDEN_VALUES values
+    (at least one row) at a time, never across a segment end, so a
+    segment's sums do not depend on its neighbours.  The norms equal
+    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  Each chunk's
+    norms are checked before any reciprocal is taken: the first row whose
+    squared norm is not finite (a NaN or +-inf entry; a finite float32 row
+    cannot overflow float64) raises NonFiniteRow, and one below 1e-24
+    ZeroNormRow, with no RuntimeWarning.
+    """
+    rows, dim = data.shape
+    step = max(1, _WIDEN_VALUES // dim)
+    norms_sq = np.empty(rows)
+    # Zero rows leave zero sums, which then take no memory whatever the dim.
+    shape = (len(ends), 2, dim)
+    sums = np.zeros(shape) if rows else np.broadcast_to(0.0, shape)
+    buf = np.empty((min(rows, step), dim))
+    weights = np.ones((2, min(rows, step)))  # reciprocal norms, then ones
+    lo = 0
+    for seg, end in enumerate(ends):
+        for a in range(lo, end, step):
+            b = min(a + step, end)
+            chunk, nsq, w = buf[: b - a], norms_sq[a:b], weights[:, : b - a]
+            np.copyto(chunk, data[a:b])
+            np.einsum("ij,ij->i", chunk, chunk, out=nsq)
+            # NaN fails both comparisons.
+            if not (nsq.min() >= _ZERO_NORM_EPS**2 and nsq.max() < np.inf):
+                finite = np.isfinite(nsq)
+                i = int(np.flatnonzero(~finite | (nsq < _ZERO_NORM_EPS**2))[0])
+                raise (ZeroNormRow if finite[i] else NonFiniteRow)(a + i)
+            np.sqrt(nsq, out=w[0])
+            np.divide(1.0, w[0], out=w[0])
+            sums[seg] += w @ chunk
+        lo = end
+    return norms_sq, sums
+
+
+def _token_counts(given) -> tuple[int, ...]:
+    """A bundle's image token counts: a non-empty iterable of integers
+    >= 1, stored as int; anything else raises ShapeMismatch."""
+    counts = tuple(
+        _integer(f"image {k} token count", m, 1, ShapeMismatch)
+        for k, m in enumerate(_items("counts", given, ShapeMismatch))
+    )
+    if not counts:
+        raise ShapeMismatch("bundle needs at least one image")
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +271,12 @@ class TokenBundle:
     read-only views into ``rows``, and ``offsets`` the global index of each
     image's first token.  Every image must have at least one token; the text
     may be empty for signal-only diagnostics but the full pipeline requires
-    text rows.  ``rows`` that is not a TokenMatrix, ``counts`` that is not
-    iterable and a count that is not an integer >= 1 (a bool or float
-    included) raise ShapeMismatch; numpy integers are stored as int.
+    text rows.  Each view carries its own segment's row sums
+    (:meth:`TokenMatrix.row_sums`): those ``rows`` was built with when its
+    segments match ``counts``, else taken here by the same widening pass.
+    ``rows`` that is not a TokenMatrix, ``counts`` that is not iterable
+    and a count that is not an integer >= 1 (a bool or float included)
+    raise ShapeMismatch; numpy integers are stored as int.
     """
 
     rows: TokenMatrix
@@ -188,25 +286,28 @@ class TokenBundle:
     offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        _instance("rows", self.rows, TokenMatrix, ShapeMismatch)
-        given = _instance("counts", self.counts, Iterable, ShapeMismatch)
-        counts = tuple(
-            _integer(f"image {k} token count", m, 1, ShapeMismatch)
-            for k, m in enumerate(given)
-        )
-        if not counts:
-            raise ShapeMismatch("bundle needs at least one image")
-        ends = tuple(itertools.accumulate(counts))
-        if ends[-1] > self.rows.rows:
+        rows = _instance("rows", self.rows, TokenMatrix, ShapeMismatch)
+        counts = _token_counts(self.counts)
+        ends = (*itertools.accumulate(counts), rows.rows)
+        if ends[-2] > rows.rows:
             raise ShapeMismatch(
-                f"images need {ends[-1]} rows, matrix has {self.rows.rows}"
+                f"images need {ends[-2]} rows, matrix has {rows.rows}"
             )
-        offsets = (0, *ends[:-1])
-        views = [slice(lo, hi) for lo, hi in zip(offsets, ends)]
+        if rows.segment_ends == ends:
+            sums = rows.segment_sums
+        else:
+            sums = _widen(rows.data, ends)[1]
+        starts = (0, *ends[:-1])
+        views = tuple(
+            TokenMatrix(
+                rows.data[lo:hi], rows.norms_sq[lo:hi], (hi - lo,), sums[s : s + 1]
+            )
+            for s, (lo, hi) in enumerate(zip(starts, ends))
+        )
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "images", tuple(map(self.rows.gather, views)))
-        object.__setattr__(self, "text", self.rows.gather(slice(ends[-1], None)))
+        object.__setattr__(self, "offsets", starts[:-1])
+        object.__setattr__(self, "images", views[:-1])
+        object.__setattr__(self, "text", views[-1])
 
     @property
     def n_images(self) -> int:
@@ -230,14 +331,15 @@ def make_bundle(images, text: TokenMatrix) -> TokenBundle:
     from the text's raises DimMismatch.
     """
     text = _instance("text", text, TokenMatrix, ShapeMismatch)
-    images = tuple(_instance("images", images, Iterable, ShapeMismatch))
+    images = _items("images", images, ShapeMismatch)
     for k, img in enumerate(images):
         _instance(f"image {k}", img, TokenMatrix, ShapeMismatch)
         if img.dim != text.dim:
             raise DimMismatch(f"image {k} has dim {img.dim}, text has {text.dim}")
     data = np.concatenate([m.data for m in (*images, text)])
-    rows = _token_matrix(len(data), text.dim, data, private=True)
-    return TokenBundle(rows, tuple(img.rows for img in images))
+    counts = tuple(img.rows for img in images)
+    rows = _token_matrix(len(data), text.dim, data, private=True, counts=counts)
+    return TokenBundle(rows, counts)
 
 
 def _typed(name: str, annotation: str, value):

@@ -134,6 +134,23 @@ class TestBuildTokenMatrix:
         m = build_token_matrix(0, 4, [])
         assert m.rows == 0 and m.dim == 4
 
+    def test_dim_is_capped_at_what_ttb1_stores(self):
+        """An empty matrix's zero sums take no memory at any legal dim; a dim
+        beyond a TTB1 header's u32 raises ShapeMismatch, not numpy's
+        ValueError."""
+        m = build_token_matrix(0, 2**32 - 1, [])
+        assert m.row_sums().shape == (2, 2**32 - 1) and m.row_sums().strides[-1] == 0
+        for dim in (2**32, 2**62, 10**30):
+            with pytest.raises(ShapeMismatch, match="dim must be <= 4294967295"):
+                build_token_matrix(0, dim, [])
+
+    def test_values_beyond_float32_are_non_finite_rows(self):
+        """A float64 value beyond float32's range is stored as inf, so its
+        row raises NonFiniteRow, with no overflow RuntimeWarning."""
+        with pytest.raises(NonFiniteRow) as err:
+            build_token_matrix(2, 2, np.array([1.0, 2.0, 1e300, 1.0]))
+        assert err.value.index == 1
+
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -246,6 +263,34 @@ class TestTokenBundle:
         for call in calls:
             with pytest.raises(ShapeMismatch, match="must be of type"):
                 call()
+
+    def test_zero_dimensional_counts_and_images(self):
+        """A 0-d array is not iterable: as counts or as images it raises
+        ShapeMismatch, not numpy's TypeError."""
+        rng = np.random.default_rng(10)
+        rows = random_matrix(rng, 3, 2)
+        with pytest.raises(ShapeMismatch, match="counts must be of type Iterable"):
+            TokenBundle(rows, np.array(3))
+        with pytest.raises(ShapeMismatch, match="images must be of type Iterable"):
+            make_bundle(np.array(3), rows)
+
+    def test_views_carry_their_segment_sums(self):
+        """Each view's sums are its own rows' (unit-row sum, raw-row sum),
+        read-only, whether the rows were built with the bundle's segments
+        or split here from one segment."""
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((40, 3)).astype(np.float32)
+        whole = build_token_matrix(40, 3, values)
+        spans = ((0, 33), (33, 38), (38, 40))
+        parts = [whole.gather(slice(lo, hi)) for lo, hi in spans]
+        for b in (make_bundle(parts[:2], parts[2]), TokenBundle(whole, (33, 5))):
+            for view, (lo, hi) in zip((*b.images, b.text), spans):
+                wide = values[lo:hi].astype(np.float64)
+                unit = wide / np.linalg.norm(wide, axis=1, keepdims=True)
+                sums = view.row_sums()
+                np.testing.assert_allclose(sums[0], unit.sum(axis=0), rtol=1e-12)
+                np.testing.assert_allclose(sums[1], wide.sum(axis=0), rtol=1e-12)
+                assert not sums.flags.writeable
 
     def test_rejects_no_images(self):
         rng = np.random.default_rng(1)

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from tokentrim import PruneConfig, SyntheticSpec, generate_synthetic, prune
+from tokentrim import (
+    PruneConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    prune,
+    write_bundle,
+)
 
 CASES = {
     "ratio-sum": (
@@ -150,3 +156,30 @@ def test_single_blas_thread_child_agrees():
         check=True,
     )
     assert tuple(json.loads(out.stdout)) == CASES[name][2]["kept_global"]
+
+
+def test_analyze_result_is_identical_across_blas_threads(tmp_path):
+    """The build's widening pass sums each image's rows with a BLAS product:
+    ``tokentrim analyze`` on a 4 x 576 x 1024 bundle writes byte-identical
+    results with one and with two BLAS threads."""
+    bundle = generate_synthetic(
+        SyntheticSpec(4, 576, 1024, seed=7, clusters=16, noise=0.3, drift=0.05)
+    )
+    path = tmp_path / "b.ttb"
+    write_bundle(bundle, path)
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"analyze-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src_dir), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [sys.executable, "-m", "tokentrim.cli", "analyze",
+             "--input", str(path), "--output", str(out)],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        results.append(out.read_bytes())
+    assert results[0] == results[1]
+    assert json.loads(results[0])["report"]["d_inter"] > 0

@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from tokentrim import build_token_matrix, make_bundle
+from tokentrim import (
+    PruneConfig,
+    TokenMatrix,
+    analyze,
+    build_token_matrix,
+    generate_synthetic,
+    make_bundle,
+    read_bundle,
+    types,
+    write_bundle,
+)
+from tokentrim.io_formats import SyntheticSpec
 from tokentrim.bench import (
     alignment_naive,
     intra_diversity_naive,
@@ -204,6 +215,28 @@ class TestInterVariationPositionwise:
         assert inter_variation_positionwise(b) == [pytest.approx(1.0)]
         assert inter_variation_steps(b) == [pytest.approx(0.0, abs=1e-12)]
 
+    def test_each_image_widens_once(self, monkeypatch):
+        """Each image's unit rows are built once and carried to the next
+        step, and the steps are those of widening both images per step."""
+        rng = np.random.default_rng(18)
+        b = make_bundle(
+            [random_matrix(rng, 6, 5) for _ in range(5)], random_matrix(rng, 1, 5)
+        )
+        want = [
+            float(np.mean(1.0 - np.einsum("ij,ij->i", cur.unit64(), prev.unit64())))
+            for prev, cur in zip(b.images, b.images[1:])
+        ]
+        calls = []
+        real = TokenMatrix.unit64
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(TokenMatrix, "unit64", spy)
+        assert inter_variation_positionwise(b) == want
+        assert len(calls) == b.n_images
+
     def test_count_mismatch(self):
         rng = np.random.default_rng(17)
         b = make_bundle(
@@ -367,3 +400,62 @@ class TestTokenDiversity:
             fast = token_diversity_fast(m)
             tol = 1e-6 * np.maximum(1.0, np.abs(naive))
             assert np.all(np.abs(fast - naive) <= tol)
+
+
+class TestWideningOnce:
+    """Each stored value is widened to float64 once per request: by the
+    bundle's build, which leaves the sums the signals read."""
+
+    @staticmethod
+    def spy_on_widening(monkeypatch):
+        calls = []
+        real = types._widen
+
+        def spy(data, ends):
+            calls.append((data.shape[0], ends))
+            return real(data, ends)
+
+        monkeypatch.setattr(types, "_widen", spy)
+        return calls
+
+    def test_one_pass_per_build_and_none_in_the_signals(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(3, 40, 16, seed=5, clusters=4, noise=0.3, text_tokens=5)
+        path = tmp_path / "b.ttb"
+        write_bundle(generate_synthetic(spec), path)
+        calls = self.spy_on_widening(monkeypatch)
+        bundle = read_bundle(path)
+        assert calls == [(125, (40, 80, 120, 125))]
+        for variant in ("global_mean", "position_wise"):
+            analyze(bundle, PruneConfig(inter_variant=variant))
+        assert len(calls) == 1
+        calls.clear()
+        generate_synthetic(spec)
+        make_bundle(bundle.images, bundle.text)
+        assert calls == [(125, (40, 80, 120, 125))] * 2
+
+    def test_signals_read_the_carried_sums(self):
+        """intra reads the unit-row sum and inter the raw-row sum over the
+        count; both agree with float64 sums of the widened rows."""
+        rng = np.random.default_rng(19)
+        b = make_bundle(
+            [random_matrix(rng, n, 7) for n in (1, 33, 64, 5)], random_matrix(rng, 3, 7)
+        )
+        means = []
+        for img in b.images:
+            wide = img.data.astype(np.float64)
+            s = (wide / np.sqrt(img.norms_sq)[:, None]).sum(axis=0)
+            n = img.rows
+            want = 0.0 if n < 2 else (n * (n - 1) - (s @ s - n)) / (n * (n - 1))
+            assert intra_diversity_fast(img) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            mu = wide.mean(axis=0)
+            means.append(mu / np.linalg.norm(mu))
+        want = [1.0 - a @ b_ for a, b_ in zip(means[1:], means)]
+        np.testing.assert_allclose(inter_variation_steps(b), want, rtol=1e-12, atol=1e-15)
+
+    def test_gathered_rows_take_their_sums_from_the_same_pass(self):
+        rng = np.random.default_rng(20)
+        m = random_matrix(rng, 70, 9)
+        picked = [5, 64, 2, 33, 40]
+        alone = build_token_matrix(5, 9, m.data[picked])
+        np.testing.assert_array_equal(m.gather(picked).row_sums(), alone.row_sums())
+        assert intra_diversity_fast(m.gather(picked)) == intra_diversity_fast(alone)

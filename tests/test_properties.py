@@ -1,7 +1,11 @@
-"""Pipeline invariants over random small bundles and valid configs."""
+"""Pipeline invariants over random small bundles and valid configs, and
+the constructors' answers to arbitrary arguments."""
+
+import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -9,10 +13,14 @@ from test_selection import blockwise_greedy_oracle
 from tokentrim import (
     PruneConfig,
     TokenBundle,
+    TokenTrimError,
     apply_selection,
     build_token_matrix,
+    make_bundle,
     prune,
+    types,
 )
+from tokentrim.errors import NonFiniteRow, ZeroNormRow
 from tokentrim.selection import greedy_rep_max
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -222,3 +230,164 @@ def test_kept_gram_matches_blockwise_oracle_up_to_the_norm_guard(values):
         for k in range(1, m.rows + 1):
             want = blockwise_greedy_oracle(m, k, objective)
             assert greedy_rep_max(m, k, objective) == want
+
+
+@st.composite
+def segmented_rows(draw):
+    """Float32 rows split into image segments of random sizes (a count of
+    one included, most of them no multiple of the chunk size), then a
+    text segment that may be empty, at dims 1-70 and 1100; row norms
+    spread over e**+-8."""
+    dim = draw(st.one_of(st.integers(1, 70), st.just(1100)))
+    counts = draw(st.lists(st.integers(1, 75), min_size=1, max_size=4))
+    n_text = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(counts) + n_text
+    values = rng.standard_normal((n, dim)) * np.exp(rng.uniform(-8, 8, (n, 1)))
+    ends = (*np.cumsum(counts).tolist(), n)
+    return values.astype(np.float32), ends
+
+
+@PROPERTY_SETTINGS
+@given(segmented_rows())
+def test_widening_pass_matches_a_float64_reference(case):
+    """One widening of every row gives the norms of einsum on the widened
+    rows bit for bit, and each segment's unit-row and raw-row sums within
+    1e-12 of the float64 sums, relative to the sum of the terms' sizes."""
+    values, ends = case
+    norms_sq, sums = types._widen(values, ends)
+    wide = values.astype(np.float64)
+    np.testing.assert_array_equal(norms_sq, np.einsum("ij,ij->i", wide, wide))
+    unit = wide / np.sqrt(norms_sq)[:, None]
+    assert sums.shape == (len(ends), 2, values.shape[1])
+    for s, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
+        for got, rows in zip(sums[s], (unit[lo:hi], wide[lo:hi])):
+            size = np.abs(rows).sum(axis=0)
+            assert np.all(np.abs(got - rows.sum(axis=0)) <= 1e-12 * size)
+
+
+@PROPERTY_SETTINGS
+@given(segmented_rows())
+def test_bundle_views_carry_their_own_segment_sums(case):
+    """An image's sums depend on its rows alone: the bundle's views, a
+    bundle re-split from one segment, and each image built on its own
+    agree bit for bit."""
+    values, ends = case
+    n, dim = values.shape
+    counts = [hi - lo for lo, hi in zip((0, *ends[:-2]), ends[:-1])]
+    images = [
+        build_token_matrix(c, dim, values[lo:hi])
+        for c, lo, hi in zip(counts, (0, *ends[:-2]), ends[:-1])
+    ]
+    text = build_token_matrix(n - ends[-2], dim, values[ends[-2] :])
+    bundle = make_bundle(images, text)
+    resplit = TokenBundle(build_token_matrix(n, dim, values), counts)
+    for b in (bundle, resplit):
+        for view, alone in zip((*b.images, b.text), (*images, text)):
+            np.testing.assert_array_equal(view.row_sums(), alone.row_sums())
+
+
+@PROPERTY_SETTINGS
+@given(
+    segmented_rows(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0]),
+)
+def test_widening_pass_names_the_first_bad_row(case, where, bad):
+    """A NaN, an infinity or a zero row anywhere raises with its index,
+    checked before any reciprocal, so no RuntimeWarning is raised."""
+    values, ends = case
+    row = where % len(values)
+    if bad == 0.0:
+        values[row] = 0.0
+    else:
+        values[row, where % values.shape[1]] = bad
+    error = ZeroNormRow if bad == 0.0 else NonFiniteRow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            types._widen(values, ends)
+        assert err.value.index == row
+        with pytest.raises(error) as err:
+            build_token_matrix(*values.shape, values)
+        assert err.value.index == row
+
+
+def _hostile():
+    """Arbitrary objects for any argument slot: None, bools, huge and
+    negative integers, non-finite floats, strings, bytes, arrays of other
+    dtypes and shapes, 0-d arrays and wrong containers."""
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.complex_numbers(),
+        st.text(max_size=4),
+        st.binary(max_size=4),
+        st.integers(-3, 3).map(np.array),  # 0-d, so not iterable
+    )
+    arrays = hnp.arrays(
+        st.sampled_from(
+            [np.float64, np.float32, np.int64, np.uint8, np.bool_, np.complex64,
+             "U2", "M8[s]"]
+        ),
+        hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+    )
+    return st.recursive(
+        st.one_of(scalars, arrays),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.tuples(inner, inner),
+            st.dictionaries(st.integers(0, 3), inner, max_size=2),
+            st.frozensets(st.integers(-3, 3), max_size=3),
+        ),
+        max_leaves=6,
+    )
+
+
+def _only_package_errors(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except TokenTrimError:
+            pass
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(_hostile(), st.integers(0, 3)),
+    st.one_of(_hostile(), st.integers(1, 3), st.integers(2**32 - 2, 2**80)),
+    st.one_of(_hostile(), hnp.arrays(np.float64, st.integers(0, 6))),
+)
+@example(0, 2**62, [])  # numpy's ValueError: array is too big
+@example(1, 1, np.array([1e300]))  # overflow RuntimeWarning in the cast
+def test_build_token_matrix_raises_only_package_errors(rows, dim, values):
+    _only_package_errors(lambda: build_token_matrix(rows, dim, values))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(_hostile(), st.just(build_token_matrix(3, 2, np.arange(1, 7)))),
+    st.one_of(_hostile(), st.lists(st.integers(-1, 4), max_size=3)),
+)
+@example(build_token_matrix(3, 2, np.arange(1, 7)), np.array(2))  # 0-d counts
+def test_token_bundle_raises_only_package_errors(rows, counts):
+    _only_package_errors(lambda: TokenBundle(rows, counts))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        _hostile(),
+        st.lists(
+            st.one_of(_hostile(), st.just(build_token_matrix(1, 2, [1, 2]))),
+            max_size=3,
+        ),
+    ),
+    st.one_of(_hostile(), st.just(build_token_matrix(1, 2, [3, 4]))),
+)
+@example(np.array(2), build_token_matrix(1, 2, [3, 4]))  # 0-d images
+def test_make_bundle_raises_only_package_errors(images, text):
+    _only_package_errors(lambda: make_bundle(images, text))

@@ -763,6 +763,43 @@ class TestKeptFloat32Gram:
             tracemalloc.stop()
         assert peak < 576 * 1024 * 4
 
+    def test_rechecks_hold_no_float64_copy_of_the_selection(self, monkeypatch):
+        """At k = 144 the same frame rechecks steps in float64 up to its
+        last selections; sum_distance keeps only the float64 sum of the
+        rows checked, so the call still peaks under one float32 copy of
+        the frame (it held a float64 row for each of the k selections), and
+        min_distance holds the rows checked, never more than k of them."""
+        spec = SyntheticSpec(
+            n_images=1, tokens_per_image=576, dim=1024, seed=0, clusters=16,
+            noise=0.3, drift=0.05, text_tokens=1,
+        )
+        img = generate_synthetic(spec).images[0]
+        widened = []
+        real = selection._unit64_rows
+
+        def spy(tokens, idx):
+            if isinstance(idx, list):  # selected rows, not candidates
+                widened.append(len(idx))
+            return real(tokens, idx)
+
+        monkeypatch.setattr(selection, "_unit64_rows", spy)
+        for objective, bound in (
+            ("sum_distance", 576 * 1024 * 4),
+            ("min_distance", 576 * 576 * 4 + 144 * 1024 * 8 + 0.3e6),
+        ):
+            widened.clear()
+            tracemalloc.start()
+            try:
+                got = greedy_rep_max(img, 144, objective)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(widened) > 100  # selected rows checked in float64
+            assert peak < bound
+            monkeypatch.setattr(selection, "_unit64_rows", real)
+            assert got == blockwise_greedy_oracle(img, 144, objective)
+            monkeypatch.setattr(selection, "_unit64_rows", spy)
+
 
 class TestGreedyObjectiveValue:
     def test_reference_values(self):

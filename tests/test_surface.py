@@ -55,6 +55,14 @@ def test_one_integer_rule():
     assert users == ["types.py"]
 
 
+def test_stored_rows_are_widened_in_one_place():
+    """No einsum or mean widens stored float32 rows in ``types`` or
+    ``metrics``; ``types._widen`` does it once per build."""
+    package = Path(tokentrim.__file__).resolve().parent
+    for name in ("types.py", "metrics.py"):
+        assert "dtype=np.float64" not in (package / name).read_text(), name
+
+
 def test_readme_library_quick_start_runs():
     text = README.read_text()
     section = text[text.index("## Quick start (library)") :]
