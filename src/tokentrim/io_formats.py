@@ -22,10 +22,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
+    BadConfig,
     BadMagic,
     BadSpec,
     BadVersion,
     IoFailure,
+    SelectionMismatch,
     ShapeMismatch,
     TruncatedFile,
 )
@@ -97,10 +99,15 @@ def read_bundle(path) -> TokenBundle:
         # O_NONBLOCK: opening a FIFO must not wait for a writer.
         flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
         fd = os.open(path, flags | getattr(os, "O_BINARY", 0))
-        with open(fd, "rb", buffering=0) as fh:
-            info = os.fstat(fh.fileno())
+        try:
+            info = os.fstat(fd)
             if not stat.S_ISREG(info.st_mode):
                 raise IoFailure(f"cannot read bundle from {path}: not a regular file")
+            fh = open(fd, "rb", buffering=0)
+        except BaseException:
+            os.close(fd)
+            raise
+        with fh:
             counts, n_rows, dim, values = _read_ttb1(fh, info.st_size)
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
@@ -203,8 +210,10 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
     Token i of every image belongs to prototype i mod clusters; each token
     is the unit-normalized prototype plus noise.  After each image the
     prototypes move by a drift-scaled Gaussian step and are re-normalized.
-    The same spec always produces byte-identical bundles.
+    The same spec always produces byte-identical bundles.  A ``spec``
+    that is not a SyntheticSpec raises BadSpec.
     """
+    _instance("spec", spec, SyntheticSpec, BadSpec)
     rng = np.random.default_rng(spec.seed)
     if spec.clusters <= spec.dim:
         # Orthonormal prototypes: with noise=0 and clusters == tokens_per_image
@@ -234,6 +243,8 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
 def _config_block(
     cfg: PruneConfig | None, budgets: ResolvedBudgets | None
 ) -> dict | None:
+    _instance("cfg", cfg, (PruneConfig, type(None)), BadConfig)
+    _instance("budgets", budgets, (ResolvedBudgets, type(None)), BadConfig)
     if cfg is None:
         return None
     block = {key: getattr(cfg, name) for key, name in CONFIG_FIELDS.items()}
@@ -247,7 +258,10 @@ def report_document(
     cfg: PruneConfig | None = None,
     budgets: ResolvedBudgets | None = None,
 ) -> dict:
-    """JSON-ready document for a redundancy report (no selection)."""
+    """JSON-ready document for a redundancy report (no selection).  A
+    ``report`` that is not a RedundancyReport raises SelectionMismatch,
+    and a ``cfg`` or ``budgets`` of the wrong type BadConfig."""
+    _instance("report", report, RedundancyReport, SelectionMismatch)
     return {
         "config": _config_block(cfg, budgets),
         "report": {
@@ -268,7 +282,10 @@ def result_document(
     cfg: PruneConfig | None = None,
     budgets: ResolvedBudgets | None = None,
 ) -> dict:
-    """JSON-ready document for a full pruning result."""
+    """JSON-ready document for a full pruning result; arguments of the
+    wrong type raise as in :func:`report_document`, and a ``sel`` that is
+    not a Selection SelectionMismatch."""
+    _instance("selection", sel, Selection, SelectionMismatch)
     doc = report_document(report, cfg, budgets)
     doc["selection"] = {
         "kept_per_image": [list(loc) for loc in sel.kept_per_image],

@@ -21,6 +21,7 @@ from .types import (
     TokenBundle,
     _instance,
     _integer,
+    _items,
     resolve_config,
 )
 
@@ -138,36 +139,48 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     Row values are copied bit-exactly in their original relative order;
     images left with zero kept tokens are dropped from the output (the
     report still records them).  Raises SelectionMismatch when the
-    selection does not fit this bundle or is not a Selection, and
+    selection does not fit this bundle, is not a Selection or holds
+    something else than its fields' counts and indices, and
     ShapeMismatch when ``bundle`` is not a TokenBundle.
     """
     _instance("bundle", bundle, TokenBundle, ShapeMismatch)
     _instance("selection", sel, Selection, SelectionMismatch)
-    if sel.stage_sizes[0] != bundle.total_tokens:
+    sizes = _items("selection stage_sizes", sel.stage_sizes, SelectionMismatch)
+    if len(sizes) != 4:
         raise SelectionMismatch(
-            f"selection was made for {sel.stage_sizes[0]} tokens, "
+            f"selection stage_sizes must hold 4 counts, got {len(sizes)}"
+        )
+    if sizes[0] != bundle.total_tokens:
+        raise SelectionMismatch(
+            f"selection was made for {sizes[0]} tokens, "
             f"bundle has {bundle.total_tokens}"
         )
-    if len(sel.kept_per_image) != bundle.n_images:
+    per_image = _items(
+        "selection kept_per_image", sel.kept_per_image, SelectionMismatch
+    )
+    if len(per_image) != bundle.n_images:
         raise SelectionMismatch(
-            f"selection covers {len(sel.kept_per_image)} images, "
+            f"selection covers {len(per_image)} images, "
             f"bundle has {bundle.n_images}"
         )
     offsets = bundle.offsets
     merged: list[int] = []
-    for k, locals_k in enumerate(sel.kept_per_image):
+    for k, locals_k in enumerate(per_image):
         rows_k = bundle.counts[k]
-        for i in locals_k:
-            if not 0 <= i < rows_k:
+        for i in _items(f"image {k} kept indices", locals_k, SelectionMismatch):
+            i = _integer(f"image {k}: local index", i, 0, SelectionMismatch)
+            if i >= rows_k:
                 raise SelectionMismatch(
                     f"image {k}: local index {i} out of range ({rows_k} rows)"
                 )
-        merged.extend(offsets[k] + i for i in locals_k)
-    if sorted(merged) != list(sel.kept_global):
+            merged.append(offsets[k] + i)
+    merged.sort()
+    kept_global = _items("selection kept_global", sel.kept_global, SelectionMismatch)
+    if merged != list(kept_global):
         raise SelectionMismatch("per-image and global kept indices disagree")
 
     text_rows = range(bundle.total_tokens, bundle.rows.rows)
     return TokenBundle(
-        bundle.rows.gather([*sel.kept_global, *text_rows]),
-        tuple(len(locals_k) for locals_k in sel.kept_per_image if locals_k),
+        bundle.rows.gather([*merged, *text_rows]),
+        tuple(len(locals_k) for locals_k in per_image if locals_k),
     )

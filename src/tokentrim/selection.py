@@ -6,7 +6,8 @@ index, so reruns and reorderings of equal inputs reproduce the same
 choices.
 
 Greedy dispersion makes the float64 computation's choices bit for bit from
-a cheaper score source: the stored float32 rows with a float32 reciprocal
+a cheaper score source, one :class:`_Source` record with the bound below
+for its dot products: the stored float32 rows with a float32 reciprocal
 norm per row, whose whole scaled gram is kept when an image has no more
 rows than dims and streamed in row blocks otherwise, or one float64 gram
 of the unit rows where that is smaller and cheaper (the rule is in
@@ -80,27 +81,25 @@ def _gamma(n: int, u: float) -> float:
 
 
 @dataclass(frozen=True)
-class _ScaledRows:
-    """The float32 score source: the stored rows ``data`` and ``scale``,
-    each row's reciprocal norm in float32, so unit row i is about
-    data[i] * scale[i]; ``gram`` is their whole scaled gram
-    (:func:`_scaled_gram`) when one is kept."""
+class _Source:
+    """A score source: ``gram``, the unit rows' whole gram with +inf on
+    its diagonal, or None when blocks of it are computed from the stored
+    float32 rows ``data`` and their float32 reciprocal norms ``scale``
+    (unit row i is about data[i] * scale[i]); ``eps`` bounds each dot
+    product it gives (module docstring) and ``dtype`` is its precision."""
 
-    data: np.ndarray
-    scale: np.ndarray
     gram: np.ndarray | None
-    dtype = np.dtype(np.float32)
+    data: np.ndarray | None
+    scale: np.ndarray | None
+    eps: float
+    dtype: np.dtype
 
 
-def _dot_bound(dim: int, src=None) -> float:
+def _dot_bound(dim: int, src: _Source | None = None) -> float:
     """The module docstring's bound on a dot product of two unit rows read
-    from the score source ``src``: eps for :class:`_ScaledRows`, delta for
-    the float64 gram or with no source (the float64 computation)."""
-    if isinstance(src, _ScaledRows):
-        u = 2.0**-24
-        underflow = dim * max(1.0, float(src.scale.max())) ** 2 * 2.0**-148
-        return 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
-    return 1.01 * _gamma(dim, 2.0**-53)
+    from the score source ``src``: its eps, or delta with no source (the
+    float64 computation)."""
+    return 1.01 * _gamma(dim, 2.0**-53) if src is None else src.eps
 
 
 def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
@@ -110,17 +109,20 @@ def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
     return rows
 
 
-def _scaled_rows(tokens: TokenMatrix) -> _ScaledRows | None:
-    """The stored rows as a score source, keeping their scaled gram when
-    the image has no more rows than dims (so the gram is no larger than
-    the rows), or None when some row's norm is 2**63 or more, where the
-    bound fails."""
+def _scaled_rows(tokens: TokenMatrix) -> _Source | None:
+    """The stored rows as a float32 score source, keeping their scaled
+    gram when the image has no more rows than dims (so the gram is no
+    larger than the rows), or None when some row's norm is 2**63 or more,
+    where the bound fails."""
     if tokens.norms_sq.max() >= 2.0**126:
         return None
     scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
     n, dim = tokens.data.shape
+    u = 2.0**-24
+    underflow = dim * max(1.0, float(scale.max())) ** 2 * 2.0**-148
+    eps = 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
     gram = _scaled_gram(tokens.data, scale) if n <= dim else None
-    return _ScaledRows(tokens.data, scale, gram)
+    return _Source(gram, tokens.data, scale, eps, np.dtype(np.float32))
 
 
 def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -134,22 +136,16 @@ def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _gram(tokens: TokenMatrix) -> np.ndarray:
-    """The float64 gram of ``tokens.unit64()`` with +inf on the diagonal;
-    the unit rows are freed."""
+def _gram(tokens: TokenMatrix) -> _Source:
+    """The float64 gram of ``tokens.unit64()`` with +inf on the diagonal,
+    as a score source; the unit rows are freed."""
     unit = tokens.unit64()
     gram = unit @ unit.T
     np.fill_diagonal(gram, np.inf)
-    return gram
+    return _Source(gram, None, None, _dot_bound(tokens.dim), gram.dtype)
 
 
-def _kept_gram(src) -> np.ndarray | None:
-    """The whole gram the score source ``src`` keeps, or None when it
-    streams row blocks."""
-    return src.gram if isinstance(src, _ScaledRows) else src
-
-
-def _dot_block(src: _ScaledRows, r0: int, rows: int) -> np.ndarray:
+def _dot_block(src: _Source, r0: int, rows: int) -> np.ndarray:
     """A fresh array of the dot products of unit rows r0 .. r0 + rows - 1
     with unit rows r0 and up, from the scaled float32 rows: the raw
     products, then each row's scale, then each column's."""
@@ -160,13 +156,12 @@ def _dot_block(src: _ScaledRows, r0: int, rows: int) -> np.ndarray:
     return block
 
 
-def _dot_column(src, i: int) -> np.ndarray:
+def _dot_column(src: _Source, i: int) -> np.ndarray:
     """The dot products of every unit row with row i, from ``src``: a
     read-only view of row i of a kept gram (whose entry i is +inf), or
     computed as in :func:`_dot_block`."""
-    gram = _kept_gram(src)
-    if gram is not None:
-        return gram[i]
+    if src.gram is not None:
+        return src.gram[i]
     column = src.data @ src.data[i]
     column *= src.scale[i]
     column *= src.scale
@@ -197,21 +192,20 @@ def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
     return best_pair
 
 
-def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
+def _certified_seed_pair(tokens: TokenMatrix, src: _Source) -> tuple[int, int] | None:
     """:func:`_exact_seed_pair`'s pair from a filter over ``src``, or None.
 
-    For a pair p, let G(p) be the value :func:`_exact_seed_pair`'s gemm
-    computes, F(p) this filter's value from the score source ``src`` (see
-    :func:`_dot_column`; from a kept gram the smaller of its two entries
-    for p) and V(p) a float64 recomputation; by the module docstring, G
-    and V lie within delta of the exact dot product and F within bF: eps
-    from the float32 rows, delta from the float64 gram.
+    For a pair p = (i, j), i < j, let G(p) be the value
+    :func:`_exact_seed_pair`'s gemm computes, F(p) the value ``src``
+    gives at (i, j) (see :func:`_dot_column`) and V(p) a float64
+    recomputation; by the module docstring, G and V lie within delta of
+    the exact dot product and F, like the source's value at (j, i),
+    within bF: eps from the float32 rows, delta from the float64 gram.
 
-    Filter: the winner p* minimizes G, so for the F-minimizer q,
-    F(p*) <= G(p*) + delta + bF <= G(q) + delta + bF <= F(q) + 2 bF +
-    2 delta; every pair within 2 bF + 2 delta of the smallest F is kept.
-    A gram's row, or a streamed 256-row block, is compared with that limit
-    only where its minimum is within it.
+    Filter: let best be the smallest value read, at either entry of the
+    pair q.  The winner p* minimizes G, so F(p*) <= G(p*) + delta + bF
+    <= G(q) + delta + bF <= best + 2 bF + 2 delta = best + tol; every
+    pair within tol of best is kept (:func:`_candidates`).
 
     Check: if the candidate b with the smallest V beats every other
     candidate c by more than 4 delta, then G(b) <= V(b) + 2 delta <
@@ -220,24 +214,27 @@ def _certified_seed_pair(tokens: TokenMatrix, src) -> tuple[int, int] | None:
     _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
     the exact scan decides, so the tie rule never depends on this filter.
     """
-    dim = tokens.dim
-    delta = _dot_bound(dim)
-    tol = 2 * _dot_bound(dim, src) + 2 * delta
+    delta = _dot_bound(tokens.dim)
+    tol = 2 * _dot_bound(tokens.dim, src) + 2 * delta
     if not tol < 1:  # dims where the bounds fail
         return None
-    gram = _kept_gram(src)
-    if gram is None:
-        found = _streamed_candidates(src, tol)
-    else:
-        found = _gram_candidates(gram, tol)
+    found = _candidates(src, tol, tokens.rows)
     if found is None:
         return None
     ci, cj = found
     value = np.einsum("ij,ij->i", _unit64_rows(tokens, ci), _unit64_rows(tokens, cj))
+    b = _clear_winner(value, delta)
+    return None if b is None else (int(ci[b]), int(cj[b]))
+
+
+def _clear_winner(value: np.ndarray, b64: float) -> int | None:
+    """The position of the smallest float64 ``value`` if it beats every
+    other by more than 4 b64, else None: with each value within 2 b64 of
+    the reference's, only then is it the reference's smallest too."""
     order = np.argsort(value)
-    if len(order) > 1 and not value[order[1]] - value[order[0]] > 4 * delta:
+    if len(order) > 1 and not value[order[1]] - value[order[0]] > 4 * b64:
         return None
-    return int(ci[order[0]]), int(cj[order[0]])
+    return int(order[0])
 
 
 def _limit(best: float, tol: float, dt) -> np.floating:
@@ -246,49 +243,42 @@ def _limit(best: float, tol: float, dt) -> np.floating:
     return np.nextafter(dt(best + tol), dt(np.inf))
 
 
-def _gram_candidates(gram: np.ndarray, tol: float):
-    """The pairs i < j within tol of the smallest off-diagonal entry of a
-    kept gram, as index arrays (ci, cj), or None when there are more than
-    _MAX_CANDIDATES."""
-    row_min = gram.min(axis=1)
-    limit = _limit(float(row_min.min()), tol, gram.dtype.type)
-    # Each pair puts at most two rows in near and two entries in hit.
-    near = np.flatnonzero(row_min <= limit)
-    if len(near) > 2 * _MAX_CANDIDATES:
-        return None
-    hit = gram[near] <= limit
-    if np.count_nonzero(hit) > 2 * _MAX_CANDIDATES:
-        return None
-    li, lj = np.nonzero(hit)
-    pairs = {(min(i, j), max(i, j)) for i, j in zip(near[li].tolist(), lj.tolist())}
-    if len(pairs) > _MAX_CANDIDATES:
-        return None
-    ci, cj = np.array(sorted(pairs), dtype=np.int64).T
-    return ci, cj
-
-
-def _streamed_candidates(src: _ScaledRows, tol: float):
-    """:func:`_gram_candidates` over 256-row blocks of the upper triangle
-    (:func:`_dot_block`), keeping the candidates of the blocks so far."""
-    n = src.data.shape[0]
+def _candidates(src: _Source, tol: float, n: int):
+    """The pairs i < j of the n rows whose value from ``src`` at (i, j) is
+    within tol of the smallest value read, as index arrays (ci, cj), or
+    None when there are more than _MAX_CANDIDATES.  A kept gram is one
+    block, read in place; streamed rows give 256-row blocks of the upper
+    triangle (:func:`_dot_block`), and the candidates of earlier blocks
+    stay while they are within the limit.  A row is compared with the
+    limit only where its minimum is within it."""
     dt = src.dtype.type
     best = np.inf
     ci = cj = np.empty(0, dtype=np.int64)
     cf = np.empty(0)
-    for r0 in range(0, n - 1, _FILTER_BLOCK):
-        rows = min(_FILTER_BLOCK, n - 1 - r0)
-        block = _dot_block(src, r0, rows)
-        block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
+    step = _FILTER_BLOCK if src.gram is None else n
+    for r0 in range(0, n - 1, step):
+        block = src.gram
+        if block is None:
+            rows = min(step, n - 1 - r0)
+            block = _dot_block(src, r0, rows)
+            block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
         row_min = block.min(axis=1)
         best = min(best, float(row_min.min()))
         limit = _limit(best, tol, dt)
         keep = cf <= limit
+        # Each pair puts at most two rows in near and two entries in hit.
         near = np.flatnonzero(row_min <= limit)
+        if len(near) > 2 * _MAX_CANDIDATES:
+            return None
         hit = block[near] <= limit
-        if np.count_nonzero(keep) + np.count_nonzero(hit) > _MAX_CANDIDATES:
+        if np.count_nonzero(hit) > 2 * _MAX_CANDIDATES:
             return None
         li, lj = np.nonzero(hit)
         li = near[li]
+        upper = lj > li  # a kept gram's entry (i, j), not its (j, i)
+        li, lj = li[upper], lj[upper]
+        if np.count_nonzero(keep) + len(li) > _MAX_CANDIDATES:
+            return None
         ci = np.concatenate((ci[keep], r0 + li))
         cj = np.concatenate((cj[keep], r0 + lj))
         cf = np.concatenate((cf[keep], block[li, lj]))
@@ -297,7 +287,7 @@ def _streamed_candidates(src: _ScaledRows, tol: float):
 
 def _certified_steps(
     tokens: TokenMatrix,
-    src,
+    src: _Source,
     selected: list[int],
     k: int,
     combine: np.ufunc,
@@ -329,6 +319,7 @@ def _certified_steps(
             bF, b64 = e, delta
         limit = _limit(float(score.min()), 2 * bF + 2 * b64, dt)
         cand = np.flatnonzero(score <= limit)
+        win = 0
         if len(cand) > 1:
             if len(cand) > _MAX_CANDIDATES:
                 return
@@ -343,11 +334,10 @@ def _certified_steps(
                     new = np.concatenate((held.pop(), new))
                 held.append(new)
                 value = np.maximum.reduce([(cand64 @ h.T).max(axis=1) for h in held])
-            order = np.argsort(value)
-            if not value[order[1]] - value[order[0]] > 4 * b64:
+            win = _clear_winner(value, b64)
+            if win is None:
                 return
-            cand = cand[order[:1]]
-        nxt = int(cand[0])
+        nxt = int(cand[win])
         selected.append(nxt)
         combine(score, _dot_column(src, nxt), out=score)
         score[nxt] = np.inf
@@ -401,11 +391,13 @@ def greedy_rep_max(
     otherwise it is the stored float32 rows with a float32 reciprocal norm
     per row (:func:`_scaled_rows`).  When the image has no more rows than
     dims (n <= dim) their scaled gram is no larger than the rows, so it is
-    built once by one syrk (:func:`_scaled_gram`): the seed filter reads
-    it whole and each step reads one of its rows.  A larger image streams
-    256-row blocks of it through the seed filter and computes one column
-    per step, copying no more than one block.  The seed comes from
-    :func:`_certified_seed_pair`; each step then works as follows.
+    built once by one syrk (:func:`_scaled_gram`).  The seed filter
+    (:func:`_candidates`) reads a kept gram, float32 or float64, in place
+    as one block and streams a larger image's gram in 256-row blocks,
+    keeping only entries above the diagonal; each step reads one row of a
+    kept gram or computes one column, copying no more than one block.  The
+    seed comes from :func:`_certified_seed_pair`; each step then works as
+    follows.
 
     With m rows selected, let S(r) be the reference's score of an
     unselected row r, E(r) its exact value, F(r) the score kept here

@@ -1,11 +1,16 @@
 """Command-line interface: workflows, parity with the API, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokentrim
 from tokentrim import PruneConfig, analyze, apply_selection, prune, read_bundle
 from tokentrim import bench, metrics, selection
 from tokentrim.cli import main
@@ -162,6 +167,34 @@ class TestWorkflows:
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["inter_variant"] == "position_wise"
+
+    def test_prune_request_leaves_numpy_ma_unimported(self, tmp_path):
+        """A fresh process that generates a bundle and prunes it, Pareto
+        truncation and --emit-pruned included, never imports numpy.ma.
+        The benchmark's peak_mem_mb is the traced peak of a first request,
+        so a lazy import there (numpy.ma is about 1.2 MB; np.unique
+        without return_index imports it) would count as request memory."""
+        script = """
+import json, os, sys
+from tokentrim.cli import main
+d = sys.argv[1]
+bundle, result = os.path.join(d, "in.ttb"), os.path.join(d, "r.json")
+assert main(["gen", "--images", "3", "--tokens", "40", "--dim", "16",
+             "--clusters", "4", "--noise", "0.2", "--output", bundle]) == 0
+assert main(["prune", "--input", bundle, "--output", result, "--final", "7",
+             "--emit-pruned", os.path.join(d, "out.ttb")]) == 0
+m0, m1, m2, final = json.load(open(result))["selection"]["stage_sizes"]
+assert m2 > final == 7, (m2, final)
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(tokentrim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestGenDeterminism:

@@ -30,11 +30,13 @@ from tokentrim import (
     write_result,
 )
 from tokentrim.errors import (
+    BadConfig,
     BadMagic,
     BadSpec,
     BadVersion,
     IoFailure,
     NonFiniteRow,
+    SelectionMismatch,
     ShapeMismatch,
     TruncatedFile,
     ZeroNormRow,
@@ -193,6 +195,18 @@ class TestMalformedFiles:
         with pytest.raises(IoFailure, match="not a regular file"):
             read_bundle(fifo)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_directory_input_is_refused_without_a_leak(self, tmp_path):
+        """A directory opens, but it is not a regular file: each read raises
+        IoFailure naming it and closes its descriptor."""
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            with pytest.raises(IoFailure, match="not a regular file"):
+                read_bundle(tmp_path)
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_io_failures(self, tmp_path):
         with pytest.raises(IoFailure):
             read_bundle(tmp_path / "does-not-exist.ttb")
@@ -215,6 +229,27 @@ class TestMalformedFiles:
             (lambda: write_bundle(None, tmp_path / "out.ttb"), ShapeMismatch),
             (lambda: write_result(report, sel, None), IoFailure),
             (lambda: write_result(report, sel, 1), IoFailure),
+        )
+        for call, error in calls:
+            with pytest.raises(error, match="must be of type"):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_documents_and_specs_of_the_wrong_kind(self, tmp_path):
+        """A report or selection of the wrong type raises SelectionMismatch,
+        a config or budgets BadConfig and a generator spec BadSpec, before
+        any file is written."""
+        rng = np.random.default_rng(4)
+        bundle = random_bundle(rng, [3], dim=2)
+        cfg = PruneConfig(final_tokens=2, retention_ratio=None)
+        report, sel = prune(bundle, cfg)
+        path = tmp_path / "out.json"
+        calls = (
+            (lambda: write_result(None, sel, path), SelectionMismatch),
+            (lambda: write_result(report, None, path), SelectionMismatch),
+            (lambda: write_result(report, sel, path, cfg="abc"), BadConfig),
+            (lambda: write_result(report, sel, path, cfg, budgets=1), BadConfig),
+            (lambda: generate_synthetic(None), BadSpec),
         )
         for call, error in calls:
             with pytest.raises(error, match="must be of type"):

@@ -1,5 +1,6 @@
 """Two-stage pruning pipeline: signals, nesting, determinism, application."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -318,6 +319,24 @@ class TestApplySelection:
         )
         with pytest.raises(SelectionMismatch):
             apply_selection(bundle, inconsistent)
+
+
+def test_selection_fields_of_the_wrong_kind():
+    """A Selection whose fields do not hold counts and indices raises
+    SelectionMismatch, not a raw Python error."""
+    rng = np.random.default_rng(18)
+    bundle = random_bundle(rng, [4, 4, 4], dim=4)
+    _, sel = prune(bundle, PruneConfig(final_tokens=3, retention_ratio=None))
+    for bad in (
+        Selection(("ab", "c", "d"), sel.kept_global, sel.scores, sel.stage_sizes),
+        dataclasses.replace(sel, stage_sizes=()),
+        dataclasses.replace(sel, stage_sizes=12),
+        dataclasses.replace(sel, kept_per_image=None),
+        dataclasses.replace(sel, kept_per_image=((0,), 1, ())),
+        dataclasses.replace(sel, kept_global=7),
+    ):
+        with pytest.raises(SelectionMismatch):
+            apply_selection(bundle, bad)
 
 
 def test_arguments_of_the_wrong_kind():

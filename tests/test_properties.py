@@ -1,6 +1,7 @@
 """Pipeline invariants over random small bundles and valid configs, and
 the constructors' answers to arbitrary arguments."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from tokentrim import (
     build_token_matrix,
     make_bundle,
     prune,
+    selection,
     types,
 )
 from tokentrim.errors import NonFiniteRow, ZeroNormRow
@@ -230,6 +232,20 @@ def test_kept_gram_matches_blockwise_oracle_up_to_the_norm_guard(values):
         for k in range(1, m.rows + 1):
             want = blockwise_greedy_oracle(m, k, objective)
             assert greedy_rep_max(m, k, objective) == want
+
+
+@PROPERTY_SETTINGS
+@given(rows_up_to_the_norm_guard())
+def test_seed_filter_agrees_over_kept_and_streamed_blocks(values):
+    """The seed filter over one score source read as a kept gram, as
+    streamed blocks of the same scaled rows and as the float64 gram
+    either finds the float64 computation's seed pair or defers to it."""
+    m = build_token_matrix(*values.shape, values)
+    want = selection._exact_seed_pair(m.unit64())
+    kept = selection._scaled_rows(m)
+    streamed = dataclasses.replace(kept, gram=None)
+    for src in (kept, streamed, selection._gram(m)):
+        assert selection._certified_seed_pair(m, src) in (None, want)
 
 
 @st.composite

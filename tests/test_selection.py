@@ -636,21 +636,22 @@ class TestGramSource:
 
 def record_sources(monkeypatch):
     """Patch selection to record, per image, the score source it reads:
-    "float32 gram", "streamed" (its seed filter streams blocks) or
-    "float64 gram"; returns that list."""
+    "float32 gram", "streamed" (its seed filter streams blocks, counted at
+    the first block) or "float64 gram"; returns that list."""
     sources = []
 
-    def spy(name, label):
+    def spy(name, label, first=lambda *args: True):
         inner = getattr(selection, name)
 
         def wrapper(*args):
-            sources.append(label)
+            if first(*args):
+                sources.append(label)
             return inner(*args)
 
         monkeypatch.setattr(selection, name, wrapper)
 
     spy("_scaled_gram", "float32 gram")
-    spy("_streamed_candidates", "streamed")
+    spy("_dot_block", "streamed", lambda src, r0, rows: r0 == 0)
     spy("_gram", "float64 gram")
     return sources
 
@@ -745,6 +746,19 @@ class TestKeptFloat32Gram:
             values = rng.standard_normal(n * 1024, dtype=np.float32)
             assert len(greedy_rep_max(build_token_matrix(n, 1024, values), k)) == k
         assert sources == ["float32 gram", "streamed", "float64 gram"]
+
+    def test_seed_filter_reads_each_pair_once(self):
+        """The seed filter reads a kept gram, float32 or float64, as one
+        block and keeps only its entries above the diagonal: two exactly
+        antipodal pairs give two candidates, each once with i < j."""
+        rows = np.zeros((5, 8))
+        rows[0, 0], rows[1, 0], rows[2, 1], rows[3, 1] = 1, -1, 1, -1
+        rows[4, :2] = 1
+        m = build_token_matrix(5, 8, rows.ravel())
+        for src in (selection._scaled_rows(m), selection._gram(m)):
+            assert src.gram is not None
+            ci, cj = selection._candidates(src, 1e-6, m.rows)
+            assert list(zip(ci.tolist(), cj.tolist())) == [(0, 1), (2, 3)]
 
     def test_kept_gram_stays_below_one_float32_copy(self):
         """A 576 x 1024 frame at its video quota (k = 12) keeps its 1.3 MB
