@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import bench as bench_mod
 from . import io_formats, pipeline
 from .errors import BadConfig, IoFailure, TokenTrimError, exit_code_for
 from .types import CONFIG_FIELDS, PruneConfig, resolve_config
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dim", type=int, default=64)
     bench.add_argument("--m", type=int, default=128, help="text tokens (alignment)")
     bench.add_argument("--budget", type=int, default=14, help="budget (pareto)")
-    bench.add_argument("--repeats", type=int, default=bench_mod.DEFAULT_REPEATS)
+    bench.add_argument("--repeats", type=int)
     bench.add_argument("--seed", type=int, help=f"default: ${_ENV_SEED} or 7")
     bench.add_argument("--json", help="also write results as JSON here")
     return parser
@@ -189,14 +188,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_table(results: list[bench_mod.BenchResult]) -> str:
+def _format_table(results: list, floors: dict[str, float]) -> str:
     header = (
         f"{'kernel':<10} {'n':>6} {'dim':>4} {'naive_ms':>10} {'fast_ms':>10} "
         f"{'speedup':>8} {'floor':>6} {'err':>9}"
     )
     lines = [header, "-" * len(header)]
     for r in results:
-        floor = bench_mod.SPEEDUP_FLOORS[r.kernel]
+        floor = floors[r.kernel]
         lines.append(
             f"{r.kernel:<10} {r.n:>6} {r.dim:>4} {r.t_naive * 1e3:>10.3f} "
             f"{r.t_fast * 1e3:>10.3f} {r.speedup:>7.1f}x {floor:>5.1f}x "
@@ -206,6 +205,9 @@ def _format_table(results: list[bench_mod.BenchResult]) -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here: no other command pays for the benchmark's imports.
+    from . import bench as bench_mod
+
     _enter("bench")
     kernels = (
         ("diversity", "alignment", "pareto")
@@ -214,15 +216,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     results = bench_mod.run_suite(
         kernels,
-        repeats=args.repeats,
+        repeats=bench_mod.DEFAULT_REPEATS if args.repeats is None else args.repeats,
         seed=_seed_from(args.seed, bench_mod.DEFAULT_SEED),
         n=args.n,
         dim=args.dim,
         m_text=args.m,
         budget=args.budget,
     )
-    print(_format_table(results))
-    doc = {"results": [vars(r) | {"floor": bench_mod.SPEEDUP_FLOORS[r.kernel]} for r in results]}
+    floors = bench_mod.SPEEDUP_FLOORS
+    print(_format_table(results, floors))
+    doc = {"results": [vars(r) | {"floor": floors[r.kernel]} for r in results]}
     if args.json:
         io_formats.write_json(doc, args.json, "bench JSON")
     else:

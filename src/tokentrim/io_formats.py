@@ -17,6 +17,7 @@ import numbers
 import os
 import stat
 import struct
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ from .types import (
     TokenBundle,
     _instance,
     _integer,
+    _items,
+    _real,
     _token_matrix,
 )
 
@@ -47,6 +50,8 @@ MAGIC = b"TTB1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 _PATH_TYPES = (str, bytes, os.PathLike)
+# Bytes the payload reader thread asks for per read call.
+_PIECE = 1 << 20
 
 
 def write_bundle(bundle: TokenBundle, path) -> None:
@@ -70,8 +75,8 @@ def write_bundle(bundle: TokenBundle, path) -> None:
 
 
 def _fill(fh, buf) -> int:
-    """Read from ``fh`` into ``buf`` until it is full or the file ends;
-    returns the number of bytes read."""
+    """Read from ``fh`` into ``buf`` (a TTB1 header or its image counts)
+    until it is full or the file ends; returns the number of bytes read."""
     view = memoryview(buf).cast("B")
     got = 0
     while got < len(view):
@@ -88,11 +93,16 @@ def read_bundle(path) -> TokenBundle:
     The header and the image counts are checked against the file's size
     before the payload is allocated, so a hostile header costs no memory.
     The payload is then read once, into a buffer that only the returned
-    bundle's rows hold.  A ``path`` that is not a str, bytes or
+    bundle's rows hold, by one reader thread in _PIECE-byte pieces, while
+    this thread widens each chunk of rows (``types._widen``) as soon as
+    its bytes have arrived.  The reader is joined on every path before
+    the file is closed.  A ``path`` that is not a str, bytes or
     os.PathLike, or that names no regular file (a FIFO or a directory,
-    say), raises IoFailure, as does any OS error; a
-    file that ends early, or runs past the declared payload, raises
-    TruncatedFile, also when it changes size while being read.
+    say), raises IoFailure, as does any OS error; a file that ends early,
+    or runs past the declared payload, raises TruncatedFile, also when it
+    changes size while being read.  Those read errors win over a bad row
+    found meanwhile (NonFiniteRow, ZeroNormRow), as a read done first
+    would have raised them first.
     """
     _instance("path", path, _PATH_TYPES, IoFailure)
     try:
@@ -108,16 +118,15 @@ def read_bundle(path) -> TokenBundle:
             os.close(fd)
             raise
         with fh:
-            counts, n_rows, dim, values = _read_ttb1(fh, info.st_size)
+            return _read_ttb1(fh, info.st_size)
     except OSError as exc:
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
-    rows = _token_matrix(n_rows, dim, values, private=True, counts=counts)
-    return TokenBundle(rows, counts)
 
 
-def _read_ttb1(fh, size: int) -> tuple[tuple[int, ...], int, int, np.ndarray]:
-    """The image counts, row count, dim and read-only ``<f4`` payload of
-    a TTB1 file of ``size`` bytes, open unbuffered at its start."""
+def _read_ttb1(fh, size: int) -> TokenBundle:
+    """The bundle in a TTB1 file of ``size`` bytes, open unbuffered at its
+    start: header and image counts read here, the payload by a
+    :class:`_PayloadReader` while its rows are built."""
     head = bytearray(_HEADER.size)
     got = _fill(fh, head)
     if got < _HEADER.size:
@@ -139,13 +148,80 @@ def _read_ttb1(fh, size: int) -> tuple[tuple[int, ...], int, int, np.ndarray]:
     if size != end:
         raise TruncatedFile(f"header declares {end} bytes, file has {size}")
     payload = np.empty(end - start, dtype=np.uint8)
-    got = _fill(fh, payload)
-    if got < len(payload) or fh.read(1):
-        raise TruncatedFile(
-            f"file changed size while read: header declares {end} bytes"
+    with _PayloadReader(fh, payload, end) as reader:
+        values = payload.view("<f4")
+        if not values.dtype.isnative:
+            # A big-endian host converts the rows before widening them,
+            # so it needs them all first.
+            reader.wait(len(payload))
+        rows = _token_matrix(
+            n_rows, dim, values, private=True, counts=counts,
+            ready=lambda b: reader.wait(4 * dim * b),
         )
-    payload.setflags(write=False)
-    return counts, n_rows, dim, payload.view("<f4")
+    return TokenBundle(rows, counts)
+
+
+class _PayloadReader:
+    """Fills a payload buffer from an open file on one thread of its own.
+
+    The thread ``readinto``s the buffer in _PIECE-byte pieces, then checks
+    that the file ends there, and publishes how many bytes it has read
+    for :meth:`wait`; its error (TruncatedFile, or the OSError) is kept for
+    :meth:`wait` and the context's exit to raise.  The exit joins the
+    thread, then raises that error in place of any other.  The buffer is
+    read-only to everyone else from the start.
+    """
+
+    def __init__(self, fh, payload: np.ndarray, end: int):
+        self._fh = fh
+        self._view = memoryview(payload)
+        payload.setflags(write=False)
+        self._end = end
+        self._got = 0
+        self._error: Exception | None = None
+        self._done = False
+        self._cond = threading.Condition()
+        self._thread = threading.Thread(target=self._run, name="ttb1-reader")
+        self._thread.start()
+
+    def _run(self) -> None:
+        view, fh = self._view, self._fh
+        try:
+            while self._got < len(view):
+                n = fh.readinto(view[self._got : self._got + _PIECE])
+                if not n:
+                    break
+                with self._cond:
+                    self._got += n
+                    self._cond.notify_all()
+            if self._got < len(view) or fh.read(1):
+                raise TruncatedFile(
+                    f"file changed size while read: header declares {self._end} bytes"
+                )
+        except Exception as exc:
+            self._error = exc
+        finally:
+            with self._cond:
+                self._done = True
+                self._cond.notify_all()
+
+    def wait(self, nbytes: int) -> None:
+        """Return once the first ``nbytes`` bytes are in the buffer; raise
+        the reader's error if it stopped before them."""
+        if self._got >= nbytes:
+            return
+        with self._cond:
+            self._cond.wait_for(lambda: self._got >= nbytes or self._done)
+        if self._got < nbytes:
+            raise self._error
+
+    def __enter__(self) -> "_PayloadReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
 
 
 # SyntheticSpec's integer fields and their smallest legal values.
@@ -259,19 +335,25 @@ def report_document(
     budgets: ResolvedBudgets | None = None,
 ) -> dict:
     """JSON-ready document for a redundancy report (no selection).  A
-    ``report`` that is not a RedundancyReport raises SelectionMismatch,
+    ``report`` that is not a RedundancyReport, or whose fields do not hold
+    real numbers and counts, raises SelectionMismatch naming the field,
     and a ``cfg`` or ``budgets`` of the wrong type BadConfig."""
     _instance("report", report, RedundancyReport, SelectionMismatch)
+    d_inter = report.d_inter
     return {
         "config": _config_block(cfg, budgets),
         "report": {
-            "d_intra_per_image": list(report.d_intra_per_image),
-            "d_intra_mean": report.d_intra_mean,
-            "d_k": list(report.d_k_list),
-            "d_inter": report.d_inter,
-            "s": report.s,
-            "m1": report.m1,
-            "per_image_budgets": list(report.per_image_budgets),
+            "d_intra_per_image": _floats(
+                "report d_intra_per_image", report.d_intra_per_image
+            ),
+            "d_intra_mean": _float("report d_intra_mean", report.d_intra_mean),
+            "d_k": _floats("report d_k_list", report.d_k_list),
+            "d_inter": None if d_inter is None else _float("report d_inter", d_inter),
+            "s": _float("report s", report.s),
+            "m1": _integer("report m1", report.m1, 0, SelectionMismatch),
+            "per_image_budgets": _ints(
+                "report per_image_budgets", report.per_image_budgets
+            ),
         },
     }
 
@@ -284,16 +366,52 @@ def result_document(
 ) -> dict:
     """JSON-ready document for a full pruning result; arguments of the
     wrong type raise as in :func:`report_document`, and a ``sel`` that is
-    not a Selection SelectionMismatch."""
+    not a Selection, or whose fields do not hold indices, counts and
+    (index, diversity, alignment) triples, SelectionMismatch naming the
+    field."""
     _instance("selection", sel, Selection, SelectionMismatch)
     doc = report_document(report, cfg, budgets)
+    per_image = _items(
+        "selection kept_per_image", sel.kept_per_image, SelectionMismatch
+    )
+    scores = _items("selection scores", sel.scores, SelectionMismatch)
     doc["selection"] = {
-        "kept_per_image": [list(loc) for loc in sel.kept_per_image],
-        "kept_global": list(sel.kept_global),
-        "stage_sizes": list(sel.stage_sizes),
-        "scores": [[g, v, a] for g, v, a in sel.scores],
+        "kept_per_image": [
+            _ints(f"selection kept_per_image[{k}]", loc)
+            for k, loc in enumerate(per_image)
+        ],
+        "kept_global": _ints("selection kept_global", sel.kept_global),
+        "stage_sizes": _ints("selection stage_sizes", sel.stage_sizes),
+        "scores": [_score(f"selection scores[{i}]", t) for i, t in enumerate(scores)],
     }
     return doc
+
+
+def _float(name: str, value) -> float:
+    return _real(name, value, SelectionMismatch)
+
+
+def _floats(name: str, values) -> list[float]:
+    """``values``'s items as floats, else SelectionMismatch naming them."""
+    items = _items(name, values, SelectionMismatch)
+    return [_float(f"{name}[{i}]", v) for i, v in enumerate(items)]
+
+
+def _ints(name: str, values) -> list[int]:
+    """``values``'s items as ints >= 0, else SelectionMismatch naming them."""
+    items = _items(name, values, SelectionMismatch)
+    return [
+        _integer(f"{name}[{i}]", v, 0, SelectionMismatch) for i, v in enumerate(items)
+    ]
+
+
+def _score(name: str, triple) -> list:
+    """One selection score as [global index, diversity, alignment]."""
+    items = _items(name, triple, SelectionMismatch)
+    if len(items) != 3:
+        raise SelectionMismatch(f"{name} must hold 3 values, got {len(items)}")
+    g, v, a = items
+    return [_integer(name, g, 0, SelectionMismatch), _float(name, v), _float(name, a)]
 
 
 def write_result(

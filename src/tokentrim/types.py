@@ -4,7 +4,10 @@ Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
 squared norm.  One pass at construction widens every stored row to 64-bit
 exactly once, a few rows at a time, and yields those norms plus, for each
 image and for the text, the 64-bit sum of its unit rows and of its raw
-rows: the aggregates the redundancy signals read.  Greedy selection scores
+rows: the aggregates the redundancy signals read.  A bundle read from a
+file runs that pass while a reader thread is still filling its rows:
+each chunk waits until its bytes have arrived (see
+``io_formats.read_bundle``).  Greedy selection scores
 the stored rows, scaled by a 32-bit reciprocal norm per row (keeping their
 whole scaled gram when an image has no more rows than dims, or a 64-bit
 gram of a small set), and certifies its choices in 64-bit (see
@@ -65,6 +68,15 @@ def _integer(
     if high is not None and value > high:
         raise error(f"{name} must be <= {high}, got {value}")
     return int(value)
+
+
+def _real(name: str, value, error: type[TokenTrimError]) -> float:
+    """``value`` as a float when it is a real number (numpy scalars and
+    integers too, never a bool; inf and NaN included); anything else
+    raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be of type float, got {value!r}")
+    return float(value)
 
 
 def _instance(name: str, value, kind, error: type[TokenTrimError]):
@@ -182,13 +194,14 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
 
 
 def _token_matrix(
-    rows: int, dim: int, values, private: bool, counts=None
+    rows: int, dim: int, values, private: bool, counts=None, ready=None
 ) -> TokenMatrix:
     """:func:`build_token_matrix`, which also shares ``values`` when
     ``private`` says that the caller made it and holds it alone (a buffer
     it has just read or concatenated), and splits the rows into segments
     of the given image ``counts`` (checked as :class:`TokenBundle` checks
-    them), then the remaining (text) rows."""
+    them), then the remaining (text) rows.  ``ready`` is passed on to
+    :func:`_widen`, for a buffer that is still being filled."""
     dim = _integer("dim", dim, 1, ShapeMismatch, _MAX_DIM)
     rows = _integer("rows", rows, 0, ShapeMismatch)
     flat = _real_array("values", values, ShapeMismatch).ravel()
@@ -203,11 +216,13 @@ def _token_matrix(
         ends = (rows,)
     else:
         ends = (*itertools.accumulate(_token_counts(counts)), rows)
-    norms_sq, sums = _widen(data, ends)
+    norms_sq, sums = _widen(data, ends, ready)
     return TokenMatrix(data, norms_sq, ends, sums)
 
 
-def _widen(data: np.ndarray, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _widen(
+    data: np.ndarray, ends: tuple[int, ...], ready=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's float64 squared norm, and each segment's float64
     (unit-row sum, raw-row sum), shape (segments, 2, dim), from one
     widening of every row.
@@ -221,7 +236,9 @@ def _widen(data: np.ndarray, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     norms are checked before any reciprocal is taken: the first row whose
     squared norm is not finite (a NaN or +-inf entry; a finite float32 row
     cannot overflow float64) raises NonFiniteRow, and one below 1e-24
-    ZeroNormRow, with no RuntimeWarning.
+    ZeroNormRow, with no RuntimeWarning.  ``ready(b)``, when given, is
+    called before each chunk and returns once rows up to ``b`` hold their
+    values: the rows of a file still being read, say.
     """
     rows, dim = data.shape
     step = max(1, _WIDEN_VALUES // dim)
@@ -236,6 +253,8 @@ def _widen(data: np.ndarray, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
         for a in range(lo, end, step):
             b = min(a + step, end)
             chunk, nsq, w = buf[: b - a], norms_sq[a:b], weights[:, : b - a]
+            if ready is not None:
+                ready(b)
             np.copyto(chunk, data[a:b])
             np.einsum("ij,ij->i", chunk, chunk, out=nsq)
             # NaN fails both comparisons.

@@ -277,6 +277,29 @@ class TestBenchCommand:
         assert code == 29 and out == ""
         assert err.startswith("tokentrim bench: stage bench: BenchGateFailure:")
 
+    def test_repeats_defaults_to_the_suite_default(self, capsys, monkeypatch):
+        seen = {}
+
+        def fake_suite(kernels, **kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(bench, "run_suite", fake_suite)
+        assert run(capsys, "bench", "--kernel", "pareto")[0] == 0
+        assert seen["repeats"] == bench.DEFAULT_REPEATS
+        assert run(capsys, "bench", "--kernel", "pareto", "--repeats", "3")[0] == 0
+        assert seen["repeats"] == 3
+
+    def test_other_commands_do_not_import_the_bench_module(self):
+        """Only ``tokentrim bench`` pays for the benchmark's imports."""
+        src = str(Path(tokentrim.__file__).resolve().parents[1])
+        code = "import sys, tokentrim.cli; print('tokentrim.bench' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
 
 class TestExitCodes:
     def test_missing_input(self, capsys, tmp_path):

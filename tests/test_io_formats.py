@@ -1,11 +1,15 @@
 """Binary bundle format, synthetic generator, and JSON result documents."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -41,6 +45,7 @@ from tokentrim.errors import (
     TruncatedFile,
     ZeroNormRow,
 )
+from tokentrim import io_formats, types
 from tokentrim.io_formats import result_document
 from tokentrim.metrics import (
     inter_variation_mean,
@@ -57,6 +62,48 @@ def random_bundle(rng, sizes, dim, text_rows=5):
     ]
     text = build_token_matrix(text_rows, dim, rng.standard_normal(text_rows * dim))
     return make_bundle(images, text)
+
+
+_FSTAT = os.fstat
+
+
+def race_size(monkeypatch, path, delta: int) -> None:
+    """The file at ``path`` loses or gains ``delta`` bytes right after
+    read_bundle takes its size."""
+
+    def racing_fstat(fd):
+        info = _FSTAT(fd)
+        if delta < 0:
+            os.truncate(path, info.st_size + delta)
+        else:
+            with open(path, "ab") as fh:
+                fh.write(bytes(delta))
+        return info
+
+    monkeypatch.setattr(os, "fstat", racing_fstat)
+
+
+@contextlib.contextmanager
+def leaves_nothing_open():
+    """The block ends with as many threads and descriptors as it began."""
+    fd_dir = "/proc/self/fd"
+    fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() == threads
+    if fds is not None:
+        assert len(os.listdir(fd_dir)) == fds
+
+
+@pytest.fixture(scope="module")
+def large_bytes():
+    """A TTB1 file of 1100 rows at dim 1024 (4.5 MB): its payload spans
+    several of the reader thread's pieces, so the widening pass runs while
+    the read is still going."""
+    rows = np.random.default_rng(21).standard_normal((1100, 1024))
+    data = ttb1_bytes([500, 400, 176], 24, 1024, rows)
+    assert len(data) > 4 * io_formats._PIECE
+    return data
 
 
 class TestBinaryRoundTrip:
@@ -125,11 +172,12 @@ class TestMalformedFiles:
         with pytest.raises(TruncatedFile):
             read_bundle(path)
 
-    def test_truncated_mid_row(self, tmp_path, good_bytes):
-        path = tmp_path / "midrow.ttb"
-        path.write_bytes(good_bytes[:-5])
-        with pytest.raises(TruncatedFile):
-            read_bundle(path)
+    def test_truncated_mid_row(self, tmp_path, good_bytes, large_bytes):
+        for data in (good_bytes, large_bytes):
+            path = tmp_path / "midrow.ttb"
+            path.write_bytes(data[:-5])
+            with leaves_nothing_open(), pytest.raises(TruncatedFile):
+                read_bundle(path)
 
     def test_trailing_garbage(self, tmp_path, good_bytes):
         path = tmp_path / "trailing.ttb"
@@ -156,26 +204,16 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("change", ["shrink", "grow"])
     def test_file_changes_size_while_read(
-        self, tmp_path, monkeypatch, good_bytes, change
+        self, tmp_path, monkeypatch, good_bytes, large_bytes, change
     ):
         """The file loses or gains 8 bytes right after its size is taken:
         the payload read comes up short, or bytes follow it."""
-        path = tmp_path / f"{change}.ttb"
-        path.write_bytes(good_bytes)
-        fstat = os.fstat
-
-        def racing_fstat(fd):
-            info = fstat(fd)
-            if change == "shrink":
-                os.truncate(path, len(good_bytes) - 8)
-            else:
-                with open(path, "ab") as fh:
-                    fh.write(bytes(8))
-            return info
-
-        monkeypatch.setattr(os, "fstat", racing_fstat)
-        with pytest.raises(TruncatedFile):
-            read_bundle(path)
+        for name, data in (("small", good_bytes), ("large", large_bytes)):
+            path = tmp_path / f"{change}-{name}.ttb"
+            path.write_bytes(data)
+            race_size(monkeypatch, path, -8 if change == "shrink" else 8)
+            with leaves_nothing_open(), pytest.raises(TruncatedFile):
+                read_bundle(path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
     def test_fifo_input_is_refused(self, tmp_path):
@@ -320,6 +358,117 @@ class TestBadRowsInFiles:
             path = tmp_path / "edge.ttb"
             path.write_bytes(payload)
             with pytest.raises(want):
+                read_bundle(path)
+
+
+class TestThreadedRead:
+    """One reader thread fills the payload while the rows are widened."""
+
+    def write(self, tmp_path, data: bytes, name="large.ttb"):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return path
+
+    def test_sums_equal_one_plain_widening(self, tmp_path, large_bytes):
+        with leaves_nothing_open():
+            got = read_bundle(self.write(tmp_path, large_bytes)).rows
+        rows = np.frombuffer(large_bytes, "<f4", offset=20 + 4 * 3).reshape(-1, 1024)
+        norms_sq, sums = types._widen(rows, (500, 900, 1076, 1100))
+        assert got.norms_sq.tobytes() == norms_sq.tobytes()
+        assert got.segment_sums.tobytes() == sums.tobytes()
+        np.testing.assert_array_equal(got.data, rows)
+
+    def test_each_read_starts_one_thread(self, tmp_path, monkeypatch, large_bytes):
+        """A good file, a bad row and a file that shrinks while read: each
+        read starts one thread and has ended it when it returns or raises."""
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        good = self.write(tmp_path, large_bytes)
+        nan = self.write(tmp_path, self.nan_first_row(large_bytes), "nan.ttb")
+        for path, error in ((good, None), (nan, NonFiniteRow), (good, TruncatedFile)):
+            if error is TruncatedFile:
+                race_size(monkeypatch, path, -8)
+            started.clear()
+            with leaves_nothing_open(), contextlib.ExitStack() as stack:
+                if error is not None:
+                    stack.enter_context(pytest.raises(error))
+                read_bundle(path)
+            assert len(started) == 1 and not started[0].is_alive()
+
+    def test_concurrent_reads_with_small_pieces(self, tmp_path, monkeypatch, large_bytes):
+        """Three reads at once on two cores, in pieces that end inside a
+        float, under a 1 µs switch interval: every chunk still waits for
+        all of its bytes, so each read gives the same rows and sums."""
+        want = read_bundle(self.write(tmp_path, large_bytes)).rows
+        path = self.write(tmp_path, large_bytes, "shared.ttb")
+        monkeypatch.setattr(io_formats, "_PIECE", 4096 + 3)
+        results = []
+
+        def reader():
+            for _ in range(2):
+                got = read_bundle(path).rows
+                results.append(
+                    got.data.tobytes() == want.data.tobytes()
+                    and got.norms_sq.tobytes() == want.norms_sq.tobytes()
+                    and got.segment_sums.tobytes() == want.segment_sums.tobytes()
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 6
+
+    def nan_first_row(self, large_bytes: bytes) -> bytes:
+        data = bytearray(large_bytes)
+        data[20 + 4 * 3 : 24 + 4 * 3] = struct.pack("<f", math.nan)
+        return bytes(data)
+
+    def test_bad_row_while_reading(self, tmp_path, large_bytes):
+        """The build stops at row 0 while the read goes on; the read ends
+        before the error comes out."""
+        path = self.write(tmp_path, self.nan_first_row(large_bytes))
+        with leaves_nothing_open(), pytest.raises(NonFiniteRow) as err:
+            read_bundle(path)
+        assert err.value.index == 0
+
+    def test_read_error_wins_over_a_bad_row(self, tmp_path, monkeypatch, large_bytes):
+        """A NaN in row 0 of a file that shrinks while read: TruncatedFile,
+        as a read finished before the build would raise."""
+        path = self.write(tmp_path, self.nan_first_row(large_bytes))
+        race_size(monkeypatch, path, -8)
+        with leaves_nothing_open(), pytest.raises(TruncatedFile):
+            read_bundle(path)
+
+    def test_os_error_in_the_reader(self, tmp_path, monkeypatch, large_bytes):
+        """An OSError past the first piece raises IoFailure, also when
+        row 0 is NaN, and the descriptor is closed."""
+
+        class FailingFile(io.FileIO):
+            def readinto(self, buf):
+                if self.tell() > io_formats._PIECE:
+                    raise OSError(5, "injected read error")
+                return super().readinto(buf)
+
+        monkeypatch.setattr(
+            io_formats, "open", lambda fd, *a, **k: FailingFile(fd), raising=False
+        )
+        for data in (large_bytes, self.nan_first_row(large_bytes)):
+            path = self.write(tmp_path, data)
+            with leaves_nothing_open(), pytest.raises(IoFailure, match="injected"):
                 read_bundle(path)
 
 
@@ -568,6 +717,46 @@ class TestResultDocuments:
         doc = result_document(report, sel)
         assert doc["selection"]["kept_global"] == list(range(8))
         assert doc["selection"]["stage_sizes"] == [8, 8, 8, 8]
+
+    def test_fields_of_the_wrong_kind(self, tmp_path):
+        """A report or selection whose fields hold something else than
+        numbers, counts and index lists raises SelectionMismatch naming
+        the field, before any file is opened."""
+        rng = np.random.default_rng(15)
+        bundle = random_bundle(rng, [8, 6], dim=4)
+        report, sel = prune(bundle, PruneConfig(final_tokens=4, retention_ratio=None))
+        replace = dataclasses.replace
+        cases = (
+            (report, replace(sel, kept_per_image=5), "selection kept_per_image"),
+            (report, replace(sel, kept_per_image=((0.5,), ())), r"kept_per_image\[0\]"),
+            (report, replace(sel, scores=((1, 2),)), r"selection scores\[0\]"),
+            (report, replace(sel, scores=((1, 0.5, "a"),)), r"selection scores\[0\]"),
+            (report, replace(sel, kept_global=(object(),)), r"kept_global\[0\]"),
+            (report, replace(sel, stage_sizes=(14, True, 4, 4)), "stage_sizes"),
+            (replace(report, d_inter=object()), sel, "report d_inter"),
+            (replace(report, s="1.0"), sel, "report s"),
+            (replace(report, m1=4.0), sel, "report m1"),
+            (replace(report, per_image_budgets=(-1, 2)), sel, "per_image_budgets"),
+            (replace(report, d_k_list=None), sel, "report d_k_list"),
+        )
+        path = tmp_path / "out.json"
+        for rep, s, field in cases:
+            with pytest.raises(SelectionMismatch, match=field):
+                write_result(rep, s, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_numbers_are_written_as_json_numbers(self, tmp_path):
+        rng = np.random.default_rng(16)
+        bundle = random_bundle(rng, [8, 6], dim=4)
+        report, sel = prune(bundle, PruneConfig(final_tokens=4, retention_ratio=None))
+        wide = dataclasses.replace(
+            sel,
+            kept_global=tuple(np.int64(g) for g in sel.kept_global),
+            scores=tuple((np.int32(g), np.float64(v), a) for g, v, a in sel.scores),
+        )
+        path = tmp_path / "out.json"
+        write_result(dataclasses.replace(report, m1=np.int64(report.m1)), wide, path)
+        assert json.loads(path.read_text()) == result_document(report, sel)
 
     def test_write_failure(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -411,9 +411,9 @@ class TestWideningOnce:
         calls = []
         real = types._widen
 
-        def spy(data, ends):
+        def spy(data, ends, *ready):
             calls.append((data.shape[0], ends))
-            return real(data, ends)
+            return real(data, ends, *ready)
 
         monkeypatch.setattr(types, "_widen", spy)
         return calls
