@@ -5,8 +5,10 @@ through an aggregate: the unit-row sum S for the diversities, the text
 mean and mean squared norm for alignment.  The redundancy signals and the
 text mean read the float64 unit-row and raw-row sums that each image and
 the text carry from the bundle's build (:meth:`TokenMatrix.row_sums`), so
-they widen no stored row again.  The quadratic definitions, spelled out,
-live in :mod:`tokentrim.bench` as test oracles.
+they widen no stored row again.  The per-token scores widen the candidate
+rows to float64 a few at a time (:func:`_widened`), never all at once.
+The quadratic definitions, spelled out, live in :mod:`tokentrim.bench` as
+test oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     TooFewTokens,
     ZeroMeanImage,
 )
-from .types import TokenBundle, TokenMatrix
+from .types import _WIDEN_VALUES, TokenBundle, TokenMatrix
 
 _DEGENERATE_EPS = 1e-9
 _ZERO_MEAN_EPS = 1e-12
@@ -165,19 +167,73 @@ def alignment_fast(
     if on_normalized:
         xs = tokens.unit64()
         norms_sq = np.einsum("ij,ij->i", xs, xs)
-    else:
-        xs, norms_sq = tokens.data, tokens.norms_sq
-    return -norms_sq - ctx.c_t + 2.0 * (xs @ ctx.mu_t)
+        return -norms_sq - ctx.c_t + 2.0 * (xs @ ctx.mu_t)
+    dots = np.empty(tokens.rows)
+    for a, chunk in _widened(tokens, _buffer(tokens), unit=False):
+        np.matmul(chunk, ctx.mu_t, out=dots[a : a + len(chunk)])
+    return -tokens.norms_sq - ctx.c_t + 2.0 * dots
 
 
 def token_diversity_fast(candidates: TokenMatrix) -> np.ndarray:
     """Per-token dispersion v_i = (1/(N-1)) * sum over j != i of (1 - cos).
 
-    Via the aggregate: v_i = (N - x_i . S) / (N - 1) on unit rows.
+    Via the aggregate: v_i = (N - x_i . S) / (N - 1) on unit rows.  S sums
+    the unit rows one after another, as ``unit64().sum(axis=0)`` does: each
+    chunk's sum starts from the running one, put in the row before it.
     """
     n = candidates.rows
     if n < 2:
         raise TooFewTokens(f"per-token diversity needs >= 2 tokens, got {n}")
-    unit = candidates.unit64()
-    s = unit.sum(axis=0)
-    return (n - unit @ s) / (n - 1)
+    buf = _buffer(candidates, lead=1)
+    s = None
+    for _, chunk in _widened(candidates, buf[1:], unit=True):
+        if s is None:
+            s = chunk.sum(axis=0)
+        else:
+            buf[0] = s
+            s = buf[: len(chunk) + 1].sum(axis=0)
+    dots = np.empty(n)
+    for a, chunk in _widened(candidates, buf[1:], unit=True):
+        np.matmul(chunk, s, out=dots[a : a + len(chunk)])
+    return (n - dots) / (n - 1)
+
+
+def _chunk_rows(dim: int) -> int:
+    """Rows per chunk of :func:`_widened`: the most whole 32-row groups
+    that _WIDEN_VALUES values hold (32 rows at dim 1024), at least one.
+    BLAS kernels compute a matrix-vector product a few rows at a time (4,
+    8 or 16), and a row left over at a chunk's end may take another code
+    path that rounds differently, so every chunk but the last starts and
+    ends on the row groups of the whole matrix."""
+    return 32 * max(1, _WIDEN_VALUES // (32 * dim))
+
+
+def _buffer(tokens: TokenMatrix, lead: int = 0) -> np.ndarray:
+    """A float64 buffer for :func:`_widened`'s chunks of ``tokens``, after
+    ``lead`` spare rows."""
+    rows = min(tokens.rows, _chunk_rows(tokens.dim) + 1)
+    return np.empty((lead + rows, tokens.dim))
+
+
+def _widened(tokens: TokenMatrix, buf: np.ndarray, unit: bool):
+    """(a, chunk) for consecutive row chunks of ``tokens`` from row a, each
+    widened to float64 in ``buf`` (the next chunk overwrites it) and, when
+    ``unit``, scaled as :meth:`TokenMatrix.unit64` scales it, bit for bit.
+
+    Chunks hold :func:`_chunk_rows` rows, the last up to one more: a lone
+    row would make ``chunk @ x`` a dot product instead of the
+    matrix-vector product that the whole matrix takes, whose sums may
+    round differently.
+    """
+    n, step = tokens.rows, _chunk_rows(tokens.dim)
+    a = 0
+    while a < n:
+        b = a + step
+        if b + 1 >= n:
+            b = n
+        chunk = buf[: b - a]
+        np.copyto(chunk, tokens.data[a:b])
+        if unit:
+            chunk /= np.sqrt(tokens.norms_sq[a:b])[:, None]
+        yield a, chunk
+        a = b

@@ -95,6 +95,7 @@ def prune(
 
     pooled = bundle.rows.gather(x1_global)
     picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
+    del pooled  # freed before the candidates are gathered and scored
     cand_global = [x1_global[p] for p in picked]
 
     cand = bundle.rows.gather(cand_global)

@@ -9,10 +9,10 @@ Greedy dispersion makes the float64 computation's choices bit for bit from
 a cheaper score source, one :class:`_Source` record with the bound below
 for its dot products: the stored float32 rows with a float32 reciprocal
 norm per row, whose whole scaled gram is kept when an image has no more
-rows than dims and streamed in row blocks otherwise, or one float64 gram
-of the unit rows where that is smaller and cheaper (the rule is in
-:func:`greedy_rep_max`).  Each decision is either certified against
-proven rounding bounds or handed to the float64 computation.  The bounds
+rows than dims and streamed in row blocks otherwise.  No float64 copy of
+an image is made unless a decision cannot be certified: each decision is
+either certified against proven rounding bounds, from float64 copies of
+the few rows it compares, or handed to the float64 computation.  The bounds
 (Higham, Accuracy and Stability of Numerical Algorithms, secs. 2.1 and
 3.1): for any summation order, FMA included, |fl(x.y) - x.y| <= gamma_n
 |x|.|y| while no result is subnormal, and |x|.|y| <= 1 for unit rows.
@@ -24,13 +24,14 @@ dimension dim:
 - eps bounds the error of a dot product read from the float32 rows d_i.
   With r_i the float64 norm that ``unit64()`` divides by, the scale s_i
   is 1 / r_i rounded to float32, a relative error within u (u = 2**-24)
-  plus float64 rounding far below u**2.  Both forms of the source compute
-  fl(fl(fl(d_i.d_j) s_i) s_j): the raw float32 dot, within gamma_dim(u)
-  |d_i|.|d_j| <= gamma_dim(u) r_i r_j of d_i.d_j, then two scalings (u
-  each).  Against the unit rows' dot x = d_i.d_j / (r_i r_j), |x| <= 1,
-  the roundings of s_i, s_j and the two products move x by (1 + u)**4 - 1
-  and the dot adds gamma_dim(u) (1 + u)**4: at most 5u + gamma_dim(u)
-  (1 + 5u) in all, about 4u + gamma_dim(u).  Gradual underflow adds an
+  plus float64 rounding far below u**2.  Both forms of the source, kept
+  and streamed, compute fl(fl(fl(d_i.d_j) s_i) s_j): the raw float32
+  dot, within gamma_dim(u) |d_i|.|d_j| <= gamma_dim(u) r_i r_j of
+  d_i.d_j, then two scalings (u each).  Against the unit rows' dot
+  x = d_i.d_j / (r_i r_j), |x| <= 1, the roundings of s_i, s_j and the
+  two products move x by (1 + u)**4 - 1 and the dot adds gamma_dim(u)
+  (1 + u)**4: at most 5u + gamma_dim(u) (1 + 5u) in all, about 4u +
+  gamma_dim(u).  Gradual underflow adds an
   absolute error of at most 2**-150 to each product of the dot and to each
   scaling.  Those of the dot are then multiplied by s_i s_j and that of
   the first scaling by s_j, so with s the largest scale of the image the
@@ -82,24 +83,22 @@ def _gamma(n: int, u: float) -> float:
 
 @dataclass(frozen=True)
 class _Source:
-    """A score source: ``gram``, the unit rows' whole gram with +inf on
-    its diagonal, or None when blocks of it are computed from the stored
-    float32 rows ``data`` and their float32 reciprocal norms ``scale``
-    (unit row i is about data[i] * scale[i]); ``eps`` bounds each dot
-    product it gives (module docstring) and ``dtype`` is its precision."""
+    """A float32 score source: the stored rows ``data`` and their float32
+    reciprocal norms ``scale`` (unit row i is about data[i] * scale[i]),
+    with ``gram``, their whole scaled gram with +inf on its diagonal, or
+    None when blocks of it are computed as needed; ``eps`` bounds each dot
+    product it gives (module docstring)."""
 
     gram: np.ndarray | None
-    data: np.ndarray | None
-    scale: np.ndarray | None
+    data: np.ndarray
+    scale: np.ndarray
     eps: float
-    dtype: np.dtype
 
 
-def _dot_bound(dim: int, src: _Source | None = None) -> float:
-    """The module docstring's bound on a dot product of two unit rows read
-    from the score source ``src``: its eps, or delta with no source (the
-    float64 computation)."""
-    return 1.01 * _gamma(dim, 2.0**-53) if src is None else src.eps
+def _delta(dim: int) -> float:
+    """The module docstring's delta, with its slack: the bound on a float64
+    dot product of two unit rows."""
+    return 1.01 * _gamma(dim, 2.0**-53)
 
 
 def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
@@ -122,7 +121,7 @@ def _scaled_rows(tokens: TokenMatrix) -> _Source | None:
     underflow = dim * max(1.0, float(scale.max())) ** 2 * 2.0**-148
     eps = 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
     gram = _scaled_gram(tokens.data, scale) if n <= dim else None
-    return _Source(gram, tokens.data, scale, eps, np.dtype(np.float32))
+    return _Source(gram, tokens.data, scale, eps)
 
 
 def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -134,15 +133,6 @@ def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
     gram *= scale
     np.fill_diagonal(gram, np.inf)
     return gram
-
-
-def _gram(tokens: TokenMatrix) -> _Source:
-    """The float64 gram of ``tokens.unit64()`` with +inf on the diagonal,
-    as a score source; the unit rows are freed."""
-    unit = tokens.unit64()
-    gram = unit @ unit.T
-    np.fill_diagonal(gram, np.inf)
-    return _Source(gram, None, None, _dot_bound(tokens.dim), gram.dtype)
 
 
 def _dot_block(src: _Source, r0: int, rows: int) -> np.ndarray:
@@ -200,11 +190,11 @@ def _certified_seed_pair(tokens: TokenMatrix, src: _Source) -> tuple[int, int] |
     gives at (i, j) (see :func:`_dot_column`) and V(p) a float64
     recomputation; by the module docstring, G and V lie within delta of
     the exact dot product and F, like the source's value at (j, i),
-    within bF: eps from the float32 rows, delta from the float64 gram.
+    within eps.
 
     Filter: let best be the smallest value read, at either entry of the
-    pair q.  The winner p* minimizes G, so F(p*) <= G(p*) + delta + bF
-    <= G(q) + delta + bF <= best + 2 bF + 2 delta = best + tol; every
+    pair q.  The winner p* minimizes G, so F(p*) <= G(p*) + delta + eps
+    <= G(q) + delta + eps <= best + 2 eps + 2 delta = best + tol; every
     pair within tol of best is kept (:func:`_candidates`).
 
     Check: if the candidate b with the smallest V beats every other
@@ -214,8 +204,8 @@ def _certified_seed_pair(tokens: TokenMatrix, src: _Source) -> tuple[int, int] |
     _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
     the exact scan decides, so the tie rule never depends on this filter.
     """
-    delta = _dot_bound(tokens.dim)
-    tol = 2 * _dot_bound(tokens.dim, src) + 2 * delta
+    delta = _delta(tokens.dim)
+    tol = 2 * src.eps + 2 * delta
     if not tol < 1:  # dims where the bounds fail
         return None
     found = _candidates(src, tol, tokens.rows)
@@ -237,10 +227,11 @@ def _clear_winner(value: np.ndarray, b64: float) -> int | None:
     return int(order[0])
 
 
-def _limit(best: float, tol: float, dt) -> np.floating:
-    """best + tol rounded up in the precision ``dt``, so that a comparison
-    with it keeps a superset of the pairs within tol of best."""
-    return np.nextafter(dt(best + tol), dt(np.inf))
+def _limit(best: float, tol: float) -> np.float32:
+    """best + tol rounded up to a float32, so that a comparison of the
+    source's float32 values with it keeps a superset of those within tol
+    of best."""
+    return np.nextafter(np.float32(best + tol), np.float32(np.inf))
 
 
 def _candidates(src: _Source, tol: float, n: int):
@@ -251,7 +242,6 @@ def _candidates(src: _Source, tol: float, n: int):
     triangle (:func:`_dot_block`), and the candidates of earlier blocks
     stay while they are within the limit.  A row is compared with the
     limit only where its minimum is within it."""
-    dt = src.dtype.type
     best = np.inf
     ci = cj = np.empty(0, dtype=np.int64)
     cf = np.empty(0)
@@ -264,7 +254,7 @@ def _candidates(src: _Source, tol: float, n: int):
             block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
         row_min = block.min(axis=1)
         best = min(best, float(row_min.min()))
-        limit = _limit(best, tol, dt)
+        limit = _limit(best, tol)
         keep = cf <= limit
         # Each pair puts at most two rows in near and two entries in hit.
         near = np.flatnonzero(row_min <= limit)
@@ -300,8 +290,8 @@ def _certified_steps(
     ``selected`` the choices made so far.
     """
     dim = tokens.dim
-    e, delta = _dot_bound(dim, src), _dot_bound(dim)
-    u = np.finfo(src.dtype).eps / 2
+    eps, delta = src.eps, _delta(dim)
+    u = 2.0**-24
     # The float64 unit rows of selected[:filled], widened at rechecks:
     # sum_distance holds only their sum, min_distance the rows, in arrays
     # of at least _HELD_BLOCK rows but the last.
@@ -309,15 +299,14 @@ def _certified_steps(
     filled = 0
     score = combine(_dot_column(src, selected[0]), _dot_column(src, selected[1]))
     score[selected] = np.inf
-    dt = src.dtype.type
     while len(selected) < k:
         m = len(selected)
         if combine is np.add:
-            bF = 1.01 * m * (e + _gamma(m, u) * (1 + e))
+            bF = 1.01 * m * (eps + _gamma(m, u) * (1 + eps))
             b64 = 1.01 * m * (delta + _gamma(m, 2.0**-53) * (1 + delta))
         else:
-            bF, b64 = e, delta
-        limit = _limit(float(score.min()), 2 * bF + 2 * b64, dt)
+            bF, b64 = eps, delta
+        limit = _limit(float(score.min()), 2 * bF + 2 * b64)
         cand = np.flatnonzero(score <= limit)
         win = 0
         if len(cand) > 1:
@@ -381,69 +370,58 @@ def greedy_rep_max(
 
     The reference is the float64 computation: :func:`_exact_seed_pair`,
     then :func:`_float64_steps`, on ``tokens.unit64()``.  This function
-    returns its choices bit for bit, ties included, from one score source
-    and float64 rows of the few rows it checks.  The source is the float64
-    gram of the unit rows (:func:`_gram`) when it is no larger than the
-    stored float32 rows (2 n <= dim) and the k matvecs it replaces hold at
-    least a quarter as many products as its upper triangle (4 k >= n: the
-    float32 source pays for that triangle too, in the seed filter, and
-    measured at dim 1024 the two sources break even near k = n / 8);
-    otherwise it is the stored float32 rows with a float32 reciprocal norm
-    per row (:func:`_scaled_rows`).  When the image has no more rows than
-    dims (n <= dim) their scaled gram is no larger than the rows, so it is
-    built once by one syrk (:func:`_scaled_gram`).  The seed filter
-    (:func:`_candidates`) reads a kept gram, float32 or float64, in place
-    as one block and streams a larger image's gram in 256-row blocks,
-    keeping only entries above the diagonal; each step reads one row of a
-    kept gram or computes one column, copying no more than one block.  The
-    seed comes from :func:`_certified_seed_pair`; each step then works as
-    follows.
+    returns its choices bit for bit, ties included, from one score source,
+    the stored float32 rows with a float32 reciprocal norm per row
+    (:func:`_scaled_rows`), and float64 rows of the few rows it checks.
+    When the image has no more rows than dims (n <= dim) the scaled gram
+    is no larger than the rows, so it is built once by one syrk
+    (:func:`_scaled_gram`).  The seed filter (:func:`_candidates`) reads a
+    kept gram in place as one block and streams a larger image's gram in
+    256-row blocks, keeping only entries above the diagonal; each step
+    reads one row of a kept gram or computes one column, copying no more
+    than one block.  The seed comes from :func:`_certified_seed_pair`;
+    each step then works as follows.
 
     With m rows selected, let S(r) be the reference's score of an
     unselected row r, E(r) its exact value, F(r) the score kept here
-    (``combine(F, <source's dots with row nxt>)`` per step) and V(r) a
-    float64 recomputation: ``unit[r] @ unit[selected].sum(axis=0)`` for
-    ``sum_distance``, ``(unit[r] @ unit[selected].T).max()`` for
-    ``min_distance``.
-    Each source dot product is within e of the exact one, e = eps for
-    the float32 rows and e = delta for the float64 gram (module
-    docstring), and F sums in the source's unit roundoff u (2**-24 or
-    2**-53):
+    (``combine(F, <source's dots with row nxt>)`` per step, in float32,
+    unit roundoff u = 2**-24) and V(r) a float64 recomputation:
+    ``unit[r] @ unit[selected].sum(axis=0)`` for ``sum_distance``,
+    ``(unit[r] @ unit[selected].T).max()`` for ``min_distance``.
+    Each source dot product is within eps of the exact one, and each
+    float64 one within delta (module docstring):
 
     - ``min_distance``: a maximum is exact and moves by no more than its
-      terms, so |F - E| <= bF = e and |S - E|, |V - E| <= b64 = delta.
-    - ``sum_distance``: m terms, each off by e (delta), and summing m
-      terms of size at most 1 + e (1 + delta) in any order adds at most
-      gamma_m(u) m (1 + e) (Higham sec. 4.2), so bF = m e + gamma_m(u)
-      m (1 + e) and b64 = m delta + gamma_m(2**-53) m (1 + delta).  V
+      terms, so |F - E| <= bF = eps and |S - E|, |V - E| <= b64 = delta.
+    - ``sum_distance``: m terms, each off by eps (delta), and summing m
+      terms of size at most 1 + eps (1 + delta) in any order adds at most
+      gamma_m(u) m (1 + eps) (Higham sec. 4.2), so bF = m eps + gamma_m(u)
+      m (1 + eps) and b64 = m delta + gamma_m(2**-53) m (1 + delta).  V
       holds too: the sum of the m selected rows is off by gamma_m(2**-53)
       times the sum of their entries' sizes, which moves the dot by at most
       gamma_m(2**-53) m, and the dot then adds gamma_dim(2**-53) (1 +
       gamma_m(2**-53)) m at most, so |V - E| <= b64.
 
-    From the float64 gram, bF = b64: its scores are as good as the
-    reference's, whatever order gemm or syrk summed in, so no further
-    proof is needed.
     Both get 1% slack.  The reference takes p*, the first row with the
     smallest S; for the F-minimizer q, F(p*) <= S(p*) + b64 + bF <=
     S(q) + b64 + bF <= F(q) + 2 bF + 2 b64, so every row within 2 bF +
-    2 b64 of the smallest F is kept (the limit rounded up in F's
-    precision).  One kept row is p*.  Of several, the one with the
-    smallest V is p* if it beats every other by more than 4 b64, by the
-    seed pair's argument.  Otherwise (exact ties, near-ties, or more than
-    _MAX_CANDIDATES kept rows) the source is freed, ``tokens.unit64()`` is
-    built, S is replayed and the reference finishes the selection.  So do
-    images with a row norm of 2**63 or more, which have no scaled rows.
+    2 b64 of the smallest F is kept (the limit rounded up to a float32).
+    One kept row is p*.  Of several, the one with the smallest V is p* if
+    it beats every other by more than 4 b64, by the seed pair's argument.
+    Otherwise (exact ties, near-ties, or more than _MAX_CANDIDATES kept
+    rows) the source is freed, ``tokens.unit64()`` is built, S is
+    replayed and the reference finishes the selection.  So do images with
+    a row norm of 2**63 or more, which have no scaled rows.
     """
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
     k = _integer("selection budget", k, 1, BadBudget)
-    n, dim = tokens.data.shape
+    n = tokens.rows
     if k >= n:
         return list(range(n))
 
     combine = np.add if objective == "sum_distance" else np.maximum
-    src = _gram(tokens) if 2 * n <= dim and 4 * k >= n else _scaled_rows(tokens)
+    src = _scaled_rows(tokens)
     selected = []
     if src is not None:
         selected = list(_certified_seed_pair(tokens, src) or ())

@@ -9,10 +9,9 @@ file runs that pass while a reader thread is still filling its rows:
 each chunk waits until its bytes have arrived (see
 ``io_formats.read_bundle``).  Greedy selection scores
 the stored rows, scaled by a 32-bit reciprocal norm per row (keeping their
-whole scaled gram when an image has no more rows than dims, or a 64-bit
-gram of a small set), and certifies its choices in 64-bit (see
-``selection``); every other reduction (norms, sums, dot products)
-accumulates in 64-bit.
+whole scaled gram when an image has no more rows than dims), and
+certifies its choices in 64-bit (see ``selection``); every other
+reduction (norms, sums, dot products) accumulates in 64-bit.
 All containers are immutable after construction and safe to share across
 threads.  A matrix shares a caller's buffer only when nobody can write it
 again (an array over ``bytes``) and copies any other; the package's own
@@ -232,13 +231,13 @@ def _widen(
     Rows are copied into a float64 buffer of at most _WIDEN_VALUES values
     (at least one row) at a time, never across a segment end, so a
     segment's sums do not depend on its neighbours.  The norms equal
-    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  Each chunk's
-    norms are checked before any reciprocal is taken: the first row whose
-    squared norm is not finite (a NaN or +-inf entry; a finite float32 row
-    cannot overflow float64) raises NonFiniteRow, and one below 1e-24
-    ZeroNormRow, with no RuntimeWarning.  ``ready(b)``, when given, is
-    called before each chunk and returns once rows up to ``b`` hold their
-    values: the rows of a file still being read, say.
+    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  A segment's
+    norms are checked once its rows are summed, before it is returned: the
+    first row whose squared norm is not finite (a NaN or +-inf entry; a
+    finite float32 row cannot overflow float64) raises NonFiniteRow, and
+    one below 1e-24 ZeroNormRow, with no RuntimeWarning.  ``ready(b)``,
+    when given, is called before each chunk and returns once rows up to
+    ``b`` hold their values: the rows of a file still being read, say.
     """
     rows, dim = data.shape
     step = max(1, _WIDEN_VALUES // dim)
@@ -246,27 +245,44 @@ def _widen(
     # Zero rows leave zero sums, which then take no memory whatever the dim.
     shape = (len(ends), 2, dim)
     sums = np.zeros(shape) if rows else np.broadcast_to(0.0, shape)
-    buf = np.empty((min(rows, step), dim))
-    weights = np.ones((2, min(rows, step)))  # reciprocal norms, then ones
+    full = min(rows, step)
+    buf = np.empty((full, dim))
+    weights = np.ones((2, full))  # reciprocal norms, then ones
+    product = np.empty((2, dim)) if rows else None  # each chunk's w @ chunk
     lo = 0
-    for seg, end in enumerate(ends):
-        for a in range(lo, end, step):
-            b = min(a + step, end)
-            chunk, nsq, w = buf[: b - a], norms_sq[a:b], weights[:, : b - a]
-            if ready is not None:
-                ready(b)
-            np.copyto(chunk, data[a:b])
-            np.einsum("ij,ij->i", chunk, chunk, out=nsq)
-            # NaN fails both comparisons.
-            if not (nsq.min() >= _ZERO_NORM_EPS**2 and nsq.max() < np.inf):
-                finite = np.isfinite(nsq)
-                i = int(np.flatnonzero(~finite | (nsq < _ZERO_NORM_EPS**2))[0])
-                raise (ZeroNormRow if finite[i] else NonFiniteRow)(a + i)
-            np.sqrt(nsq, out=w[0])
-            np.divide(1.0, w[0], out=w[0])
-            sums[seg] += w @ chunk
-        lo = end
+    # A bad row's reciprocal and products may be inf or NaN until its
+    # segment's check raises.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for seg, end in enumerate(ends):
+            total = sums[seg]
+            for a in range(lo, end, step):
+                b = min(a + step, end)
+                chunk, w = buf, weights
+                if b - a < full:
+                    chunk, w = buf[: b - a], weights[:, : b - a]
+                if ready is not None:
+                    ready(b)
+                np.copyto(chunk, data[a:b])
+                nsq = norms_sq[a:b]
+                np.einsum("ij,ij->i", chunk, chunk, out=nsq)
+                np.sqrt(nsq, out=w[0])
+                np.divide(1.0, w[0], out=w[0])
+                np.matmul(w, chunk, out=product)
+                total += product
+            _check_norms(norms_sq[lo:end], lo)
+            lo = end
     return norms_sq, sums
+
+
+def _check_norms(nsq: np.ndarray, first: int) -> None:
+    """Raise NonFiniteRow or ZeroNormRow, with its global index (rows are
+    numbered from ``first``), for the first row whose squared norm is not
+    finite or is below 1e-24."""
+    # NaN fails both comparisons.
+    if len(nsq) and not (nsq.min() >= _ZERO_NORM_EPS**2 and nsq.max() < np.inf):
+        finite = np.isfinite(nsq)
+        i = int(np.flatnonzero(~finite | (nsq < _ZERO_NORM_EPS**2))[0])
+        raise (ZeroNormRow if finite[i] else NonFiniteRow)(first + i)
 
 
 def _token_counts(given) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Redundancy signals: reference values, fast/naive agreement, invariances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,49 @@ class TestTokenDiversity:
             fast = token_diversity_fast(m)
             tol = 1e-6 * np.maximum(1.0, np.abs(naive))
             assert np.all(np.abs(fast - naive) <= tol)
+
+
+class TestChunkedScoring:
+    """The per-token scores widen the candidates a few rows at a time and
+    still return the values of the whole-matrix float64 formulas."""
+
+    @pytest.mark.parametrize(
+        "n, dim",
+        # 32 rows a chunk at dim 1024, 512 at dim 64 and 672 at dim 48
+        [(1, 1024), (2, 1024), (31, 1024), (32, 1024), (33, 1024), (65, 1024),
+         (252, 1024), (513, 64), (1345, 48)],
+    )
+    def test_scores_equal_the_whole_matrix_formulas_bit_for_bit(self, n, dim):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, dim)) + 0.3 * rng.standard_normal(dim)
+        cand = build_token_matrix(n, dim, rows.ravel())
+        ctx = build_alignment_context(random_matrix(rng, 32, dim))
+        want_a = -cand.norms_sq - ctx.c_t + 2.0 * (cand.data @ ctx.mu_t)
+        assert np.array_equal(
+            alignment_fast(cand, ctx).view(np.uint64), want_a.view(np.uint64)
+        )
+        if n >= 2:
+            unit = cand.unit64()
+            want_v = (n - unit @ unit.sum(axis=0)) / (n - 1)
+            assert np.array_equal(
+                token_diversity_fast(cand).view(np.uint64), want_v.view(np.uint64)
+            )
+
+    def test_scoring_stays_below_one_float32_copy(self):
+        """Each score of 252 x 1024 candidates peaks under one float32 copy
+        of them (1.03 MB); one float64 copy is 2.06 MB."""
+        rng = np.random.default_rng(27)
+        cand = random_matrix(rng, 252, 1024)
+        ctx = build_alignment_context(random_matrix(rng, 32, 1024))
+        calls = ((token_diversity_fast, (cand,)), (alignment_fast, (cand, ctx)))
+        for score, args in calls:
+            tracemalloc.start()
+            try:
+                score(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 252 * 1024 * 4
 
 
 class TestWideningOnce:

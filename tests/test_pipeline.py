@@ -9,12 +9,15 @@ import pytest
 from tokentrim import (
     PruneConfig,
     Selection,
+    TokenMatrix,
     analyze,
     apply_selection,
     build_token_matrix,
+    generate_synthetic,
     make_bundle,
     prune,
 )
+from tokentrim.io_formats import SyntheticSpec
 from tokentrim.errors import BadConfig, EmptyText, SelectionMismatch, ShapeMismatch
 from tokentrim.selection import (
     ParetoPoint,
@@ -146,6 +149,27 @@ class TestPrune:
         got_candidates = [g for g, _, _ in sel.scores]
         assert got_candidates == want_candidates
         assert set(sel.kept_global) <= set(got_candidates) <= set(x1)
+
+    def test_no_float64_copy_of_a_row_set(self, monkeypatch):
+        """Neither stage nor the scoring makes a float64 copy of every row
+        of an image, the pool or the candidates: with no decision left to
+        the float64 fallback (noise 0.1), ``unit64()`` is never called."""
+        spec = SyntheticSpec(
+            n_images=4, tokens_per_image=120, dim=1024, seed=0, clusters=16,
+            noise=0.1, drift=0.05, text_tokens=8,
+        )
+        bundle = generate_synthetic(spec)
+        calls = []
+        real = TokenMatrix.unit64
+
+        def spy(self):
+            calls.append(self.data.shape)
+            return real(self)
+
+        monkeypatch.setattr(TokenMatrix, "unit64", spy)
+        _, sel = prune(bundle, PruneConfig())
+        assert sel.stage_sizes[1] > sel.stage_sizes[2] == 252  # stage 2 ran
+        assert calls == []
 
     def test_determinism_and_thread_parity(self):
         rng = np.random.default_rng(7)

@@ -402,9 +402,9 @@ class TestCertifiedGreedyLoop:
         gamma = 24 * u / (1 - 24 * u)
         eps = 1.01 * (5 * u + gamma * (1 + 5 * u) + 24 * s**2 * 2.0**-148)
         for src in (streamed, kept):
-            assert selection._dot_bound(24, src) == eps
+            assert src.eps == eps
         # eps for the source, delta for the float64 gram it is compared with
-        bound = eps + selection._dot_bound(24)
+        bound = eps + selection._delta(24)
         gram = unit @ unit.T
         for r0, height in ((0, 299), (256, 43)):
             block = selection._dot_block(streamed, r0, height)
@@ -524,26 +524,13 @@ class TestCertifiedGreedyLoop:
         assert peak < 2880 * 1024 * 4
 
 
-def count_gram_builds(monkeypatch):
-    """Patch ``selection._gram`` to record the shape of each image it builds
-    a gram for; returns that list."""
-    builds = []
-    gram = selection._gram
-
-    def spy(tokens):
-        builds.append(tokens.data.shape)
-        return gram(tokens)
-
-    monkeypatch.setattr(selection, "_gram", spy)
-    return builds
-
-
 class TestGramSource:
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_matches_blockwise_oracle(self, monkeypatch, objective):
-        """With 2 n <= dim and large budgets the steps read the float64
-        gram; the selections stay the oracle's, exact ties included."""
-        builds = count_gram_builds(monkeypatch)
+        """With 2 n <= dim and large budgets the steps read the kept
+        float32 gram and recheck many steps in float64; the selections stay
+        the oracle's, exact ties included."""
+        sources = record_sources(monkeypatch)
         rng = np.random.default_rng(16)
         for n, dim in ((24, 48), (60, 128), (100, 200)):
             half = rng.standard_normal((n // 2, dim))
@@ -561,18 +548,18 @@ class TestGramSource:
             for rows in inputs:
                 m = build_token_matrix(len(rows), dim, rows.ravel())
                 for k in sorted({m.rows // 2, 3 * m.rows // 4, m.rows - 1}):
-                    builds.clear()
+                    sources.clear()
                     want = blockwise_greedy_oracle(m, k, objective)
                     assert greedy_rep_max(m, k, objective) == want
-                    assert builds == [m.data.shape]
+                    assert sources == ["float32 gram"]
 
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_tie_at_later_gram_step_replays_float64(self, monkeypatch, objective):
-        """TestCertifiedGreedyLoop's swapped halves at a gram shape: each row
-        (x, y) ties in exact arithmetic with (y, x) at every step, and the
-        gram's entries for the two need not round alike.  The first tied
-        step must hand the selection to the float64 loop."""
-        builds = count_gram_builds(monkeypatch)
+        """TestCertifiedGreedyLoop's swapped halves at a kept gram shape:
+        each row (x, y) ties in exact arithmetic with (y, x) at every step,
+        and the gram's entries for the two need not round alike.  The first
+        tied step must hand the selection to the float64 loop."""
+        sources = record_sources(monkeypatch)
         replayed_at = []
         float64_steps = selection._float64_steps
 
@@ -589,55 +576,41 @@ class TestGramSource:
             x, y = rng.standard_normal((2, 8, half))
             rows = np.vstack([np.hstack([h, h]), np.hstack([x, y]), np.hstack([y, x])])
             m = build_token_matrix(len(rows), 2 * half, rows.ravel())
-            builds.clear()
+            sources.clear()
             replayed_at.clear()
             k = m.rows - 1
             assert greedy_rep_max(m, k, objective) == blockwise_greedy_oracle(
                 m, k, objective
             )
-            assert builds == [m.data.shape]
+            assert sources == ["float32 gram"]
             assert len(replayed_at) == 1 and 2 <= replayed_at[0] < k
             deepest = max(deepest, replayed_at[0])
         assert deepest >= 4  # certified gram steps came before the tie
 
-    def test_rule_takes_the_gram_only_at_stage_two_shapes(self, monkeypatch):
-        """Stage-1 shapes stream float32 rows; a stage-2 shape (a few
-        hundred pooled rows of dim 1024, k = 252) reads the gram."""
-        builds = count_gram_builds(monkeypatch)
-        rng = np.random.default_rng(17)
-        for n, dim, k, grams in (
-            (576, 1024, 14, 0),
-            (2880, 1024, 104, 0),
-            (576, 4096, 14, 0),
-            (400, 1024, 252, 1),
-        ):
-            values = rng.standard_normal(n * dim, dtype=np.float32)
-            m = build_token_matrix(n, dim, values)
-            builds.clear()
-            assert len(greedy_rep_max(m, k)) == k
-            assert len(builds) == grams
-
     def test_gram_path_memory(self):
-        """A stage-2-shaped call (454 x 1024, k = 252) holds the float64 unit
-        rows (3.7 MB) and their gram (1.6 MB) at once, and little else."""
+        """A stage-2-shaped pool (400 x 1024, k = 252) keeps its 0.64 MB
+        float32 gram and widens only the rows its rechecks compare, so the
+        call peaks under one float32 copy of the pool (1.64 MB), and picks
+        the oracle's rows."""
         spec = SyntheticSpec(
-            n_images=1, tokens_per_image=454, dim=1024, seed=0, clusters=16,
+            n_images=1, tokens_per_image=400, dim=1024, seed=0, clusters=16,
             noise=0.3, drift=0.05, text_tokens=1,
         )
-        img = generate_synthetic(spec).images[0]
+        pool = generate_synthetic(spec).images[0]
         tracemalloc.start()
         try:
-            greedy_rep_max(img, 252)
+            got = greedy_rep_max(pool, 252)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5e6
+        assert peak < 400 * 1024 * 4
+        assert got == blockwise_greedy_oracle(pool, 252, "sum_distance")
 
 
 def record_sources(monkeypatch):
     """Patch selection to record, per image, the score source it reads:
-    "float32 gram", "streamed" (its seed filter streams blocks, counted at
-    the first block) or "float64 gram"; returns that list."""
+    "float32 gram" or "streamed" (its seed filter streams blocks, counted
+    at the first block); returns that list."""
     sources = []
 
     def spy(name, label, first=lambda *args: True):
@@ -652,16 +625,15 @@ def record_sources(monkeypatch):
 
     spy("_scaled_gram", "float32 gram")
     spy("_dot_block", "streamed", lambda src, r0, rows: r0 == 0)
-    spy("_gram", "float64 gram")
     return sources
 
 
 class TestKeptFloat32Gram:
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_matches_blockwise_oracle(self, monkeypatch, objective):
-        """With n <= dim, outside the float64 gram rule, the seed and every
-        step read the kept float32 gram; the selections stay the oracle's
-        at every budget, exact ties and near-ties included."""
+        """With n <= dim the seed and every step read the kept float32
+        gram, at every budget; the selections stay the oracle's, exact ties
+        and near-ties included."""
         sources = record_sources(monkeypatch)
         rng = np.random.default_rng(18)
         for n, dim in ((40, 64), (64, 64), (20, 64)):
@@ -682,8 +654,7 @@ class TestKeptFloat32Gram:
                     want = blockwise_greedy_oracle(m, k, objective)
                     assert greedy_rep_max(m, k, objective) == want
                     if k < n:
-                        gram64 = 2 * n <= dim and 4 * k >= n
-                        assert sources == ["float64 gram" if gram64 else "float32 gram"]
+                        assert sources == ["float32 gram"]
 
     def test_seed_near_ties_below_float32_resolution(self):
         """TestSeedPairScan's six pairs (x, -x + noise) at dim 16, so the
@@ -715,8 +686,8 @@ class TestKeptFloat32Gram:
     def test_rule_keeps_the_float32_gram_only_when_rows_fit_in_dims(
         self, monkeypatch
     ):
-        """The float32 gram is built exactly when n <= dim and the float64
-        gram rule does not apply, and never for n > dim."""
+        """The float32 gram is built exactly when n <= dim, whatever the
+        budget, and never for n > dim."""
         sources = record_sources(monkeypatch)
         rng = np.random.default_rng(19)
         for n, dim, k, want in (
@@ -727,9 +698,9 @@ class TestKeptFloat32Gram:
             (64, 64, 63, "float32 gram"),
             (33, 64, 20, "float32 gram"),
             (32, 64, 7, "float32 gram"),
-            (32, 64, 8, "float64 gram"),
+            (32, 64, 8, "float32 gram"),
             (8, 1024, 1, "float32 gram"),
-            (8, 1024, 2, "float64 gram"),
+            (8, 1024, 2, "float32 gram"),
         ):
             m = random_matrix(rng, n, dim)
             sources.clear()
@@ -737,28 +708,37 @@ class TestKeptFloat32Gram:
             assert sources == [want], (n, dim, k)
 
     def test_benchmark_shapes_take_their_sources(self, monkeypatch):
-        """A video frame (576 x 1024, k = 12) keeps its float32 gram, a
-        high-resolution image (2880 x 1024, k = 112) streams blocks and a
-        stage-2 pool (400 x 1024, k = 252) reads the float64 gram."""
+        """A video frame (576 x 1024, k = 12 or 14) keeps its float32 gram,
+        a high-resolution image (2880 x 1024, k = 104 or 112) streams blocks,
+        and a stage-2 pool (400 x 1024, k = 252) keeps its float32 gram too,
+        as does a frame of dim 4096."""
         sources = record_sources(monkeypatch)
         rng = np.random.default_rng(20)
-        for n, k in ((576, 12), (2880, 112), (400, 252)):
-            values = rng.standard_normal(n * 1024, dtype=np.float32)
-            assert len(greedy_rep_max(build_token_matrix(n, 1024, values), k)) == k
-        assert sources == ["float32 gram", "streamed", "float64 gram"]
+        for n, dim, k, want in (
+            (576, 1024, 12, "float32 gram"),
+            (576, 1024, 14, "float32 gram"),
+            (2880, 1024, 104, "streamed"),
+            (2880, 1024, 112, "streamed"),
+            (576, 4096, 14, "float32 gram"),
+            (400, 1024, 252, "float32 gram"),
+        ):
+            values = rng.standard_normal(n * dim, dtype=np.float32)
+            sources.clear()
+            assert len(greedy_rep_max(build_token_matrix(n, dim, values), k)) == k
+            assert sources == [want], (n, dim, k)
 
     def test_seed_filter_reads_each_pair_once(self):
-        """The seed filter reads a kept gram, float32 or float64, as one
-        block and keeps only its entries above the diagonal: two exactly
-        antipodal pairs give two candidates, each once with i < j."""
+        """The seed filter reads a kept gram as one block and keeps only its
+        entries above the diagonal: two exactly antipodal pairs give two
+        candidates, each once with i < j."""
         rows = np.zeros((5, 8))
         rows[0, 0], rows[1, 0], rows[2, 1], rows[3, 1] = 1, -1, 1, -1
         rows[4, :2] = 1
         m = build_token_matrix(5, 8, rows.ravel())
-        for src in (selection._scaled_rows(m), selection._gram(m)):
-            assert src.gram is not None
-            ci, cj = selection._candidates(src, 1e-6, m.rows)
-            assert list(zip(ci.tolist(), cj.tolist())) == [(0, 1), (2, 3)]
+        src = selection._scaled_rows(m)
+        assert src.gram is not None
+        ci, cj = selection._candidates(src, 1e-6, m.rows)
+        assert list(zip(ci.tolist(), cj.tolist())) == [(0, 1), (2, 3)]
 
     def test_kept_gram_stays_below_one_float32_copy(self):
         """A 576 x 1024 frame at its video quota (k = 12) keeps its 1.3 MB
