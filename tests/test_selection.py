@@ -587,6 +587,37 @@ class TestGramSource:
             deepest = max(deepest, replayed_at[0])
         assert deepest >= 4  # certified gram steps came before the tie
 
+    def test_rule_takes_the_gram_only_at_stage_two_shapes(self, monkeypatch):
+        """Stage-1 shapes and a stage-2 shape (a few hundred pooled rows of
+        dim 1024, k = 252) all score from the stored float32 rows: each
+        call builds one float32 source and no float64 copy of its image."""
+        built, widened = [], []
+        scaled_rows = selection._scaled_rows
+
+        def spy(tokens):
+            src = scaled_rows(tokens)
+            built.append(src)
+            return src
+
+        monkeypatch.setattr(selection, "_scaled_rows", spy)
+        monkeypatch.setattr(
+            TokenMatrix, "unit64", lambda self: widened.append(self.rows)
+        )
+        rng = np.random.default_rng(17)
+        for n, dim, k in (
+            (576, 1024, 14),
+            (2880, 1024, 104),
+            (576, 4096, 14),
+            (400, 1024, 252),
+        ):
+            values = rng.standard_normal(n * dim, dtype=np.float32)
+            m = build_token_matrix(n, dim, values)
+            built.clear()
+            assert len(greedy_rep_max(m, k)) == k
+            assert len(built) == 1 and built[0].data.dtype == np.float32
+            assert built[0].gram is None or built[0].gram.dtype == np.float32
+        assert widened == []
+
     def test_gram_path_memory(self):
         """A stage-2-shaped pool (400 x 1024, k = 252) keeps its 0.64 MB
         float32 gram and widens only the rows its rechecks compare, so the
