@@ -9,6 +9,10 @@ bundle.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import threading
+
 import numpy as np
 
 from . import allocation, metrics, selection
@@ -24,6 +28,97 @@ from .types import (
     _items,
     resolve_config,
 )
+
+
+def _openblas_threads():
+    """numpy's own OpenBLAS thread-count getter and setter, or None when
+    numpy links another BLAS (MKL, Accelerate) or predates numpy 2."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS = _openblas_threads()
+# Pooled prunes in progress, and the OpenBLAS thread count the first of
+# them found, which the last restores.
+_pin_lock = threading.Lock()
+_pinned = 0
+_saved_threads = 1
+
+
+@contextlib.contextmanager
+def _stage1_workers(images: int):
+    """Yield the stage-1 worker count for a bundle of ``images`` images:
+    the OpenBLAS thread count w when it is at least 2 and there are at
+    least 4 w images, else 1.  Above 1, OpenBLAS runs on one thread until
+    the last such block in the process exits, which restores w."""
+    global _pinned, _saved_threads
+    workers = 1
+    if _BLAS is not None:
+        get, put = _BLAS
+        with _pin_lock:
+            w = _saved_threads if _pinned else get()
+            if w >= 2 and images >= 4 * w:
+                if not _pinned:
+                    _saved_threads = w
+                    put(1)
+                _pinned += 1
+                workers = w
+    try:
+        yield workers
+    finally:
+        if workers > 1:
+            with _pin_lock:
+                _pinned -= 1
+                if not _pinned:
+                    put(_saved_threads)
+
+
+def _stage1(images, quotas, objective: str, workers: int) -> list[list[int]]:
+    """Each image's greedy selection, on ``workers`` threads: the calling
+    thread and ``workers - 1`` started here.  Each takes the next image
+    index from a shared counter and writes its result at that index; no
+    image is taken once one has failed, and the first failure by image
+    index is raised after every thread has been joined."""
+    results: list = [None] * len(images)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                k = taken
+                if k >= len(images) or errors:
+                    return
+                taken += 1
+            try:
+                results[k] = selection.greedy_rep_max(images[k], quotas[k], objective)
+            except BaseException as exc:
+                with lock:
+                    errors[k] = exc
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            taken = len(images)  # an interrupt stops the other workers too
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _signals(
@@ -74,21 +169,39 @@ def prune(
     """Run the full two-stage pruning pipeline.
 
     Returns the redundancy report and a Selection whose indices, scores and
-    stage sizes all reference the original bundle.  Stage 1 runs the
-    per-image selections one after another.  ``threads`` must be the
-    integer 1; any other value raises BadConfig before any work is done.
-    Arguments of the wrong type raise as in :func:`analyze`.
+    stage sizes all reference the original bundle.
+
+    Stage 1 selects within each image on w threads when numpy's OpenBLAS
+    runs with w >= 2 threads and the bundle has at least 4 w images; else
+    the per-image selections run one after another in the calling thread
+    and BLAS is left as it is.  While the pool runs, OpenBLAS is set to one
+    thread for the whole request (signals, both stages, scoring), so that
+    no BLAS call is threaded, and w is restored when the last pooled prune
+    in the process returns or raises; meanwhile other threads' BLAS calls
+    run on one thread too.  Each image's selection depends only on that
+    image, so the result does not depend on the worker count.
+
+    ``threads`` must be the integer 1; any other value raises BadConfig
+    before any work is done.  Arguments of the wrong type raise as in
+    :func:`analyze`.
     """
     if _integer("threads", threads, 1, BadConfig) != 1:
         raise BadConfig(f"threads must be 1, got {threads!r}")
     budgets = resolve_config(cfg, bundle, require_text=True)
+    with _stage1_workers(bundle.n_images) as workers:
+        return _prune(bundle, cfg, budgets, workers)
+
+
+def _prune(
+    bundle: TokenBundle, cfg: PruneConfig, budgets: ResolvedBudgets, workers: int
+) -> tuple[RedundancyReport, Selection]:
+    """:func:`prune` after its checks, with stage 1 on ``workers`` threads."""
     report = _signals(bundle, cfg, budgets)
     offsets = bundle.offsets
 
-    stage1_local = [
-        selection.greedy_rep_max(img, quota, cfg.greedy_objective)
-        for img, quota in zip(bundle.images, report.per_image_budgets)
-    ]
+    stage1_local = _stage1(
+        bundle.images, report.per_image_budgets, cfg.greedy_objective, workers
+    )
     x1_global = [
         offsets[k] + i for k, local in enumerate(stage1_local) for i in local
     ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +46,8 @@ _ZERO_NORM_EPS = 1e-12
 _WIDEN_VALUES = 32 * 1024
 # The largest dim: what a TTB1 header can store.
 _MAX_DIM = 2**32 - 1
+# Passed by this module's own TokenMatrix constructions only.
+_BUILT = object()
 
 
 def round_half_away(x: float) -> int:
@@ -126,14 +128,24 @@ class TokenMatrix:
     rows ``segment_ends[s - 1]`` (0 for the first) up to
     ``segment_ends[s]``, as the build's widening pass left them; a matrix
     made without them (a :meth:`gather` result) has none.
+
+    Only :func:`build_token_matrix` and :func:`make_bundle` (and the
+    matrices derived from theirs) make one, so that ``norms_sq`` always
+    holds the rows' norms, which selection's certified bounds trust: a
+    direct call, ``dataclasses.replace`` included, raises ShapeMismatch.
     """
 
     data: np.ndarray
     norms_sq: np.ndarray
     segment_ends: tuple[int, ...] = field(default=(), repr=False)
     segment_sums: np.ndarray | None = field(default=None, repr=False)
+    _token: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _token):
+        if _token is not _BUILT:
+            raise ShapeMismatch(
+                "a TokenMatrix is made by build_token_matrix, not directly"
+            )
         for arr in (self.data, self.norms_sq, self.segment_sums):
             if arr is not None:
                 arr.setflags(write=False)
@@ -154,17 +166,24 @@ class TokenMatrix:
 
     def row_sums(self) -> np.ndarray:
         """The float64 (unit-row sum, raw-row sum) over all rows, shape
-        (2, dim): kept from the build when the matrix is one segment, else
-        taken by the same widening pass."""
-        if self.segment_ends == (self.rows,):
-            return self.segment_sums[0]
-        return _widen(self.data, (self.rows,))[1][0]
+        (2, dim): kept from the build, or from the first read, when the
+        matrix is one segment, else taken by the same widening pass."""
+        if self.segment_ends != (self.rows,):
+            return _widen(self.data, (self.rows,))[1][0]
+        if self.segment_sums is None:
+            sums = _widen(self.data, self.segment_ends)[1]
+            sums.setflags(write=False)
+            # Threads that read at once compute the same bits.
+            object.__setattr__(self, "segment_sums", sums)
+        return self.segment_sums[0]
 
     def gather(self, indices) -> "TokenMatrix":
         """The given rows in order (views for a slice); nothing is recomputed."""
         if not isinstance(indices, slice):
             indices = np.asarray(indices, dtype=np.int64)
-        return TokenMatrix(self.data[indices], self.norms_sq[indices])
+        return TokenMatrix(
+            self.data[indices], self.norms_sq[indices], _token=_BUILT
+        )
 
 
 def _immutable(arr: np.ndarray) -> bool:
@@ -216,7 +235,7 @@ def _token_matrix(
     else:
         ends = (*itertools.accumulate(_token_counts(counts)), rows)
     norms_sq, sums = _widen(data, ends, ready)
-    return TokenMatrix(data, norms_sq, ends, sums)
+    return TokenMatrix(data, norms_sq, ends, sums, _BUILT)
 
 
 def _widen(
@@ -308,7 +327,8 @@ class TokenBundle:
     may be empty for signal-only diagnostics but the full pipeline requires
     text rows.  Each view carries its own segment's row sums
     (:meth:`TokenMatrix.row_sums`): those ``rows`` was built with when its
-    segments match ``counts``, else taken here by the same widening pass.
+    segments match ``counts``, else taken by the same widening pass on the
+    view's first read, so a bundle whose sums nobody reads widens no row.
     ``rows`` that is not a TokenMatrix, ``counts`` that is not iterable
     and a count that is not an integer >= 1 (a bool or float included)
     raise ShapeMismatch; numpy integers are stored as int.
@@ -328,14 +348,15 @@ class TokenBundle:
             raise ShapeMismatch(
                 f"images need {ends[-2]} rows, matrix has {rows.rows}"
             )
-        if rows.segment_ends == ends:
-            sums = rows.segment_sums
-        else:
-            sums = _widen(rows.data, ends)[1]
+        kept = rows.segment_ends == ends
         starts = (0, *ends[:-1])
         views = tuple(
             TokenMatrix(
-                rows.data[lo:hi], rows.norms_sq[lo:hi], (hi - lo,), sums[s : s + 1]
+                rows.data[lo:hi],
+                rows.norms_sq[lo:hi],
+                (hi - lo,),
+                rows.segment_sums[s : s + 1] if kept else None,
+                _BUILT,
             )
             for s, (lo, hi) in enumerate(zip(starts, ends))
         )

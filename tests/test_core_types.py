@@ -1,11 +1,18 @@
 """Container construction, validation and budget resolution."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tokentrim import PruneConfig, TokenBundle, build_token_matrix, make_bundle
+from tokentrim import (
+    PruneConfig,
+    TokenBundle,
+    TokenMatrix,
+    build_token_matrix,
+    make_bundle,
+)
 from tokentrim.errors import (
     BadConfig,
     DimMismatch,
@@ -170,6 +177,22 @@ class TestBuildTokenMatrix:
             )
             unit_norms = np.linalg.norm(m.unit64(), axis=1)
             assert np.all(np.abs(unit_norms - 1.0) <= 1e-12)
+
+    def test_direct_construction_is_refused(self):
+        """Selection's certified bounds trust ``norms_sq``, so a matrix
+        whose norms did not come from the build's widening pass cannot be
+        made: a direct call, dataclasses.replace included, raises."""
+        m = build_token_matrix(2, 2, [1, 2, 3, 4])
+        forgeries = (
+            lambda: TokenMatrix(m.data, m.norms_sq),
+            lambda: TokenMatrix(m.data, m.norms_sq * 4, (2,), None),
+            lambda: TokenMatrix(m.data.astype(np.float64), m.norms_sq),
+            lambda: TokenMatrix("ab", None),
+            lambda: dataclasses.replace(m, norms_sq=m.norms_sq * 4),
+        )
+        for forge in forgeries:
+            with pytest.raises(ShapeMismatch, match="made by build_token_matrix"):
+                forge()
 
     def test_arrays_read_only(self):
         m = build_token_matrix(1, 2, [1, 2])

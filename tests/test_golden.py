@@ -183,3 +183,31 @@ def test_analyze_result_is_identical_across_blas_threads(tmp_path):
         results.append(out.read_bytes())
     assert results[0] == results[1]
     assert json.loads(results[0])["report"]["d_inter"] > 0
+
+
+def test_prune_result_is_identical_across_blas_threads(tmp_path):
+    """``tokentrim prune`` on an 8 x 576 x 1024 bundle writes byte-identical
+    results with one BLAS thread, where stage 1 runs in the calling thread,
+    and with two, where it runs on two workers with BLAS set to one
+    thread for the request."""
+    bundle = generate_synthetic(
+        SyntheticSpec(8, 576, 1024, seed=7, clusters=16, noise=0.3, drift=0.05)
+    )
+    path = tmp_path / "b.ttb"
+    write_bundle(bundle, path)
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"prune-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src_dir), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [sys.executable, "-m", "tokentrim.cli", "prune", "--final", "64",
+             "--input", str(path), "--output", str(out)],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        results.append(out.read_bytes())
+    assert results[0] == results[1]
+    assert json.loads(results[0])["selection"]["stage_sizes"][3] == 64

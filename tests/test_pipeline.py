@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from tokentrim import (
     PruneConfig,
     Selection,
+    TokenBundle,
     TokenMatrix,
     analyze,
     apply_selection,
@@ -17,6 +20,7 @@ from tokentrim import (
     make_bundle,
     prune,
 )
+from tokentrim import pipeline, selection, types
 from tokentrim.io_formats import SyntheticSpec
 from tokentrim.errors import BadConfig, EmptyText, SelectionMismatch, ShapeMismatch
 from tokentrim.selection import (
@@ -178,7 +182,7 @@ class TestPrune:
         first = prune(bundle, cfg)
         second = prune(bundle, cfg)
         assert first == second == prune(bundle, cfg, 1)
-        # Stage 1 has one sequential path; threads admits only 1.
+        # threads admits only 1; the stage-1 pool follows the BLAS threads.
         for threads in (0, 2, 4, True):
             with pytest.raises(BadConfig, match="threads must be"):
                 prune(bundle, cfg, threads)
@@ -275,7 +279,197 @@ class TestPrune:
         assert sel.scores[0][1] == 0.0
 
 
+class FakeBlas:
+    """Stands in for numpy's OpenBLAS thread-count getter and setter: the
+    count starts at ``threads`` and every set is recorded."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.calls.append(n)
+        self.threads = n
+
+
+def pool_bundle(n_images=8):
+    return generate_synthetic(
+        SyntheticSpec(
+            n_images=n_images, tokens_per_image=48, dim=32, seed=5, clusters=4,
+            noise=0.3, drift=0.05, text_tokens=4,
+        )
+    )
+
+
+def count_thread_starts(monkeypatch):
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestStage1Pool:
+    """Stage 1 runs on w workers when BLAS runs with w >= 2 threads and
+    the bundle has at least 4 w images; a fake BLAS handle sets w."""
+
+    def test_pool_matches_one_worker_bit_for_bit(self, monkeypatch):
+        bundle = pool_bundle()
+        cfg = PruneConfig(final_tokens=20, retention_ratio=None)
+        one = FakeBlas(1)
+        monkeypatch.setattr(pipeline, "_BLAS", (one.get, one.set))
+        started = count_thread_starts(monkeypatch)
+        serial = prune(bundle, cfg)
+        assert started == [] and one.calls == []
+
+        two = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (two.get, two.set))
+        pooled = prune(bundle, cfg)
+        assert len(started) == 1  # the calling thread is the other worker
+        assert two.calls == [1, 2]
+        assert pooled == serial
+        assert repr(pooled[1].scores) == repr(serial[1].scores)
+
+    def test_first_failure_by_image_is_raised_after_join(self, monkeypatch):
+        """A failing image restores the BLAS count and joins every worker;
+        of several failures, the lowest image's is raised."""
+        bundle = pool_bundle()
+        fake = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        failures = {5: RuntimeError("image 5"), 7: RuntimeError("image 7")}
+        real = selection.greedy_rep_max
+
+        def greedy(tokens, k, objective):
+            for i, exc in failures.items():
+                if tokens is bundle.images[i]:
+                    raise exc
+            return real(tokens, k, objective)
+
+        monkeypatch.setattr(selection, "greedy_rep_max", greedy)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            prune(bundle, PruneConfig())
+        assert err.value is failures[5]
+        assert fake.calls == [1, 2]
+        assert threading.active_count() == before
+
+    def test_no_handle_or_few_images_start_no_thread(self, monkeypatch):
+        started = count_thread_starts(monkeypatch)
+        monkeypatch.setattr(pipeline, "_BLAS", None)
+        prune(pool_bundle(), PruneConfig())
+        fake = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        prune(pool_bundle(n_images=7), PruneConfig())  # fewer than 4 w
+        assert started == [] and fake.calls == []
+
+    def test_concurrent_prunes_restore_the_count(self, monkeypatch):
+        """Two host threads inside pooled prunes at once: the first pins
+        BLAS, the last restores the count the first found."""
+        bundle = pool_bundle()
+        cfg = PruneConfig()
+        want = prune(bundle, cfg)
+        fake = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        both_inside = threading.Barrier(2, timeout=60)
+        real = pipeline._signals
+
+        def signals(*args):
+            both_inside.wait()
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_signals", signals)
+        started = count_thread_starts(monkeypatch)
+        results, errors = [], []
+
+        def host():
+            try:
+                results.append(prune(bundle, cfg))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        hosts = [threading.Thread(target=host) for _ in range(2)]
+        for t in hosts:
+            t.start()
+        for t in hosts:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert errors == []
+        assert results == [want, want]
+        assert len(started) == 4  # two hosts, each with one more worker
+        assert fake.threads == 2
+        assert fake.calls == [1, 2]
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        """Three host threads prune a 16-image bundle on four workers each,
+        switching threads every microsecond: every image is selected once
+        (each result equals the serial one), BLAS stays pinned while any
+        image is being selected and the count is restored at the end."""
+        bundle = pool_bundle(n_images=16)
+        cfg = PruneConfig()
+        want = prune(bundle, cfg)
+        fake = FakeBlas(4)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        real = selection.greedy_rep_max
+        unpinned = []
+
+        def greedy(tokens, k, objective):
+            if fake.threads != 1:
+                unpinned.append(k)
+            return real(tokens, k, objective)
+
+        monkeypatch.setattr(selection, "greedy_rep_max", greedy)
+        results = []
+        hosts = [
+            threading.Thread(target=lambda: results.append(prune(bundle, cfg)))
+            for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in hosts:
+                t.start()
+            for t in hosts:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 3
+        assert unpinned == []
+        assert fake.threads == 4
+
+
 class TestApplySelection:
+    def test_widens_no_row_until_sums_are_read(self, monkeypatch):
+        """apply_selection's output, and a bundle split from one segment,
+        take a view's row sums on its first read only: no widening pass
+        runs before, and the sums equal the build's bit for bit."""
+        rng = np.random.default_rng(16)
+        bundle = random_bundle(rng, [30, 20], dim=8)
+        _, sel = prune(bundle, PruneConfig(final_tokens=9, retention_ratio=None))
+        whole = bundle.rows.gather(slice(None))
+        calls = []
+        real = types._widen
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(types, "_widen", spy)
+        apply_selection(bundle, sel)
+        split = TokenBundle(whole, bundle.counts)
+        assert calls == []
+        for _ in range(2):
+            sums = split.images[1].row_sums()
+            assert sums.tobytes() == bundle.images[1].row_sums().tobytes()
+        assert calls == [(20,)]
+
     def test_gather_is_bit_exact(self):
         rng = np.random.default_rng(14)
         bundle = random_bundle(rng, [30, 30], dim=8)

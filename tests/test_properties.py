@@ -14,6 +14,7 @@ from test_selection import blockwise_greedy_oracle
 from tokentrim import (
     PruneConfig,
     TokenBundle,
+    TokenMatrix,
     TokenTrimError,
     apply_selection,
     build_token_matrix,
@@ -382,6 +383,18 @@ def _only_package_errors(call):
 @example(1, 1, np.array([1e300]))  # overflow RuntimeWarning in the cast
 def test_build_token_matrix_raises_only_package_errors(rows, dim, values):
     _only_package_errors(lambda: build_token_matrix(rows, dim, values))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(_hostile(), st.just(np.ones((2, 3), np.float32))),
+    st.one_of(_hostile(), st.just(np.full(2, 3.0))),
+    st.one_of(_hostile(), st.just((2,))),
+    st.one_of(_hostile(), st.just(np.ones((1, 2, 3)))),
+)
+@example("ab", None, (), None)  # AttributeError in setflags
+def test_token_matrix_raises_only_package_errors(data, norms_sq, ends, sums):
+    _only_package_errors(lambda: TokenMatrix(data, norms_sq, ends, sums))
 
 
 @PROPERTY_SETTINGS

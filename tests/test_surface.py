@@ -1,6 +1,9 @@
 """The package root's public names and the documented library example."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import tokentrim
@@ -61,6 +64,40 @@ def test_stored_rows_are_widened_in_one_place():
     package = Path(tokentrim.__file__).resolve().parent
     for name in ("types.py", "metrics.py"):
         assert "dtype=np.float64" not in (package / name).read_text(), name
+
+
+def test_blas_threads_are_set_in_one_place():
+    """Only ``pipeline`` reads or sets the process's BLAS thread count."""
+    package = Path(tokentrim.__file__).resolve().parent
+    users = sorted(
+        p.name for p in package.rglob("*.py") if "num_threads" in p.read_text()
+    )
+    assert users == ["pipeline.py"]
+
+
+def test_pooled_prune_leaves_concurrent_futures_unimported(tmp_path):
+    """A fresh-process CLI ``prune`` of an 8-image bundle, whose stage 1
+    runs on plain threads where BLAS has two, never imports
+    ``concurrent.futures``, which would add to the request's start-up."""
+    script = """
+import os, sys
+from tokentrim.cli import main
+d = sys.argv[1]
+bundle = os.path.join(d, "in.ttb")
+assert main(["gen", "--images", "8", "--tokens", "40", "--dim", "16",
+             "--clusters", "4", "--noise", "0.2", "--output", bundle]) == 0
+assert main(["prune", "--input", bundle, "--output", os.path.join(d, "r.json"),
+             "--final", "7"]) == 0
+print("concurrent.futures" in sys.modules)
+"""
+    src = str(Path(tokentrim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_readme_library_quick_start_runs():
