@@ -6,7 +6,8 @@ mean and mean squared norm for alignment.  The redundancy signals and the
 text mean read the float64 unit-row and raw-row sums that each image and
 the text carry from the bundle's build (:meth:`TokenMatrix.row_sums`), so
 they widen no stored row again.  The per-token scores widen the candidate
-rows to float64 a few at a time (:func:`_widened`), never all at once.
+rows to float64 a few at a time, never all at once, by the build's own
+walk (``types._chunks``).
 The quadratic definitions, spelled out, live in :mod:`tokentrim.bench` as
 test oracles.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DimMismatch,
     EmptySteps,
     EmptyText,
@@ -26,7 +28,7 @@ from .errors import (
     TooFewTokens,
     ZeroMeanImage,
 )
-from .types import _WIDEN_VALUES, TokenBundle, TokenMatrix
+from .types import TokenBundle, TokenMatrix, _buffer, _chunks
 
 _DEGENERATE_EPS = 1e-9
 _ZERO_MEAN_EPS = 1e-12
@@ -125,13 +127,15 @@ class AlignmentContext:
     """Text-side aggregates reused across every visual token.
 
     mu_t is the mean text embedding, c_t the mean squared text-token norm,
-    m_text the text token count.  Build once per bundle; alignment of any
-    number of visual tokens is then linear in their count.
+    m_text the text token count and on_normalized whether they were taken
+    over unit rows.  Build once per bundle; alignment of any number of
+    visual tokens is then linear in their count.
     """
 
     mu_t: np.ndarray
     c_t: float
     m_text: int
+    on_normalized: bool
 
 
 def build_alignment_context(
@@ -148,7 +152,7 @@ def build_alignment_context(
         mu = text.row_sums()[1] / text.rows
         c = float(text.norms_sq.mean())
     mu.setflags(write=False)
-    return AlignmentContext(mu_t=mu, c_t=c, m_text=text.rows)
+    return AlignmentContext(mu, c, text.rows, bool(on_normalized))
 
 
 def alignment_fast(
@@ -157,21 +161,25 @@ def alignment_fast(
     """Alignment via the expanded square: a_i = -||x_i||^2 - C + 2 x_i . mu_t.
 
     ``ctx`` must come from the same text matrix with the same normalization
-    choice.  a_i is the negative mean squared distance -(1/M) sum_j
-    ||x_i - t_j||^2; higher (closer to zero) means better aligned.
+    choice; a ``ctx`` built with the other choice raises BadConfig.  a_i is
+    the negative mean squared distance -(1/M) sum_j ||x_i - t_j||^2; higher
+    (closer to zero) means better aligned.
     """
     if tokens.dim != ctx.mu_t.shape[0]:
         raise DimMismatch(
             f"tokens have dim {tokens.dim}, context has dim {ctx.mu_t.shape[0]}"
         )
-    if on_normalized:
-        xs = tokens.unit64()
-        norms_sq = np.einsum("ij,ij->i", xs, xs)
-        return -norms_sq - ctx.c_t + 2.0 * (xs @ ctx.mu_t)
+    if bool(on_normalized) != ctx.on_normalized:
+        raise BadConfig(f"alignment context has on_normalized={ctx.on_normalized}")
     dots = np.empty(tokens.rows)
-    for a, chunk in _widened(tokens, _buffer(tokens), unit=False):
-        np.matmul(chunk, ctx.mu_t, out=dots[a : a + len(chunk)])
-    return -tokens.norms_sq - ctx.c_t + 2.0 * dots
+    norms_sq = np.empty(tokens.rows) if on_normalized else tokens.norms_sq
+    scale = tokens.norms_sq if on_normalized else None
+    for a, chunk in _chunks(tokens.data, _buffer(tokens.data), norms_sq=scale):
+        b = a + len(chunk)
+        np.matmul(chunk, ctx.mu_t, out=dots[a:b])
+        if on_normalized:
+            np.einsum("ij,ij->i", chunk, chunk, out=norms_sq[a:b])
+    return -norms_sq - ctx.c_t + 2.0 * dots
 
 
 def token_diversity_fast(candidates: TokenMatrix) -> np.ndarray:
@@ -184,56 +192,15 @@ def token_diversity_fast(candidates: TokenMatrix) -> np.ndarray:
     n = candidates.rows
     if n < 2:
         raise TooFewTokens(f"per-token diversity needs >= 2 tokens, got {n}")
-    buf = _buffer(candidates, lead=1)
+    buf = _buffer(candidates.data, lead=1)
     s = None
-    for _, chunk in _widened(candidates, buf[1:], unit=True):
+    for _, chunk in _chunks(candidates.data, buf[1:], norms_sq=candidates.norms_sq):
         if s is None:
             s = chunk.sum(axis=0)
         else:
             buf[0] = s
             s = buf[: len(chunk) + 1].sum(axis=0)
     dots = np.empty(n)
-    for a, chunk in _widened(candidates, buf[1:], unit=True):
+    for a, chunk in _chunks(candidates.data, buf[1:], norms_sq=candidates.norms_sq):
         np.matmul(chunk, s, out=dots[a : a + len(chunk)])
     return (n - dots) / (n - 1)
-
-
-def _chunk_rows(dim: int) -> int:
-    """Rows per chunk of :func:`_widened`: the most whole 32-row groups
-    that _WIDEN_VALUES values hold (32 rows at dim 1024), at least one.
-    BLAS kernels compute a matrix-vector product a few rows at a time (4,
-    8 or 16), and a row left over at a chunk's end may take another code
-    path that rounds differently, so every chunk but the last starts and
-    ends on the row groups of the whole matrix."""
-    return 32 * max(1, _WIDEN_VALUES // (32 * dim))
-
-
-def _buffer(tokens: TokenMatrix, lead: int = 0) -> np.ndarray:
-    """A float64 buffer for :func:`_widened`'s chunks of ``tokens``, after
-    ``lead`` spare rows."""
-    rows = min(tokens.rows, _chunk_rows(tokens.dim) + 1)
-    return np.empty((lead + rows, tokens.dim))
-
-
-def _widened(tokens: TokenMatrix, buf: np.ndarray, unit: bool):
-    """(a, chunk) for consecutive row chunks of ``tokens`` from row a, each
-    widened to float64 in ``buf`` (the next chunk overwrites it) and, when
-    ``unit``, scaled as :meth:`TokenMatrix.unit64` scales it, bit for bit.
-
-    Chunks hold :func:`_chunk_rows` rows, the last up to one more: a lone
-    row would make ``chunk @ x`` a dot product instead of the
-    matrix-vector product that the whole matrix takes, whose sums may
-    round differently.
-    """
-    n, step = tokens.rows, _chunk_rows(tokens.dim)
-    a = 0
-    while a < n:
-        b = a + step
-        if b + 1 >= n:
-            b = n
-        chunk = buf[: b - a]
-        np.copyto(chunk, tokens.data[a:b])
-        if unit:
-            chunk /= np.sqrt(tokens.norms_sq[a:b])[:, None]
-        yield a, chunk
-        a = b

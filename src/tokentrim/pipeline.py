@@ -264,6 +264,8 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
         raise SelectionMismatch(
             f"selection stage_sizes must hold 4 counts, got {len(sizes)}"
         )
+    for i, m in enumerate(sizes):
+        _integer(f"selection stage_sizes[{i}]", m, 0, SelectionMismatch)
     if sizes[0] != bundle.total_tokens:
         raise SelectionMismatch(
             f"selection was made for {sizes[0]} tokens, "

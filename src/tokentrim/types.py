@@ -4,7 +4,9 @@ Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
 squared norm.  One pass at construction widens every stored row to 64-bit
 exactly once, a few rows at a time, and yields those norms plus, for each
 image and for the text, the 64-bit sum of its unit rows and of its raw
-rows: the aggregates the redundancy signals read.  A bundle read from a
+rows: the aggregates the redundancy signals read.  That pass and the
+per-token scores walk the rows in the same chunks (``_chunks``), the
+one place that widens stored rows.  A bundle read from a
 file runs that pass while a reader thread is still filling its rows:
 each chunk waits until its bytes have arrived (see
 ``io_formats.read_bundle``).  Greedy selection scores
@@ -41,7 +43,7 @@ from .errors import (
 )
 
 _ZERO_NORM_EPS = 1e-12
-# Values widened to float64 at a time by :func:`_widen`: a 256 KiB buffer
+# Values widened to float64 at a time by :func:`_chunks`: a 256 KiB chunk
 # (32 rows at dim 1024) stays in cache while it is reduced.
 _WIDEN_VALUES = 32 * 1024
 # The largest dim: what a TTB1 header can store.
@@ -247,42 +249,29 @@ def _widen(
 
     Segment s holds the rows from ``ends[s - 1]`` (0 for the first) to
     ``ends[s]``; ``ends`` must not decrease and must end at the row count.
-    Rows are copied into a float64 buffer of at most _WIDEN_VALUES values
-    (at least one row) at a time, never across a segment end, so a
-    segment's sums do not depend on its neighbours.  The norms equal
-    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  A segment's
-    norms are checked once its rows are summed, before it is returned: the
-    first row whose squared norm is not finite (a NaN or +-inf entry; a
-    finite float32 row cannot overflow float64) raises NonFiniteRow, and
-    one below 1e-24 ZeroNormRow, with no RuntimeWarning.  ``ready(b)``,
-    when given, is called before each chunk and returns once rows up to
-    ``b`` hold their values: the rows of a file still being read, say.
+    :func:`_chunks` walks each segment on its own (passing ``ready`` on),
+    so its sums do not depend on its neighbours.  The norms equal
+    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  Once a
+    segment is summed, the first row whose squared norm is not finite (a
+    NaN or +-inf entry; a finite float32 row cannot overflow float64)
+    raises NonFiniteRow, and one below 1e-24 ZeroNormRow, with no
+    RuntimeWarning.
     """
     rows, dim = data.shape
-    step = max(1, _WIDEN_VALUES // dim)
     norms_sq = np.empty(rows)
     # Zero rows leave zero sums, which then take no memory whatever the dim.
     shape = (len(ends), 2, dim)
     sums = np.zeros(shape) if rows else np.broadcast_to(0.0, shape)
-    full = min(rows, step)
-    buf = np.empty((full, dim))
-    weights = np.ones((2, full))  # reciprocal norms, then ones
+    buf = _buffer(data)
+    weights = np.ones((2, len(buf)))  # reciprocal norms, then ones
     product = np.empty((2, dim)) if rows else None  # each chunk's w @ chunk
     lo = 0
     # A bad row's reciprocal and products may be inf or NaN until its
     # segment's check raises.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for seg, end in enumerate(ends):
-            total = sums[seg]
-            for a in range(lo, end, step):
-                b = min(a + step, end)
-                chunk, w = buf, weights
-                if b - a < full:
-                    chunk, w = buf[: b - a], weights[:, : b - a]
-                if ready is not None:
-                    ready(b)
-                np.copyto(chunk, data[a:b])
-                nsq = norms_sq[a:b]
+        for total, end in zip(sums, ends):
+            for a, chunk in _chunks(data, buf, lo, end, ready=ready):
+                nsq, w = norms_sq[a : a + len(chunk)], weights[:, : len(chunk)]
                 np.einsum("ij,ij->i", chunk, chunk, out=nsq)
                 np.sqrt(nsq, out=w[0])
                 np.divide(1.0, w[0], out=w[0])
@@ -291,6 +280,42 @@ def _widen(
             _check_norms(norms_sq[lo:end], lo)
             lo = end
     return norms_sq, sums
+
+
+def _buffer(data: np.ndarray, lead: int = 0) -> np.ndarray:
+    """A float64 buffer for :func:`_chunks` over ``data``'s rows, after
+    ``lead`` spare rows: the most whole 32-row groups that _WIDEN_VALUES
+    values hold (at least one) plus one row, or all rows when fewer."""
+    rows, dim = data.shape
+    groups = max(1, _WIDEN_VALUES // (32 * dim))
+    return np.empty((lead + min(rows, 32 * groups + 1), dim))
+
+
+def _chunks(
+    data: np.ndarray, buf: np.ndarray, lo: int = 0, hi: int | None = None,
+    norms_sq: np.ndarray | None = None, ready=None,
+):
+    """(a, chunk) for consecutive row chunks of ``data[lo:hi]`` from row a,
+    each widened to float64 in ``buf`` (from :func:`_buffer`; the next
+    chunk overwrites it) and, when ``norms_sq`` is given, scaled as
+    :meth:`TokenMatrix.unit64` scales it, bit for bit.  A chunk holds one
+    row less than ``buf``, the last up to one more, so every chunk but the
+    last holds whole 32-row groups and none is a lone row: BLAS computes a
+    matrix-vector product a few rows at a time, and a row left over may
+    round differently.  ``ready(b)``, when given, is called before each
+    chunk and returns once rows up to ``b`` hold their values.
+    """
+    a, hi = lo, len(data) if hi is None else hi
+    while a < hi:
+        b = hi if hi - a <= len(buf) else a + len(buf) - 1
+        chunk = buf[: b - a]
+        if ready is not None:
+            ready(b)
+        np.copyto(chunk, data[a:b])
+        if norms_sq is not None:
+            chunk /= np.sqrt(norms_sq[a:b])[:, None]
+        yield a, chunk
+        a = b
 
 
 def _check_norms(nsq: np.ndarray, first: int) -> None:

@@ -24,6 +24,7 @@ from tokentrim.bench import (
     token_diversity_naive,
 )
 from tokentrim.errors import (
+    BadConfig,
     DimMismatch,
     EmptySteps,
     EmptyText,
@@ -345,6 +346,37 @@ class TestAlignment:
         np.testing.assert_allclose(fast, naive, atol=1e-4, rtol=1e-5)
         # unit rows with unit text bound the distance by (1+1)^2
         assert np.all(naive >= -4.0) and np.all(naive <= 0.0)
+
+    def test_context_records_its_normalization(self):
+        """Scoring with the other normalization than the context was built
+        with raises BadConfig instead of mixing the two formulas."""
+        rng = np.random.default_rng(25)
+        tokens = random_matrix(rng, 5, 4)
+        text = random_matrix(rng, 3, 4)
+        for built in (False, True):
+            ctx = build_alignment_context(text, built)
+            assert ctx.on_normalized is built
+            alignment_fast(tokens, ctx, built)
+            with pytest.raises(BadConfig, match="on_normalized"):
+                alignment_fast(tokens, ctx, not built)
+        with pytest.raises(BadConfig):
+            alignment_fast(tokens, build_alignment_context(text, True))
+
+    @pytest.mark.parametrize(
+        "n, dim",
+        [(1, 1024), (32, 1024), (33, 1024), (65, 1024), (252, 1024), (1345, 48)],
+    )
+    def test_normalized_scores_equal_the_whole_matrix_formula(self, n, dim):
+        """Widened a chunk at a time, the normalized alignment equals the
+        formula on the whole ``unit64()`` matrix bit for bit."""
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, dim)) + 0.3 * rng.standard_normal(dim)
+        cand = build_token_matrix(n, dim, rows.ravel())
+        ctx = build_alignment_context(random_matrix(rng, 32, dim), True)
+        xs = cand.unit64()
+        want = -np.einsum("ij,ij->i", xs, xs) - ctx.c_t + 2.0 * (xs @ ctx.mu_t)
+        got = alignment_fast(cand, ctx, True)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_always_nonpositive_and_finite(self):
         rng = np.random.default_rng(22)

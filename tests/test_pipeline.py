@@ -557,6 +557,24 @@ def test_selection_fields_of_the_wrong_kind():
             apply_selection(bundle, bad)
 
 
+def test_stage_sizes_must_be_counts():
+    """Each stage size is checked as a count, not only the first against
+    the bundle: a string, None or float entry raises SelectionMismatch
+    naming it."""
+    rng = np.random.default_rng(18)
+    bundle = random_bundle(rng, [4, 4, 4], dim=4)
+    _, sel = prune(bundle, PruneConfig(final_tokens=3, retention_ratio=None))
+    m0 = bundle.total_tokens
+    for sizes, where in (
+        ((m0, "x", None, 4), r"stage_sizes\[1\]"),
+        ((60.0, 20, 8, 4), r"stage_sizes\[0\]"),
+        ((m0, 8, 3, True), r"stage_sizes\[3\]"),
+        ((m0, -1, 3, 3), r"stage_sizes\[1\]"),
+    ):
+        with pytest.raises(SelectionMismatch, match=where):
+            apply_selection(bundle, dataclasses.replace(sel, stage_sizes=sizes))
+
+
 def test_arguments_of_the_wrong_kind():
     """A bundle, config or selection of the wrong type raises the
     package's error for that argument, not a raw Python error."""

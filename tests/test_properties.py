@@ -2,6 +2,7 @@
 the constructors' answers to arbitrary arguments."""
 
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from tokentrim import (
     prune,
     selection,
     types,
+    write_result,
 )
 from tokentrim.errors import NonFiniteRow, ZeroNormRow
 from tokentrim.selection import greedy_rep_max
@@ -421,3 +423,37 @@ def test_token_bundle_raises_only_package_errors(rows, counts):
 @example(np.array(2), build_token_matrix(1, 2, [3, 4]))  # 0-d images
 def test_make_bundle_raises_only_package_errors(images, text):
     _only_package_errors(lambda: make_bundle(images, text))
+
+
+_SMALL = TokenBundle(build_token_matrix(5, 2, np.arange(1, 11)), (2, 2))
+_REPORT, _SEL = prune(_SMALL, PruneConfig(final_tokens=2, retention_ratio=None))
+
+
+def _fields_of(record):
+    """Each field of ``record`` kept, replaced by a hostile object or by a
+    plausible container of small integers."""
+    near = st.one_of(
+        st.lists(st.integers(-2, 6), max_size=4),
+        st.lists(st.lists(st.integers(-2, 6), max_size=3), max_size=3),
+    )
+    return st.fixed_dictionaries({
+        f.name: st.one_of(st.just(getattr(record, f.name)), _hostile(), near)
+        for f in dataclasses.fields(record)
+    })
+
+
+@PROPERTY_SETTINGS
+@given(_fields_of(_SEL))
+@example({"stage_sizes": (4, "x", None, 2)})
+def test_apply_selection_raises_only_package_errors(fields):
+    sel = dataclasses.replace(_SEL, **fields)
+    _only_package_errors(lambda: apply_selection(_SMALL, sel))
+
+
+@PROPERTY_SETTINGS
+@given(_fields_of(_REPORT), _fields_of(_SEL))
+@example({"d_inter": object()}, {"kept_per_image": 5})
+def test_write_result_raises_only_package_errors(report_fields, sel_fields):
+    report = dataclasses.replace(_REPORT, **report_fields)
+    sel = dataclasses.replace(_SEL, **sel_fields)
+    _only_package_errors(lambda: write_result(report, sel, os.devnull))

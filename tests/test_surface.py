@@ -60,10 +60,15 @@ def test_one_integer_rule():
 
 def test_stored_rows_are_widened_in_one_place():
     """No einsum or mean widens stored float32 rows in ``types`` or
-    ``metrics``; ``types._widen`` does it once per build."""
+    ``metrics``; ``types._widen`` does it once per build.  ``metrics``
+    copies no rows itself and knows no chunk size: it walks the rows with
+    ``types._chunks``."""
     package = Path(tokentrim.__file__).resolve().parent
     for name in ("types.py", "metrics.py"):
         assert "dtype=np.float64" not in (package / name).read_text(), name
+    source = (package / "metrics.py").read_text()
+    assert "np.copyto" not in source
+    assert "_WIDEN_VALUES" not in source
 
 
 def test_blas_threads_are_set_in_one_place():
