@@ -17,6 +17,7 @@ import numbers
 import os
 import stat
 import struct
+import sys
 import threading
 from dataclasses import asdict, dataclass
 
@@ -39,10 +40,12 @@ from .types import (
     ResolvedBudgets,
     Selection,
     TokenBundle,
+    _MAX_DIM,
     _instance,
     _integer,
     _items,
     _real,
+    _token_counts,
     _token_matrix,
 )
 
@@ -70,7 +73,7 @@ def write_bundle(bundle: TokenBundle, path) -> None:
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(np.ascontiguousarray(bundle.rows.data, dtype="<f4"))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
         raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
 
 
@@ -119,13 +122,14 @@ def read_bundle(path) -> TokenBundle:
             raise
         with fh:
             return _read_ttb1(fh, info.st_size)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
 
 
 def _read_ttb1(fh, size: int) -> TokenBundle:
     """The bundle in a TTB1 file of ``size`` bytes, open unbuffered at its
-    start: header and image counts read here, the payload by a
+    start: header and image counts read and checked here (a dim of 0 or a
+    count of 0 raises ShapeMismatch), the payload by a
     :class:`_PayloadReader` while its rows are built."""
     head = bytearray(_HEADER.size)
     got = _fill(fh, head)
@@ -147,17 +151,17 @@ def _read_ttb1(fh, size: int) -> TokenBundle:
     end = start + 4 * n_rows * dim
     if size != end:
         raise TruncatedFile(f"header declares {end} bytes, file has {size}")
+    _integer("dim", dim, 1, ShapeMismatch)
+    counts = _token_counts(counts)
     payload = np.empty(end - start, dtype=np.uint8)
     with _PayloadReader(fh, payload, end) as reader:
-        values = payload.view("<f4")
+        values = payload.view("<f4").reshape(n_rows, dim)
         if not values.dtype.isnative:
             # A big-endian host converts the rows before widening them,
             # so it needs them all first.
             reader.wait(len(payload))
-        rows = _token_matrix(
-            n_rows, dim, values, private=True, counts=counts,
-            ready=lambda b: reader.wait(4 * dim * b),
-        )
+            values = values.astype(np.float32)
+        rows = _token_matrix(values, counts, lambda b: reader.wait(4 * dim * b))
     return TokenBundle(rows, counts)
 
 
@@ -224,7 +228,8 @@ class _PayloadReader:
             raise self._error
 
 
-# SyntheticSpec's integer fields and their smallest legal values.
+# SyntheticSpec's integer fields and their smallest legal values; every one
+# but the seed is at most _MAX_DIM, the largest a TTB1 u32 field holds.
 _SPEC_FLOORS = dict(
     n_images=1, tokens_per_image=1, dim=1, seed=0, clusters=1, text_tokens=0
 )
@@ -242,8 +247,11 @@ class SyntheticSpec:
     shift between consecutive images.  Low noise means high intra-image
     redundancy, low drift high inter-image redundancy.  BadSpec unless
     every count and the seed is an integer (never a bool or float), seed
-    and text_tokens >= 0, the other counts >= 1 and clusters <=
-    tokens_per_image, and noise and drift are real numbers in [0, 1e8].
+    and text_tokens >= 0, the other counts >= 1, every count (dim
+    included) at most 2**32 - 1, as TTB1 stores them, clusters <=
+    tokens_per_image, the bundle's values at 8 bytes each at most
+    ``sys.maxsize`` bytes, and noise and drift are real numbers in
+    [0, 1e8].
     At that cap a prototype's share of each token entry, about 1 / noise,
     is already below float32 resolution (2**-24), and the cap keeps every
     perturbation and squared norm the generator forms finite.
@@ -260,8 +268,12 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name, low in _SPEC_FLOORS.items():
-            value = _integer(name, getattr(self, name), low, BadSpec)
+            high = None if name == "seed" else _MAX_DIM
+            value = _integer(name, getattr(self, name), low, BadSpec, high)
             object.__setattr__(self, name, value)
+        rows = self.n_images * self.tokens_per_image + self.text_tokens
+        nbytes = 8 * rows * self.dim  # the bundle's values as float64
+        _integer("bundle size in bytes", nbytes, 0, BadSpec, sys.maxsize)
         if self.clusters > self.tokens_per_image:
             raise BadSpec(
                 f"clusters must be in [1, tokens_per_image], got {self.clusters}"
@@ -308,12 +320,8 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
         protos = _unit(protos + spec.drift * step)
     rows.append(rng.standard_normal((spec.text_tokens, spec.dim)).astype(np.float32))
 
-    n_rows = spec.n_images * spec.tokens_per_image + spec.text_tokens
     counts = (spec.tokens_per_image,) * spec.n_images
-    matrix = _token_matrix(
-        n_rows, spec.dim, np.concatenate(rows), private=True, counts=counts
-    )
-    return TokenBundle(matrix, counts)
+    return TokenBundle(_token_matrix(np.concatenate(rows), counts), counts)
 
 
 def _config_block(
@@ -433,5 +441,5 @@ def write_json(doc, path, noun: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
         raise IoFailure(f"cannot write {noun} to {path}: {exc}") from exc

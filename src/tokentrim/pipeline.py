@@ -254,7 +254,8 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     images left with zero kept tokens are dropped from the output (the
     report still records them).  Raises SelectionMismatch when the
     selection does not fit this bundle, is not a Selection or holds
-    something else than its fields' counts and indices, and
+    something else than its fields' counts and indices, or when its
+    ``stage_sizes`` increase or do not end at the kept count, and
     ShapeMismatch when ``bundle`` is not a TokenBundle.
     """
     _instance("bundle", bundle, TokenBundle, ShapeMismatch)
@@ -266,6 +267,8 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
         )
     for i, m in enumerate(sizes):
         _integer(f"selection stage_sizes[{i}]", m, 0, SelectionMismatch)
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise SelectionMismatch(f"selection stage_sizes increase: {sizes}")
     if sizes[0] != bundle.total_tokens:
         raise SelectionMismatch(
             f"selection was made for {sizes[0]} tokens, "
@@ -294,6 +297,10 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     kept_global = _items("selection kept_global", sel.kept_global, SelectionMismatch)
     if merged != list(kept_global):
         raise SelectionMismatch("per-image and global kept indices disagree")
+    if sizes[3] != len(merged):
+        raise SelectionMismatch(
+            f"selection stage_sizes end at {sizes[3]}, but it keeps {len(merged)}"
+        )
 
     text_rows = range(bundle.total_tokens, bundle.rows.rows)
     return TokenBundle(

@@ -15,9 +15,9 @@ whole scaled gram when an image has no more rows than dims), and
 certifies its choices in 64-bit (see ``selection``); every other
 reduction (norms, sums, dot products) accumulates in 64-bit.
 All containers are immutable after construction and safe to share across
-threads.  A matrix shares a caller's buffer only when nobody can write it
-again (an array over ``bytes``) and copies any other; the package's own
-fresh buffers (a file just read, a concatenation) are shared as they are.
+threads.  A matrix holds its own float32 copy of a caller's values; only
+the package's own fresh buffers (a file just read, a concatenation) are
+shared as they are.
 Arguments of the wrong type raise the package's error for that argument,
 checked at each entry point by ``_instance``.
 """
@@ -94,9 +94,9 @@ def _instance(name: str, value, kind, error: type[TokenTrimError]):
 
 
 def _real_array(name: str, value, error: type[TokenTrimError]) -> np.ndarray:
-    """``value`` as a float32 array when it is an array or a nested sequence
-    of real numbers (bools and integers too); anything else, a string or a
-    ragged sequence included, raises ``error``."""
+    """A fresh C-ordered float32 copy of ``value`` when it is an array or a
+    nested sequence of real numbers (bools and integers too); anything
+    else, a string or a ragged sequence included, raises ``error``."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
@@ -106,7 +106,7 @@ def _real_array(name: str, value, error: type[TokenTrimError]) -> np.ndarray:
     # A value beyond float32's range is stored as +-inf, which the row
     # check then rejects as NonFiniteRow.
     with np.errstate(over="ignore"):
-        return arr.astype(np.float32, copy=False)
+        return arr.astype(np.float32, order="C")
 
 
 def _items(name: str, value, error: type[TokenTrimError]) -> tuple:
@@ -131,7 +131,8 @@ class TokenMatrix:
     ``segment_ends[s]``, as the build's widening pass left them; a matrix
     made without them (a :meth:`gather` result) has none.
 
-    Only :func:`build_token_matrix` and :func:`make_bundle` (and the
+    Only :func:`build_token_matrix` and the package's own builders
+    (:func:`make_bundle`, ``read_bundle``, ``generate_synthetic``; and the
     matrices derived from theirs) make one, so that ``norms_sq`` always
     holds the rows' norms, which selection's certified bounds trust: a
     direct call, ``dataclasses.replace`` included, raises ShapeMismatch.
@@ -188,54 +189,36 @@ class TokenMatrix:
         )
 
 
-def _immutable(arr: np.ndarray) -> bool:
-    """True when the array views a ``bytes`` object, which nobody can make
-    writable again.  An array that owns its memory can always be made
-    writable by whoever holds it, even after ``setflags(write=False)``."""
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return isinstance(arr, bytes)
-
-
 def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
     """Build a TokenMatrix from a flat row-major value buffer, as one segment.
 
-    The matrix shares ``values`` when it is a float32 array over
-    ``bytes`` (``np.frombuffer``), which nobody can write, and copies it
-    otherwise, a read-only array included.  Raises ShapeMismatch when
-    ``rows`` or ``dim`` is not an integer (a bool or float included),
-    rows < 0, dim < 1 or dim >= 2**32 (more than TTB1 can store),
-    ``values`` is not an array of real numbers (a string, say) or its
-    length is not rows*dim, and ZeroNormRow or NonFiniteRow for the first
-    row whose norm falls below 1e-12 or is not finite (a value beyond
-    float32's range included).
+    The matrix holds one fresh float32 copy of ``values``, whatever their
+    dtype, so no later write to the caller's buffer reaches its rows.
+    Raises ShapeMismatch when ``rows`` or ``dim`` is not an integer (a
+    bool or float included), rows < 0, dim < 1 or dim >= 2**32 (more than
+    TTB1 can store), ``values`` is not an array of real numbers (a
+    string, say) or its length is not rows*dim, and ZeroNormRow or
+    NonFiniteRow for the first row whose norm falls below 1e-12 or is not
+    finite (a value beyond float32's range included).
     """
-    return _token_matrix(rows, dim, values, private=False)
-
-
-def _token_matrix(
-    rows: int, dim: int, values, private: bool, counts=None, ready=None
-) -> TokenMatrix:
-    """:func:`build_token_matrix`, which also shares ``values`` when
-    ``private`` says that the caller made it and holds it alone (a buffer
-    it has just read or concatenated), and splits the rows into segments
-    of the given image ``counts`` (checked as :class:`TokenBundle` checks
-    them), then the remaining (text) rows.  ``ready`` is passed on to
-    :func:`_widen`, for a buffer that is still being filled."""
     dim = _integer("dim", dim, 1, ShapeMismatch, _MAX_DIM)
     rows = _integer("rows", rows, 0, ShapeMismatch)
-    flat = _real_array("values", values, ShapeMismatch).ravel()
-    if flat.size != rows * dim:
+    data = _real_array("values", values, ShapeMismatch)
+    if data.size != rows * dim:
         raise ShapeMismatch(
-            f"expected {rows * dim} values for {rows}x{dim}, got {flat.size}"
+            f"expected {rows * dim} values for {rows}x{dim}, got {data.size}"
         )
-    data = flat.reshape(rows, dim)
-    if not (private or _immutable(data)):
-        data = data.copy()
-    if counts is None:
-        ends = (rows,)
-    else:
-        ends = (*itertools.accumulate(_token_counts(counts)), rows)
+    return _token_matrix(data.reshape(rows, dim))
+
+
+def _token_matrix(data: np.ndarray, counts=(), ready=None) -> TokenMatrix:
+    """A TokenMatrix over ``data``, a 2-D float32 buffer that the package
+    made and holds alone (a copy, a file just read, a concatenation),
+    shared as it is.  Its rows split into segments of the image
+    ``counts``, already checked, then the remaining (text) rows.
+    ``ready`` is passed on to :func:`_widen`, for a buffer that is still
+    being filled."""
+    ends = (*itertools.accumulate(counts), len(data))
     norms_sq, sums = _widen(data, ends, ready)
     return TokenMatrix(data, norms_sq, ends, sums, _BUILT)
 
@@ -417,9 +400,8 @@ def make_bundle(images, text: TokenMatrix) -> TokenBundle:
         _instance(f"image {k}", img, TokenMatrix, ShapeMismatch)
         if img.dim != text.dim:
             raise DimMismatch(f"image {k} has dim {img.dim}, text has {text.dim}")
-    data = np.concatenate([m.data for m in (*images, text)])
-    counts = tuple(img.rows for img in images)
-    rows = _token_matrix(len(data), text.dim, data, private=True, counts=counts)
+    counts = _token_counts(img.rows for img in images)
+    rows = _token_matrix(np.concatenate([m.data for m in (*images, text)]), counts)
     return TokenBundle(rows, counts)
 
 

@@ -358,6 +358,26 @@ class TestExitCodes:
         assert not (tmp_path / "x.ttb").exists()
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--tokens", "4611686018427387904", "--dim", "2"),
+            ("--tokens", "4", "--dim", "4294967296"),
+            ("--tokens", "4", "--dim", "4", "--text", "4294967296"),
+            ("--tokens", "4294967295", "--dim", "4294967295"),
+        ],
+    )
+    def test_oversized_spec_via_gen(self, capsys, tmp_path, flags):
+        """A count or dim beyond a TTB1 u32 field, or a bundle whose values
+        at 8 bytes each exceed sys.maxsize, fails before generating."""
+        code, out, err = run(
+            capsys, "gen", "--images", "1", *flags,
+            "--output", str(tmp_path / "x.ttb"),
+        )
+        assert code == 26 and out == ""
+        assert err.startswith("tokentrim gen: stage configure: BadSpec:")
+        assert not (tmp_path / "x.ttb").exists()
+
+    @pytest.mark.parametrize(
         "flags, env_seed",
         [
             (("--repeats", "0"), None),

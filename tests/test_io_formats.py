@@ -273,6 +273,24 @@ class TestMalformedFiles:
                 call()
         assert list(tmp_path.iterdir()) == []
 
+    def test_paths_the_os_cannot_take(self, tmp_path):
+        """A path holding a NUL byte, or a lone surrogate the file system
+        encoding cannot encode, raises IoFailure, not open's ValueError."""
+        rng = np.random.default_rng(4)
+        bundle = random_bundle(rng, [3], dim=2)
+        report, sel = prune(bundle, PruneConfig(final_tokens=2))
+        for path in (f"{tmp_path}/a\x00b", os.fsencode(tmp_path) + b"/\x00"):
+            for call in (
+                lambda: read_bundle(path),
+                lambda: write_bundle(bundle, path),
+                lambda: write_result(report, sel, path),
+            ):
+                with pytest.raises(IoFailure):
+                    call()
+        with pytest.raises(IoFailure, match="surrogates not allowed"):
+            read_bundle("\ud800")
+        assert list(tmp_path.iterdir()) == []
+
     def test_documents_and_specs_of_the_wrong_kind(self, tmp_path):
         """A report or selection of the wrong type raises SelectionMismatch,
         a config or budgets BadConfig and a generator spec BadSpec, before

@@ -14,15 +14,19 @@ from hypothesis.extra import numpy as hnp
 from test_selection import blockwise_greedy_oracle
 from tokentrim import (
     PruneConfig,
+    SyntheticSpec,
     TokenBundle,
     TokenMatrix,
     TokenTrimError,
+    analyze,
     apply_selection,
     build_token_matrix,
     make_bundle,
     prune,
+    read_bundle,
     selection,
     types,
+    write_bundle,
     write_result,
 )
 from tokentrim.errors import NonFiniteRow, ZeroNormRow
@@ -457,3 +461,62 @@ def test_write_result_raises_only_package_errors(report_fields, sel_fields):
     report = dataclasses.replace(_REPORT, **report_fields)
     sel = dataclasses.replace(_SEL, **sel_fields)
     _only_package_errors(lambda: write_result(report, sel, os.devnull))
+
+
+def _one_field(record_type, base):
+    """``base``, the keyword arguments of a legal ``record_type``, with one
+    field replaced by a hostile object."""
+    names = [f.name for f in dataclasses.fields(record_type)]
+    return st.tuples(st.sampled_from(names), _hostile()).map(
+        lambda pair: {**base, pair[0]: pair[1]}
+    )
+
+
+@PROPERTY_SETTINGS
+@given(_one_field(PruneConfig, {}))
+def test_prune_config_raises_only_package_errors(kwargs):
+    _only_package_errors(lambda: PruneConfig(**kwargs))
+
+
+@PROPERTY_SETTINGS
+@given(_one_field(SyntheticSpec, dict(n_images=1, tokens_per_image=2, dim=2, seed=0)))
+@example(dict(n_images=1, tokens_per_image=2**62, dim=2, seed=0))  # beyond u32
+def test_synthetic_spec_raises_only_package_errors(kwargs):
+    """Only the spec is built: a legal but huge one would take hours to
+    generate."""
+    _only_package_errors(lambda: SyntheticSpec(**kwargs))
+
+
+_CFG = PruneConfig(final_tokens=2, retention_ratio=None)
+_NO_TEXT = TokenBundle(_SMALL.rows.gather(slice(0, 4)), (2, 2))
+_bundles = st.one_of(_hostile(), st.sampled_from([_SMALL, _NO_TEXT]))
+_configs = st.one_of(_hostile(), st.just(_CFG))
+
+
+@PROPERTY_SETTINGS
+@given(_bundles, _configs)
+def test_analyze_raises_only_package_errors(bundle, cfg):
+    _only_package_errors(lambda: analyze(bundle, cfg))
+
+
+@PROPERTY_SETTINGS
+@given(_bundles, _configs, st.one_of(_hostile(), st.just(1)))
+def test_prune_raises_only_package_errors(bundle, cfg, threads):
+    _only_package_errors(lambda: prune(bundle, cfg, threads))
+
+
+@PROPERTY_SETTINGS
+@given(_hostile())
+@example("a\x00")  # open's ValueError: embedded null byte
+@example(b"\x00")
+@example("\ud800")  # a lone surrogate the file system cannot encode
+def test_read_bundle_raises_only_package_errors(path):
+    _only_package_errors(lambda: read_bundle(path))
+
+
+@PROPERTY_SETTINGS
+@given(_hostile())
+def test_write_bundle_raises_only_package_errors(bundle):
+    """Only the bundle is hostile: a hostile str or bytes path would
+    create a file."""
+    _only_package_errors(lambda: write_bundle(bundle, os.devnull))
