@@ -53,18 +53,20 @@ _saved_threads = 1
 
 
 @contextlib.contextmanager
-def _stage1_workers(images: int):
-    """Yield the stage-1 worker count for a bundle of ``images`` images:
-    the OpenBLAS thread count w when it is at least 2 and there are at
-    least 4 w images, else 1.  Above 1, OpenBLAS runs on one thread until
-    the last such block in the process exits, which restores w."""
+def _stage1_workers(images: int, items: int):
+    """Yield the stage-1 worker count for a bundle of ``images`` images
+    that give ``items`` work items (:func:`selection._work_items`): the
+    OpenBLAS thread count w when it is at least 2 and each worker gets at
+    least one image and four items, else 1.  Above 1, OpenBLAS runs on one
+    thread until the last such block in the process exits, which restores
+    w."""
     global _pinned, _saved_threads
     workers = 1
     if _BLAS is not None:
         get, put = _BLAS
         with _pin_lock:
             w = _saved_threads if _pinned else get()
-            if w >= 2 and images >= 4 * w:
+            if w >= 2 and images >= w and items >= 4 * w:
                 if not _pinned:
                     _saved_threads = w
                     put(1)
@@ -82,28 +84,57 @@ def _stage1_workers(images: int):
 
 def _stage1(images, quotas, objective: str, workers: int) -> list[list[int]]:
     """Each image's greedy selection, on ``workers`` threads: the calling
-    thread and ``workers - 1`` started here.  Each takes the next image
-    index from a shared counter and writes its result at that index; no
-    image is taken once one has failed, and the first failure by image
-    index is raised after every thread has been joined."""
+    thread and ``workers - 1`` started here.  An image whose seed filter
+    spans several tiles gives one item per tile (:func:`selection._split`),
+    any other image one item, a whole :func:`selection.greedy_rep_max`
+    call.  Each thread takes the next item from one shared iterator, and
+    the thread that reduces an image's last tile finishes that image (its
+    seed check and steps).  No item is taken once one has failed, and the
+    first failure by image index is raised after every thread has been
+    joined."""
+    jobs = [selection._split(img, k, objective) for img, k in zip(images, quotas)]
+    tiles = [len(job.tiles) if job else 0 for job in jobs]
+    # The last split images' tiles are dealt in turn, one image per worker,
+    # so that their finishes start together instead of one after another.
+    tail = [i for i, n in enumerate(tiles) if n][-workers:]
+
+    def order():
+        for i, n in enumerate(tiles):
+            if not n:
+                yield i, None
+            elif i not in tail:
+                yield from ((i, t) for t in range(n))
+        for t in range(max((tiles[i] for i in tail), default=0)):
+            yield from ((i, t) for i in tail if t < tiles[i])
+
+    items = order()
+    left = list(tiles)
     results: list = [None] * len(images)
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
-    taken = 0
 
     def work():
-        nonlocal taken
         while True:
             with lock:
-                k = taken
-                if k >= len(images) or errors:
-                    return
-                taken += 1
+                item = None if errors else next(items, None)
+            if item is None:
+                return
+            i, tile = item
             try:
-                results[k] = selection.greedy_rep_max(images[k], quotas[k], objective)
+                if tile is None:
+                    results[i] = selection.greedy_rep_max(
+                        images[i], quotas[i], objective
+                    )
+                    continue
+                jobs[i].reduce(tile)
+                with lock:
+                    left[i] -= 1
+                    last = not left[i]
+                if last:
+                    results[i] = jobs[i].finish()
             except BaseException as exc:
                 with lock:
-                    errors[k] = exc
+                    errors.setdefault(i, exc)
                 return
 
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
@@ -113,7 +144,7 @@ def _stage1(images, quotas, objective: str, workers: int) -> list[list[int]]:
         work()
     finally:
         with lock:
-            taken = len(images)  # an interrupt stops the other workers too
+            items = iter(())  # an interrupt stops the other workers too
         for t in threads:
             t.join()
     if errors:
@@ -171,15 +202,21 @@ def prune(
     Returns the redundancy report and a Selection whose indices, scores and
     stage sizes all reference the original bundle.
 
-    Stage 1 selects within each image on w threads when numpy's OpenBLAS
-    runs with w >= 2 threads and the bundle has at least 4 w images; else
-    the per-image selections run one after another in the calling thread
+    Stage 1 runs as work items: an image whose streamed seed filter spans
+    several tiles (more rows than dims and than one tile holds, such as a
+    2880 × 1024 image's 18) gives one item per tile, any other image one
+    item.  They run on w threads when numpy's OpenBLAS runs with w >= 2
+    threads and each thread gets at least one image and four items (w
+    images and 4 w items: 32 video frames, or two or more 2880 × 1024
+    images at w = 2); else they run one after another in the calling thread
     and BLAS is left as it is.  While the pool runs, OpenBLAS is set to one
     thread for the whole request (signals, both stages, scoring), so that
     no BLAS call is threaded, and w is restored when the last pooled prune
     in the process returns or raises; meanwhile other threads' BLAS calls
-    run on one thread too.  Each image's selection depends only on that
-    image, so the result does not depend on the worker count.
+    run on one thread too.  So a bundle of a few large images now runs on
+    one BLAS thread too.  Each image's selection depends only on that
+    image, and its tiles' reductions merge the same in any order, so the
+    result does not depend on the worker count.
 
     ``threads`` must be the integer 1; any other value raises BadConfig
     before any work is done.  Arguments of the wrong type raise as in
@@ -188,7 +225,8 @@ def prune(
     if _integer("threads", threads, 1, BadConfig) != 1:
         raise BadConfig(f"threads must be 1, got {threads!r}")
     budgets = resolve_config(cfg, bundle, require_text=True)
-    with _stage1_workers(bundle.n_images) as workers:
+    items = sum(selection._work_items(n, bundle.dim) for n in bundle.counts)
+    with _stage1_workers(bundle.n_images, items) as workers:
         return _prune(bundle, cfg, budgets, workers)
 
 

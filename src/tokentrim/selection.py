@@ -1,15 +1,22 @@
 """Subset selection: greedy dispersion maximization and Pareto filtering.
 
-Both selectors are deterministic.  Every tie anywhere — seed pair, greedy
-step, domination sort, rank-sum fill — breaks toward the lowest original
-index, so reruns and reorderings of equal inputs reproduce the same
-choices.
+Both selectors are deterministic: reruns on the same input, on any number
+of workers, reproduce the same choices.  The Pareto selector's ties (exact
+(v, a) duplicates, the domination sort, the rank-sum fill) break toward the
+lowest original index.  Greedy dispersion returns the choices of a float64
+computation (:func:`greedy_rep_max`), whose seed pair and steps take the
+first occurrence of the smallest computed value, so equal computed values
+break toward the lowest index.  Exact copies of a row need not compute
+equal values, though: OpenBLAS rounds a float64 dot product differently
+depending on where the row sits in the gemm or gemv and on its thread
+count, so which copy wins can follow that rounding rather than the index,
+and can change with the BLAS thread count.
 
 Greedy dispersion makes the float64 computation's choices bit for bit from
 a cheaper score source, one :class:`_Source` record with the bound below
 for its dot products: the stored float32 rows with a float32 reciprocal
 norm per row, whose whole scaled gram is kept when an image has no more
-rows than dims and streamed in row blocks otherwise.  No float64 copy of
+rows than dims and streamed in tiles otherwise.  No float64 copy of
 an image is made unless a decision cannot be certified: each decision is
 either certified against proven rounding bounds, from float64 copies of
 the few rows it compares, or handed to the float64 computation.  The bounds
@@ -59,7 +66,12 @@ from .errors import BadBudget, BadConfig, BadSubset
 from .types import GREEDY_OBJECTIVES, TokenMatrix, _integer
 
 _SEED_BLOCK = 1024
-_FILTER_BLOCK = 256
+# A streamed seed-filter tile: at most _TILE_ROWS rows by _TILE_COLS
+# columns of the gram's upper triangle, 1.5 MB of float32 values.  A
+# wider row block is cut by its columns: at these sizes that costs less
+# than cutting its rows.
+_TILE_ROWS = 256
+_TILE_COLS = 1440
 _MAX_CANDIDATES = 64
 _HELD_BLOCK = 32
 
@@ -86,7 +98,7 @@ class _Source:
     """A float32 score source: the stored rows ``data`` and their float32
     reciprocal norms ``scale`` (unit row i is about data[i] * scale[i]),
     with ``gram``, their whole scaled gram with +inf on its diagonal, or
-    None when blocks of it are computed as needed; ``eps`` bounds each dot
+    None when tiles of it are computed as needed; ``eps`` bounds each dot
     product it gives (module docstring)."""
 
     gram: np.ndarray | None
@@ -135,21 +147,41 @@ def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _dot_block(src: _Source, r0: int, rows: int) -> np.ndarray:
+def _tiles(n: int) -> list[tuple[int, int, int, int]]:
+    """The tiles (r0, rows, c0, cols) of an n-row image's streamed seed
+    filter, in row-major order: rows r0 .. r0 + rows - 1 of each block of
+    _TILE_ROWS (row n - 1 has no pair above the diagonal) by their columns
+    r0 .. n - 1, cut into as few spans of near-equal width as keep each
+    within _TILE_COLS."""
+    tiles = []
+    for r0 in range(0, n - 1, _TILE_ROWS):
+        rows, width = min(_TILE_ROWS, n - 1 - r0), n - r0
+        parts = -(-width // _TILE_COLS)
+        cuts = [r0 + width * p // parts for p in range(parts + 1)]
+        tiles += [(r0, rows, a, b - a) for a, b in zip(cuts, cuts[1:])]
+    return tiles
+
+
+def _tile(src: _Source, r0: int, rows: int, c0: int, cols: int) -> np.ndarray:
     """A fresh array of the dot products of unit rows r0 .. r0 + rows - 1
-    with unit rows r0 and up, from the scaled float32 rows: the raw
-    products, then each row's scale, then each column's."""
+    with unit rows c0 .. c0 + cols - 1 from the scaled float32 rows (the
+    raw products, then each row's scale, then each column's), with +inf
+    at every entry (i, j) with j <= i, masked only over the columns that
+    reach the diagonal."""
     data, scale = src.data, src.scale
-    block = data[r0 : r0 + rows] @ data[r0:].T
-    block *= scale[r0 : r0 + rows, None]
-    block *= scale[r0:]
-    return block
+    tile = data[r0 : r0 + rows] @ data[c0 : c0 + cols].T
+    tile *= scale[r0 : r0 + rows, None]
+    tile *= scale[c0 : c0 + cols]
+    reach = min(cols, r0 + rows - c0)
+    if reach > 0:
+        tile[:, :reach][np.tri(rows, reach, r0 - c0, dtype=bool)] = np.inf
+    return tile
 
 
 def _dot_column(src: _Source, i: int) -> np.ndarray:
     """The dot products of every unit row with row i, from ``src``: a
     read-only view of row i of a kept gram (whose entry i is +inf), or
-    computed as in :func:`_dot_block`."""
+    computed as in :func:`_tile`."""
     if src.gram is not None:
         return src.gram[i]
     column = src.data @ src.data[i]
@@ -182,12 +214,13 @@ def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
     return best_pair
 
 
-def _certified_seed_pair(tokens: TokenMatrix, src: _Source) -> tuple[int, int] | None:
-    """:func:`_exact_seed_pair`'s pair from a filter over ``src``, or None.
+def _certified_seed_pair(tokens: TokenMatrix, found) -> tuple[int, int] | None:
+    """:func:`_exact_seed_pair`'s pair from the seed filter's candidates
+    ``found`` (:func:`_merge`), or None.
 
     For a pair p = (i, j), i < j, let G(p) be the value
-    :func:`_exact_seed_pair`'s gemm computes, F(p) the value ``src``
-    gives at (i, j) (see :func:`_dot_column`) and V(p) a float64
+    :func:`_exact_seed_pair`'s gemm computes, F(p) the value the score
+    source gives at (i, j) (see :func:`_dot_column`) and V(p) a float64
     recomputation; by the module docstring, G and V lie within delta of
     the exact dot product and F, like the source's value at (j, i),
     within eps.
@@ -195,25 +228,21 @@ def _certified_seed_pair(tokens: TokenMatrix, src: _Source) -> tuple[int, int] |
     Filter: let best be the smallest value read, at either entry of the
     pair q.  The winner p* minimizes G, so F(p*) <= G(p*) + delta + eps
     <= G(q) + delta + eps <= best + 2 eps + 2 delta = best + tol; every
-    pair within tol of best is kept (:func:`_candidates`).
+    pair within tol of best is kept (:func:`_reduce`, :func:`_merge`).
 
     Check: if the candidate b with the smallest V beats every other
     candidate c by more than 4 delta, then G(b) <= V(b) + 2 delta <
     V(c) - 2 delta <= G(c), so b is the only candidate with the smallest
     G, hence b = p*.  Otherwise (exact ties, near-ties, or more than
-    _MAX_CANDIDATES candidates, e.g. duplicate rows) it returns None and
-    the exact scan decides, so the tie rule never depends on this filter.
+    _MAX_CANDIDATES candidates, e.g. duplicate rows, when ``found`` is
+    None) it returns None and the exact scan decides, so the tie rule
+    never depends on this filter.
     """
-    delta = _delta(tokens.dim)
-    tol = 2 * src.eps + 2 * delta
-    if not tol < 1:  # dims where the bounds fail
-        return None
-    found = _candidates(src, tol, tokens.rows)
     if found is None:
         return None
     ci, cj = found
     value = np.einsum("ij,ij->i", _unit64_rows(tokens, ci), _unit64_rows(tokens, cj))
-    b = _clear_winner(value, delta)
+    b = _clear_winner(value, _delta(tokens.dim))
     return None if b is None else (int(ci[b]), int(cj[b]))
 
 
@@ -234,45 +263,46 @@ def _limit(best: float, tol: float) -> np.float32:
     return np.nextafter(np.float32(best + tol), np.float32(np.inf))
 
 
-def _candidates(src: _Source, tol: float, n: int):
-    """The pairs i < j of the n rows whose value from ``src`` at (i, j) is
-    within tol of the smallest value read, as index arrays (ci, cj), or
-    None when there are more than _MAX_CANDIDATES.  A kept gram is one
-    block, read in place; streamed rows give 256-row blocks of the upper
-    triangle (:func:`_dot_block`), and the candidates of earlier blocks
-    stay while they are within the limit.  A row is compared with the
+def _reduce(block: np.ndarray, r0: int, c0: int, tol: float):
+    """One tile's share of the seed filter, whose entry (a, b) is the
+    score source's value at (r0 + a, c0 + b): its smallest value best and
+    the pairs i < j within tol of it, as (best, ci, cj, values), or None
+    when there are more than _MAX_CANDIDATES.  A row is compared with the
     limit only where its minimum is within it."""
-    best = np.inf
-    ci = cj = np.empty(0, dtype=np.int64)
-    cf = np.empty(0)
-    step = _FILTER_BLOCK if src.gram is None else n
-    for r0 in range(0, n - 1, step):
-        block = src.gram
-        if block is None:
-            rows = min(step, n - 1 - r0)
-            block = _dot_block(src, r0, rows)
-            block[:, :rows][np.tri(rows, dtype=bool)] = np.inf  # keep j > i
-        row_min = block.min(axis=1)
-        best = min(best, float(row_min.min()))
-        limit = _limit(best, tol)
-        keep = cf <= limit
-        # Each pair puts at most two rows in near and two entries in hit.
-        near = np.flatnonzero(row_min <= limit)
-        if len(near) > 2 * _MAX_CANDIDATES:
-            return None
-        hit = block[near] <= limit
-        if np.count_nonzero(hit) > 2 * _MAX_CANDIDATES:
-            return None
-        li, lj = np.nonzero(hit)
-        li = near[li]
-        upper = lj > li  # a kept gram's entry (i, j), not its (j, i)
-        li, lj = li[upper], lj[upper]
-        if np.count_nonzero(keep) + len(li) > _MAX_CANDIDATES:
-            return None
-        ci = np.concatenate((ci[keep], r0 + li))
-        cj = np.concatenate((cj[keep], r0 + lj))
-        cf = np.concatenate((cf[keep], block[li, lj]))
-    return ci, cj
+    row_min = block.min(axis=1)
+    best = float(row_min.min())
+    limit = _limit(best, tol)
+    # Each pair puts at most two rows in near and two entries in hit.
+    near = np.flatnonzero(row_min <= limit)
+    if len(near) > 2 * _MAX_CANDIDATES:
+        return None
+    hit = block[near] <= limit
+    if np.count_nonzero(hit) > 2 * _MAX_CANDIDATES:
+        return None
+    li, lj = np.nonzero(hit)
+    li = near[li]
+    upper = c0 + lj > r0 + li  # a kept gram's entry (i, j), not its (j, i)
+    li, lj = li[upper], lj[upper]
+    if len(li) > _MAX_CANDIDATES:
+        return None
+    return best, r0 + li, c0 + lj, block[li, lj]
+
+
+def _merge(parts, tol: float):
+    """The pairs within tol of the smallest value of the tiles' reductions
+    ``parts`` (:func:`_reduce`), as index arrays (ci, cj) in tile order,
+    or None when there are more than _MAX_CANDIDATES or a part is None
+    (a tile with too many of its own, or one not reduced).  Each tile
+    holds every pair within tol of its own minimum, a superset of its
+    pairs within tol of the smallest, so the result does not depend on the
+    order in which the tiles were reduced."""
+    if any(part is None for part in parts):
+        return None
+    limit = _limit(min(part[0] for part in parts), tol)
+    keep = [value <= limit for _, _, _, value in parts]
+    ci = np.concatenate([part[1][k] for part, k in zip(parts, keep)])
+    cj = np.concatenate([part[2][k] for part, k in zip(parts, keep)])
+    return None if len(ci) > _MAX_CANDIDATES else (ci, cj)
 
 
 def _certified_steps(
@@ -375,12 +405,14 @@ def greedy_rep_max(
     (:func:`_scaled_rows`), and float64 rows of the few rows it checks.
     When the image has no more rows than dims (n <= dim) the scaled gram
     is no larger than the rows, so it is built once by one syrk
-    (:func:`_scaled_gram`).  The seed filter (:func:`_candidates`) reads a
-    kept gram in place as one block and streams a larger image's gram in
-    256-row blocks, keeping only entries above the diagonal; each step
-    reads one row of a kept gram or computes one column, copying no more
-    than one block.  The seed comes from :func:`_certified_seed_pair`;
-    each step then works as follows.
+    (:func:`_scaled_gram`).  The seed filter reads a kept gram in place
+    as one block and streams a larger image's upper triangle in tiles of
+    at most 256 × 1440 (:func:`_tiles`, :func:`_tile`), one after another;
+    each block or tile is reduced on its own to its smallest value and
+    the pairs near it (:func:`_reduce`), and the reductions are merged
+    (:func:`_merge`).  Each step reads one row of a kept gram or computes
+    one column.  The seed comes from :func:`_certified_seed_pair`; each
+    step then works as follows.
 
     With m rows selected, let S(r) be the reference's score of an
     unselected row r, E(r) its exact value, F(r) the score kept here
@@ -416,24 +448,83 @@ def greedy_rep_max(
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
     k = _integer("selection budget", k, 1, BadBudget)
-    n = tokens.rows
-    if k >= n:
-        return list(range(n))
+    if k >= tokens.rows:
+        return list(range(tokens.rows))
+    job = _Greedy(tokens, k, objective)
+    for t in range(len(job.tiles)):
+        job.reduce(t)
+    return job.finish()
 
-    combine = np.add if objective == "sum_distance" else np.maximum
-    src = _scaled_rows(tokens)
-    selected = []
-    if src is not None:
-        selected = list(_certified_seed_pair(tokens, src) or ())
-        if selected and k > 2:
-            _certified_steps(tokens, src, selected, k, combine)
-    del src  # freed before any float64 copy of the whole image
-    if not selected or len(selected) < k:
-        unit = tokens.unit64()
-        selected = selected or list(_exact_seed_pair(unit))
+
+class _Greedy:
+    """:func:`greedy_rep_max` for 1 <= k < rows as work items: ``reduce(t)``
+    for each seed-filter tile ``tiles[t]``, in any order and on any
+    threads, then ``finish()`` once, which merges the reductions,
+    certifies the seed, takes the steps and falls back to the float64
+    computation where a decision cannot be certified.  ``tiles`` holds the
+    streamed filter's tiles (:func:`_tiles`), one block covering a kept
+    gram, or none when there is no score source or the bounds fail at
+    this dim (tol >= 1).  Once a tile has more than _MAX_CANDIDATES pairs
+    near its own minimum, the image goes to the float64 computation and
+    the tiles left are not computed."""
+
+    def __init__(self, tokens: TokenMatrix, k: int, objective: str):
+        self.tokens, self.k = tokens, k
+        self.combine = np.add if objective == "sum_distance" else np.maximum
+        self.src = _scaled_rows(tokens)
+        self.tiles = []
+        if self.src is not None:
+            self.tol = 2 * self.src.eps + 2 * _delta(tokens.dim)
+            if self.tol < 1:
+                n = tokens.rows
+                self.tiles = [(0, n, 0, n)] if self.src.gram is not None else _tiles(n)
+        self.parts = [None] * len(self.tiles)
+        self.overflow = False
+
+    def reduce(self, t: int) -> None:
+        if self.overflow:
+            return
+        r0, rows, c0, cols = self.tiles[t]
+        block = self.src.gram
+        if block is None:
+            block = _tile(self.src, r0, rows, c0, cols)
+        self.parts[t] = _reduce(block, r0, c0, self.tol)
+        if self.parts[t] is None:
+            self.overflow = True  # only ever set, so threads cannot undo it
+
+    def finish(self) -> list[int]:
+        tokens, k, combine = self.tokens, self.k, self.combine
+        selected = []
+        if self.tiles:
+            found = _merge(self.parts, self.tol)
+            selected = list(_certified_seed_pair(tokens, found) or ())
+            if selected and k > 2:
+                _certified_steps(tokens, self.src, selected, k, combine)
+        self.src = None  # freed before any float64 copy of the whole image
         if len(selected) < k:
-            _float64_steps(unit, selected, k, combine)
-    return [selected[0]] if k == 1 else sorted(selected)
+            unit = tokens.unit64()
+            selected = selected or list(_exact_seed_pair(unit))
+            if len(selected) < k:
+                _float64_steps(unit, selected, k, combine)
+        return [selected[0]] if k == 1 else sorted(selected)
+
+
+def _work_items(n: int, dim: int) -> int:
+    """The stage-1 work items of an image of n rows of this dim: its
+    streamed seed filter's tiles, or 1 when it keeps its gram (n <= dim)
+    or its filter fits in one tile."""
+    return len(_tiles(n)) if n > dim else 1
+
+
+def _split(tokens: TokenMatrix, k: int, objective: str) -> _Greedy | None:
+    """``greedy_rep_max(tokens, k, objective)``, for an int k >= 1 and a
+    known objective, as a :class:`_Greedy` whose seed filter spans several
+    tiles, or None when the call is one work item (:func:`_work_items`, or
+    k >= rows, or no score source)."""
+    if k >= tokens.rows or _work_items(tokens.rows, tokens.dim) < 2:
+        return None
+    job = _Greedy(tokens, k, objective)
+    return job if len(job.tiles) > 1 else None
 
 
 def _collapsed_arrays(

@@ -445,6 +445,124 @@ class TestStage1Pool:
         assert fake.threads == 4
 
 
+def small_tiles(monkeypatch):
+    """Cut a 48-row image's seed filter into 12 tiles of at most 8 x 16."""
+    monkeypatch.setattr(selection, "_TILE_ROWS", 8)
+    monkeypatch.setattr(selection, "_TILE_COLS", 16)
+
+
+def split_config(n_images):
+    """Stage-1 quotas of 13-16 rows, below the 48 rows of a pool image."""
+    return PruneConfig(
+        m_min=10 * n_images, m_max=16 * n_images, m2=8 * n_images,
+        final_tokens=4 * n_images, retention_ratio=None,
+    )
+
+
+class TestTiledStage1Pool:
+    """Stage 1 also takes seed-filter tiles as work items: the 48 x 32 pool
+    images, with small tiles, give 12 items each."""
+
+    @pytest.mark.parametrize("n_images", [1, 2, 3, 5])
+    def test_split_images_match_one_worker_bit_for_bit(self, monkeypatch, n_images):
+        """The pool runs with at least one image and four items per worker,
+        so one image stays on one worker; its items on two workers give
+        one worker's selections too."""
+        small_tiles(monkeypatch)
+        bundle, cfg = pool_bundle(n_images), split_config(n_images)
+        assert all(
+            len(selection._split(img, 13, "sum_distance").tiles) == 12
+            for img in bundle.images
+        )
+        one = FakeBlas(1)
+        monkeypatch.setattr(pipeline, "_BLAS", (one.get, one.set))
+        serial = prune(bundle, cfg)
+        two = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (two.get, two.set))
+        started = count_thread_starts(monkeypatch)
+        pooled = prune(bundle, cfg)
+        assert len(started) == (n_images >= 2)
+        assert pooled == serial
+        assert repr(pooled[1].scores) == repr(serial[1].scores)
+        args = (bundle.images, serial[0].per_image_budgets, cfg.greedy_objective)
+        assert pipeline._stage1(*args, 2) == pipeline._stage1(*args, 1)
+
+    @pytest.mark.parametrize("method", ["reduce", "finish"])
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+    def test_failing_item_is_its_images_failure(self, monkeypatch, method, error):
+        """A tile that raises, or an image's finish, fails that image: of
+        several, the lowest image's failure is raised after every worker
+        has joined, and the BLAS count is restored."""
+        small_tiles(monkeypatch)
+        bundle = pool_bundle(n_images=4)
+        fake = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        failures = {1: error("image 1"), 3: error("image 3")}
+        real = getattr(selection._Greedy, method)
+
+        def failing(job, *args):
+            for i, exc in failures.items():
+                if job.tokens is bundle.images[i] and args in ((), (5,)):
+                    raise exc
+            return real(job, *args)
+
+        monkeypatch.setattr(selection._Greedy, method, failing)
+        before = threading.active_count()
+        with pytest.raises(error) as err:
+            prune(bundle, split_config(4))
+        assert err.value is failures[1]
+        assert fake.calls == [1, 2]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_pooled_prune_starts_w_minus_one_threads(self, monkeypatch, w):
+        small_tiles(monkeypatch)
+        bundle, cfg = pool_bundle(n_images=3), split_config(3)
+        fake = FakeBlas(w)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        started = count_thread_starts(monkeypatch)
+        for rounds in (1, 2):
+            prune(bundle, cfg)
+            assert len(started) == rounds * (w - 1)
+        assert fake.calls == [1, w] * 2
+
+    def test_stress_tiles_on_more_workers_than_cores(self, monkeypatch):
+        """Three host threads prune 5 split images on four workers each,
+        switching threads every microsecond: each image is finished once,
+        after its last tile, so every result equals the serial one."""
+        small_tiles(monkeypatch)
+        bundle, cfg = pool_bundle(n_images=5), split_config(5)
+        want = prune(bundle, cfg)
+        fake = FakeBlas(4)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        real = selection._Greedy.finish
+        early = []
+
+        def finish(job):
+            early.extend(t for t, part in enumerate(job.parts) if part is None)
+            return real(job)
+
+        monkeypatch.setattr(selection._Greedy, "finish", finish)
+        results = []
+        hosts = [
+            threading.Thread(target=lambda: results.append(prune(bundle, cfg)))
+            for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in hosts:
+                t.start()
+            for t in hosts:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 3
+        assert early == []
+        assert fake.threads == 4
+
+
 class TestApplySelection:
     def test_widens_no_row_until_sums_are_read(self, monkeypatch):
         """apply_selection's output, and a bundle split from one segment,

@@ -4,6 +4,7 @@ the constructors' answers to arbitrary arguments."""
 import dataclasses
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,17 +244,24 @@ def test_kept_gram_matches_blockwise_oracle_up_to_the_norm_guard(values):
 
 
 @PROPERTY_SETTINGS
-@given(rows_up_to_the_norm_guard())
-def test_seed_filter_agrees_over_kept_and_streamed_blocks(values):
+@given(rows_up_to_the_norm_guard(), st.integers(1, 4), st.integers(2, 6))
+def test_seed_filter_agrees_over_kept_and_streamed_blocks(values, tile_rows, tile_cols):
     """The seed filter over one score source read as a kept gram and as
-    streamed blocks of the same scaled rows either finds the float64
-    computation's seed pair or defers to it."""
+    streamed tiles of the same scaled rows, of any tile size, either finds
+    the float64 computation's seed pair or defers to it."""
     m = build_token_matrix(*values.shape, values)
     want = selection._exact_seed_pair(m.unit64())
-    kept = selection._scaled_rows(m)
-    streamed = dataclasses.replace(kept, gram=None)
-    for src in (kept, streamed):
-        assert selection._certified_seed_pair(m, src) in (None, want)
+    src = selection._scaled_rows(m)
+    tol = 2 * src.eps + 2 * selection._delta(m.dim)
+    with mock.patch.multiple(selection, _TILE_ROWS=tile_rows, _TILE_COLS=tile_cols):
+        tiles = selection._tiles(m.rows)
+    streamed = [
+        selection._reduce(selection._tile(src, *tile), tile[0], tile[2], tol)
+        for tile in tiles
+    ]
+    for parts in ([selection._reduce(src.gram, 0, 0, tol)], streamed):
+        found = selection._merge(parts, tol)
+        assert selection._certified_seed_pair(m, found) in (None, want)
 
 
 @st.composite

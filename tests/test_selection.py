@@ -277,7 +277,11 @@ class TestSeedPairScan:
         )
         for img in generate_synthetic(spec).images:
             unit = img.unit64()
-            pair = selection._certified_seed_pair(img, selection._scaled_rows(img))
+            job = selection._Greedy(img, 2, "sum_distance")
+            for t in range(len(job.tiles)):
+                job.reduce(t)
+            found = selection._merge(job.parts, job.tol)
+            pair = selection._certified_seed_pair(img, found)
             assert pair is not None
             assert pair == selection._exact_seed_pair(unit)
 
@@ -294,6 +298,99 @@ class TestSeedPairScan:
             tracemalloc.stop()
         assert peak < 35e6
         assert got == blockwise_greedy_oracle(m, 2, "sum_distance")
+
+
+def seed_filter(m, order=None):
+    """The streamed seed filter's merged candidates for m as pair tuples,
+    its tiles reduced in ``order`` (default: tile order)."""
+    job = selection._Greedy(m, 2, "sum_distance")
+    assert job.src.gram is None and len(job.tiles) > 1
+    for t in order or range(len(job.tiles)):
+        job.reduce(t)
+    found = selection._merge(job.parts, job.tol)
+    return found and list(zip(found[0].tolist(), found[1].tolist()))
+
+
+class TestSeedFilterTiles:
+    """The streamed seed filter cut into 8 x 12 tiles: on 40 rows, row
+    blocks start at 0, 8, .., 32 and their columns are cut at 10, 20, 30
+    (rows 0-7), 18, 29 (rows 8-15), ..."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(selection, "_TILE_ROWS", 8)
+        monkeypatch.setattr(selection, "_TILE_COLS", 12)
+
+    def test_tiles_cover_the_upper_triangle_once(self):
+        for n in (2, 3, 9, 40, 41, 100):
+            covered = np.zeros((n, n), dtype=int)
+            for r0, rows, c0, cols in selection._tiles(n):
+                assert 1 <= rows <= 8 and 1 <= cols <= 12
+                i, j = np.ogrid[r0 : r0 + rows, c0 : c0 + cols]
+                covered[r0 : r0 + rows, c0 : c0 + cols] += j > i
+            assert np.array_equal(covered, np.triu(np.ones((n, n), dtype=int), 1))
+
+    @pytest.mark.parametrize("pair", [(7, 10), (8, 9), (7, 8), (15, 29), (31, 39)])
+    def test_farthest_pair_on_tile_boundaries(self, monkeypatch, pair):
+        """The farthest pair's row ends a row block and its column starts
+        or ends a column span: the tiles certify it without the fallback."""
+        i, j = pair
+        rng = np.random.default_rng(i * 40 + j)
+        rows = rng.standard_normal((40, 4)) + 3.0  # all in one orthant
+        rows[j] = -rows[i] + 0.01 * rng.standard_normal(4)
+        m = build_token_matrix(40, 4, rows.ravel())
+        assert brute_force_farthest_pair(m) == pair
+        assert selection._exact_seed_pair(m.unit64()) == pair
+        assert pair in seed_filter(m)
+        monkeypatch.setattr(TokenMatrix, "unit64", no_widening)
+        for objective in ("sum_distance", "min_distance"):
+            assert greedy_rep_max(m, 2, objective) == list(pair)
+
+    def test_near_ties_in_different_tiles(self, monkeypatch):
+        """TestSeedPairScan's two near-antipodal pairs, 1e-9 apart, one in
+        the first tile and one in the last: both survive the merge and the
+        float64 check picks the farther."""
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((40, 8))
+        rows[[1, 2, 37, 39]] = 0.0
+        rows[1, 0], rows[2, :2] = 1.0, (-1.0, np.sqrt(4e-9))  # gap 2e-9
+        rows[37, 2], rows[39, 2:4] = 1.0, (-1.0, np.sqrt(2e-9))  # gap 1e-9
+        m = build_token_matrix(40, 8, rows.ravel())
+        assert brute_force_farthest_pair(m) == (37, 39)
+        assert {(1, 2), (37, 39)} <= set(seed_filter(m))
+        monkeypatch.setattr(TokenMatrix, "unit64", no_widening)
+        assert greedy_rep_max(m, 2) == [37, 39]
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_duplicate_rows_across_tiles(self, objective):
+        """Copies of a few rows in every tile tie exactly: the float64
+        computation decides, as the oracle does."""
+        rng = np.random.default_rng(21)
+        for prototypes in (1, 2, 3, 5):
+            rows = rng.standard_normal((prototypes, 6))[rng.integers(0, prototypes, 40)]
+            m = build_token_matrix(40, 6, rows.ravel())
+            for k in (1, 2, 3, 7, 39):
+                want = blockwise_greedy_oracle(m, k, objective)
+                assert greedy_rep_max(m, k, objective) == want
+        # one row and two copies of its opposite, in different column spans
+        rows = rng.standard_normal((40, 6)) + 3.0
+        rows[25] = rows[11] = -rows[3]
+        m = build_token_matrix(40, 6, rows.ravel())
+        assert {(3, 11), (3, 25)} <= set(seed_filter(m))
+        want = blockwise_greedy_oracle(m, 2, objective)
+        assert greedy_rep_max(m, 2, objective) == want
+
+    def test_reduction_order_does_not_matter(self):
+        rng = np.random.default_rng(22)
+        for rows in (
+            rng.standard_normal((40, 4)),
+            rng.integers(-1, 2, (40, 4)).astype(np.float64) + np.eye(40, 4),
+        ):
+            m = build_token_matrix(40, 4, rows.ravel())
+            tiles = range(len(selection._tiles(40)))
+            forward = seed_filter(m)
+            assert seed_filter(m, reversed(tiles)) == forward
+            assert seed_filter(m, rng.permutation(tiles).tolist()) == forward
 
 
 def oracle_order(tokens, k, objective):
@@ -371,7 +468,7 @@ class TestCertifiedGreedyLoop:
     def test_rows_round_from_float64_unit_rows(self):
         """Each scale is one float32 rounding of the reciprocal norm that
         ``unit64()`` divides by, every dot product read from either form of
-        the float32 source (streamed blocks and columns, or the kept gram)
+        the float32 source (streamed tiles and columns, or the kept gram)
         lies within eps of the float64 unit rows' one, and float64 rows of
         a few indices are exactly those rows, even for rows whose norm is
         far from 1.  Norms up to 1e30 are above the 2**63 guard, so there
@@ -406,9 +503,14 @@ class TestCertifiedGreedyLoop:
         # eps for the source, delta for the float64 gram it is compared with
         bound = eps + selection._delta(24)
         gram = unit @ unit.T
-        for r0, height in ((0, 299), (256, 43)):
-            block = selection._dot_block(streamed, r0, height)
-            assert np.all(np.abs(block - gram[r0 : r0 + height, r0:]) <= bound)
+        tiles = ((0, 299, 0, 300), (256, 43, 256, 44), (0, 40, 30, 9))
+        for r0, rows, c0, cols in tiles:
+            tile = selection._tile(streamed, r0, rows, c0, cols)
+            i, j = np.ogrid[r0 : r0 + rows, c0 : c0 + cols]
+            below = j <= i
+            assert np.array_equal(np.isposinf(tile), below)
+            error = np.abs(tile - gram[r0 : r0 + rows, c0 : c0 + cols])
+            assert np.all(error[~below] <= bound)
         off = ~np.eye(300, dtype=bool)
         assert np.all(np.abs(kept.gram - gram)[off] <= bound)
         assert np.all(np.isposinf(np.diag(kept.gram)))
@@ -640,8 +742,8 @@ class TestGramSource:
 
 def record_sources(monkeypatch):
     """Patch selection to record, per image, the score source it reads:
-    "float32 gram" or "streamed" (its seed filter streams blocks, counted
-    at the first block); returns that list."""
+    "float32 gram" or "streamed" (its seed filter streams tiles, counted
+    at the first tile); returns that list."""
     sources = []
 
     def spy(name, label, first=lambda *args: True):
@@ -655,7 +757,7 @@ def record_sources(monkeypatch):
         monkeypatch.setattr(selection, name, wrapper)
 
     spy("_scaled_gram", "float32 gram")
-    spy("_dot_block", "streamed", lambda src, r0, rows: r0 == 0)
+    spy("_tile", "streamed", lambda src, r0, rows, c0, cols: r0 == c0 == 0)
     return sources
 
 
@@ -768,7 +870,7 @@ class TestKeptFloat32Gram:
         m = build_token_matrix(5, 8, rows.ravel())
         src = selection._scaled_rows(m)
         assert src.gram is not None
-        ci, cj = selection._candidates(src, 1e-6, m.rows)
+        ci, cj = selection._merge([selection._reduce(src.gram, 0, 0, 1e-6)], 1e-6)
         assert list(zip(ci.tolist(), cj.tolist())) == [(0, 1), (2, 3)]
 
     def test_kept_gram_stays_below_one_float32_copy(self):
