@@ -111,6 +111,10 @@ class IoFailure(TokenTrimError):
     """Underlying I/O error while writing a result document."""
 
 
+class OutOfMemory(TokenTrimError):
+    """The machine could not allocate the memory an input or spec asks for."""
+
+
 class BenchGateFailure(TokenTrimError):
     """Fast and naive benchmark paths disagreed beyond tolerance."""
 
@@ -139,6 +143,7 @@ EXIT_CODES: dict[type, int] = {
     BadConfig: 28,
     BenchGateFailure: 29,
     NonFiniteRow: 30,
+    OutOfMemory: 31,
 }
 
 

@@ -12,6 +12,7 @@ order so documents diff cleanly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import os
@@ -29,6 +30,7 @@ from .errors import (
     BadSpec,
     BadVersion,
     IoFailure,
+    OutOfMemory,
     SelectionMismatch,
     ShapeMismatch,
     TruncatedFile,
@@ -77,6 +79,15 @@ def write_bundle(bundle: TokenBundle, path) -> None:
         raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _allocating(what: str):
+    """OutOfMemory, naming ``what``, for an allocation the block fails."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise OutOfMemory(f"cannot allocate {what}: {exc}") from exc
+
+
 def _fill(fh, buf) -> int:
     """Read from ``fh`` into ``buf`` (a TTB1 header or its image counts)
     until it is full or the file ends; returns the number of bytes read."""
@@ -94,7 +105,8 @@ def read_bundle(path) -> TokenBundle:
     """Load a TTB1 bundle, validating magic, version and exact payload size.
 
     The header and the image counts are checked against the file's size
-    before the payload is allocated, so a hostile header costs no memory.
+    before the payload is allocated, and a payload this machine cannot
+    allocate (a sparse file's size costs no disk) raises OutOfMemory.
     The payload is then read once, into a buffer that only the returned
     bundle's rows hold, by one reader thread in _PIECE-byte pieces, while
     this thread widens each chunk of rows (``types._widen``) as soon as
@@ -153,7 +165,8 @@ def _read_ttb1(fh, size: int) -> TokenBundle:
         raise TruncatedFile(f"header declares {end} bytes, file has {size}")
     _integer("dim", dim, 1, ShapeMismatch)
     counts = _token_counts(counts)
-    payload = np.empty(end - start, dtype=np.uint8)
+    with _allocating(f"the {end - start}-byte payload"):
+        payload = np.empty(end - start, dtype=np.uint8)
     with _PayloadReader(fh, payload, end) as reader:
         values = payload.view("<f4").reshape(n_rows, dim)
         if not values.dtype.isnative:
@@ -292,6 +305,7 @@ def _unit(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+@_allocating("the synthetic bundle")
 def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
     """Deterministic bundle with controllable redundancy structure.
 
@@ -299,7 +313,8 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
     is the unit-normalized prototype plus noise.  After each image the
     prototypes move by a drift-scaled Gaussian step and are re-normalized.
     The same spec always produces byte-identical bundles.  A ``spec``
-    that is not a SyntheticSpec raises BadSpec.
+    that is not a SyntheticSpec raises BadSpec, and one this machine
+    cannot allocate OutOfMemory.
     """
     _instance("spec", spec, SyntheticSpec, BadSpec)
     rng = np.random.default_rng(spec.seed)

@@ -54,10 +54,10 @@ _saved_threads = 1
 
 @contextlib.contextmanager
 def _stage1_workers(images: int, items: int):
-    """Yield the stage-1 worker count for a bundle of ``images`` images
-    that give ``items`` work items (:func:`selection._work_items`): the
-    OpenBLAS thread count w when it is at least 2 and each worker gets at
-    least one image and four items, else 1.  Above 1, OpenBLAS runs on one
+    """Yield the stage-1 worker count for ``images`` stage-1 jobs that
+    give ``items`` work items (:class:`selection._Greedy`): the OpenBLAS
+    thread count w when it is at least 2 and each worker gets at least
+    one image and four items, else 1.  Above 1, OpenBLAS runs on one
     thread until the last such block in the process exits, which restores
     w."""
     global _pinned, _saved_threads
@@ -82,34 +82,21 @@ def _stage1_workers(images: int, items: int):
                     put(_saved_threads)
 
 
-def _stage1(images, quotas, objective: str, workers: int) -> list[list[int]]:
-    """Each image's greedy selection, on ``workers`` threads: the calling
-    thread and ``workers - 1`` started here.  An image whose seed filter
-    spans several tiles gives one item per tile (:func:`selection._split`),
-    any other image one item, a whole :func:`selection.greedy_rep_max`
-    call.  Each thread takes the next item from one shared iterator, and
-    the thread that reduces an image's last tile finishes that image (its
-    seed check and steps).  No item is taken once one has failed, and the
-    first failure by image index is raised after every thread has been
-    joined."""
-    jobs = [selection._split(img, k, objective) for img, k in zip(images, quotas)]
-    tiles = [len(job.tiles) if job else 0 for job in jobs]
-    # The last split images' tiles are dealt in turn, one image per worker,
-    # so that their finishes start together instead of one after another.
-    tail = [i for i, n in enumerate(tiles) if n][-workers:]
-
-    def order():
-        for i, n in enumerate(tiles):
-            if not n:
-                yield i, None
-            elif i not in tail:
-                yield from ((i, t) for t in range(n))
-        for t in range(max((tiles[i] for i in tail), default=0)):
-            yield from ((i, t) for i in tail if t < tiles[i])
-
-    items = order()
-    left = list(tiles)
-    results: list = [None] * len(images)
+def _stage1(jobs: list[selection._Greedy], workers: int) -> list[list[int]]:
+    """Each job's selection, on ``workers`` threads: the calling thread and
+    ``workers - 1`` started here.  Each thread takes the next work item
+    (i, t) from one shared iterator and reduces item t of job i, and the
+    thread that reduces a job's last item finishes that job (its seed
+    check and steps).  The last ``workers`` jobs of several items have
+    theirs dealt in turn, so that their finishes start together.  No item
+    is taken once one has failed, and the first failure by image index is
+    raised after every thread has been joined."""
+    tail = [i for i, job in enumerate(jobs) if job.items > 1][-workers:]
+    order = [(i, t) for i, job in enumerate(jobs) for t in range(job.items)]
+    dealt = sorted((item for item in order if item[0] in tail), key=lambda it: it[1])
+    items = iter([item for item in order if item[0] not in tail] + dealt)
+    left = [job.items for job in jobs]
+    results: list = [None] * len(jobs)
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
 
@@ -119,14 +106,9 @@ def _stage1(images, quotas, objective: str, workers: int) -> list[list[int]]:
                 item = None if errors else next(items, None)
             if item is None:
                 return
-            i, tile = item
+            i, t = item
             try:
-                if tile is None:
-                    results[i] = selection.greedy_rep_max(
-                        images[i], quotas[i], objective
-                    )
-                    continue
-                jobs[i].reduce(tile)
+                jobs[i].reduce(t)
                 with lock:
                     left[i] -= 1
                     last = not left[i]
@@ -202,21 +184,20 @@ def prune(
     Returns the redundancy report and a Selection whose indices, scores and
     stage sizes all reference the original bundle.
 
-    Stage 1 runs as work items: an image whose streamed seed filter spans
-    several tiles (more rows than dims and than one tile holds, such as a
-    2880 × 1024 image's 18) gives one item per tile, any other image one
-    item.  They run on w threads when numpy's OpenBLAS runs with w >= 2
-    threads and each thread gets at least one image and four items (w
-    images and 4 w items: 32 video frames, or two or more 2880 × 1024
-    images at w = 2); else they run one after another in the calling thread
-    and BLAS is left as it is.  While the pool runs, OpenBLAS is set to one
-    thread for the whole request (signals, both stages, scoring), so that
-    no BLAS call is threaded, and w is restored when the last pooled prune
-    in the process returns or raises; meanwhile other threads' BLAS calls
-    run on one thread too.  So a bundle of a few large images now runs on
-    one BLAS thread too.  Each image's selection depends only on that
-    image, and its tiles' reductions merge the same in any order, so the
-    result does not depend on the worker count.
+    Stage 1 runs one :class:`selection._Greedy` job per image, made once
+    the quotas are known, as work items: one per seed-filter tile for an
+    image with more rows than dims and than one tile holds (a 2880 × 1024
+    image has 18), else one.  They run on w threads when numpy's OpenBLAS
+    runs with w >= 2 threads and each thread gets at least one image and
+    four items (32 video frames, or two or more 2880 × 1024 images at
+    w = 2); else one after another in the calling thread, with BLAS left
+    as it is.  While the pool runs, OpenBLAS is set to one thread from
+    stage 1 through scoring (the signals make no threaded BLAS call), and
+    w is restored when the last pooled prune in the process returns or
+    raises; meanwhile other threads' BLAS calls run on one thread too.
+    Each image's selection depends only on that image, and its tiles'
+    reductions merge the same in any order, so the result does not
+    depend on the worker count.
 
     ``threads`` must be the integer 1; any other value raises BadConfig
     before any work is done.  Arguments of the wrong type raise as in
@@ -225,37 +206,30 @@ def prune(
     if _integer("threads", threads, 1, BadConfig) != 1:
         raise BadConfig(f"threads must be 1, got {threads!r}")
     budgets = resolve_config(cfg, bundle, require_text=True)
-    items = sum(selection._work_items(n, bundle.dim) for n in bundle.counts)
-    with _stage1_workers(bundle.n_images, items) as workers:
-        return _prune(bundle, cfg, budgets, workers)
-
-
-def _prune(
-    bundle: TokenBundle, cfg: PruneConfig, budgets: ResolvedBudgets, workers: int
-) -> tuple[RedundancyReport, Selection]:
-    """:func:`prune` after its checks, with stage 1 on ``workers`` threads."""
     report = _signals(bundle, cfg, budgets)
     offsets = bundle.offsets
-
-    stage1_local = _stage1(
-        bundle.images, report.per_image_budgets, cfg.greedy_objective, workers
-    )
-    x1_global = [
-        offsets[k] + i for k, local in enumerate(stage1_local) for i in local
+    jobs = [
+        selection._Greedy(img, k, cfg.greedy_objective)
+        for img, k in zip(bundle.images, report.per_image_budgets)
     ]
+    with _stage1_workers(len(jobs), sum(job.items for job in jobs)) as workers:
+        stage1_local = _stage1(jobs, workers)
+        x1_global = [
+            offsets[k] + i for k, local in enumerate(stage1_local) for i in local
+        ]
 
-    pooled = bundle.rows.gather(x1_global)
-    picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
-    del pooled  # freed before the candidates are gathered and scored
-    cand_global = [x1_global[p] for p in picked]
+        pooled = bundle.rows.gather(x1_global)
+        picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
+        del pooled  # freed before the candidates are gathered and scored
+        cand_global = [x1_global[p] for p in picked]
 
-    cand = bundle.rows.gather(cand_global)
-    if cand.rows >= 2:
-        v = metrics.token_diversity_fast(cand)
-    else:
-        v = np.zeros(cand.rows, dtype=np.float64)  # lone candidate: no pairs
-    ctx = metrics.build_alignment_context(bundle.text, cfg.align_on_normalized)
-    a = metrics.alignment_fast(cand, ctx, cfg.align_on_normalized)
+        cand = bundle.rows.gather(cand_global)
+        if cand.rows >= 2:
+            v = metrics.token_diversity_fast(cand)
+        else:
+            v = np.zeros(cand.rows, dtype=np.float64)  # lone candidate: no pairs
+        ctx = metrics.build_alignment_context(bundle.text, cfg.align_on_normalized)
+        a = metrics.alignment_fast(cand, ctx, cfg.align_on_normalized)
 
     points = [
         selection.ParetoPoint(index=p, v=float(v[p]), a=float(a[p]))
@@ -275,12 +249,7 @@ def _prune(
         scores=tuple(
             (g, float(v[p]), float(a[p])) for p, g in enumerate(cand_global)
         ),
-        stage_sizes=(
-            budgets.m0,
-            len(x1_global),
-            len(cand_global),
-            len(kept_global),
-        ),
+        stage_sizes=(budgets.m0, len(x1_global), len(cand_global), len(kept_global)),
     )
     return report, sel
 

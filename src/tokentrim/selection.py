@@ -93,13 +93,14 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else np.inf
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Source:
     """A float32 score source: the stored rows ``data`` and their float32
     reciprocal norms ``scale`` (unit row i is about data[i] * scale[i]),
     with ``gram``, their whole scaled gram with +inf on its diagonal, or
-    None when tiles of it are computed as needed; ``eps`` bounds each dot
-    product it gives (module docstring)."""
+    None when tiles of it are computed as needed or until
+    :class:`_Greedy` builds it; ``eps`` bounds each dot product it gives
+    (module docstring)."""
 
     gram: np.ndarray | None
     data: np.ndarray
@@ -121,19 +122,17 @@ def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
 
 
 def _scaled_rows(tokens: TokenMatrix) -> _Source | None:
-    """The stored rows as a float32 score source, keeping their scaled
-    gram when the image has no more rows than dims (so the gram is no
-    larger than the rows), or None when some row's norm is 2**63 or more,
-    where the bound fails."""
+    """The stored rows as a float32 score source without a kept gram
+    (:class:`_Greedy` builds it), or None when some row's norm is 2**63 or
+    more, where the bound fails."""
     if tokens.norms_sq.max() >= 2.0**126:
         return None
     scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
-    n, dim = tokens.data.shape
+    dim = tokens.dim
     u = 2.0**-24
     underflow = dim * max(1.0, float(scale.max())) ** 2 * 2.0**-148
     eps = 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
-    gram = _scaled_gram(tokens.data, scale) if n <= dim else None
-    return _Source(gram, tokens.data, scale, eps)
+    return _Source(None, tokens.data, scale, eps)
 
 
 def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -448,52 +447,55 @@ def greedy_rep_max(
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
     k = _integer("selection budget", k, 1, BadBudget)
-    if k >= tokens.rows:
-        return list(range(tokens.rows))
     job = _Greedy(tokens, k, objective)
-    for t in range(len(job.tiles)):
+    for t in range(job.items):
         job.reduce(t)
     return job.finish()
 
 
 class _Greedy:
-    """:func:`greedy_rep_max` for 1 <= k < rows as work items: ``reduce(t)``
-    for each seed-filter tile ``tiles[t]``, in any order and on any
-    threads, then ``finish()`` once, which merges the reductions,
-    certifies the seed, takes the steps and falls back to the float64
-    computation where a decision cannot be certified.  ``tiles`` holds the
-    streamed filter's tiles (:func:`_tiles`), one block covering a kept
-    gram, or none when there is no score source or the bounds fail at
-    this dim (tol >= 1).  Once a tile has more than _MAX_CANDIDATES pairs
-    near its own minimum, the image goes to the float64 computation and
-    the tiles left are not computed."""
+    """:func:`greedy_rep_max` for an int k >= 1 and a known objective as
+    ``items`` work items: ``reduce(t)`` for t in range(items), in any
+    order and on any threads, then ``finish()`` once, which merges the
+    reductions, certifies the seed, takes the steps and falls back to the
+    float64 computation where a decision cannot be certified.  The items
+    are the streamed filter's tiles (:func:`_tiles`), or one block that
+    builds and reads the kept gram of an image with no more rows than
+    dims, or one that does nothing when k >= rows, there is no score
+    source or the bounds fail at this dim (tol >= 1).  Once a tile has
+    more than _MAX_CANDIDATES pairs near its own minimum, the image goes
+    to the float64 computation and the tiles left are not computed."""
 
     def __init__(self, tokens: TokenMatrix, k: int, objective: str):
         self.tokens, self.k = tokens, k
         self.combine = np.add if objective == "sum_distance" else np.maximum
-        self.src = _scaled_rows(tokens)
+        self.src = _scaled_rows(tokens) if k < tokens.rows else None
         self.tiles = []
         if self.src is not None:
             self.tol = 2 * self.src.eps + 2 * _delta(tokens.dim)
             if self.tol < 1:
                 n = tokens.rows
-                self.tiles = [(0, n, 0, n)] if self.src.gram is not None else _tiles(n)
+                self.tiles = [(0, n, 0, n)] if n <= tokens.dim else _tiles(n)
+        self.items = len(self.tiles) or 1
         self.parts = [None] * len(self.tiles)
-        self.overflow = False
 
     def reduce(self, t: int) -> None:
-        if self.overflow:
+        src = self.src
+        if src is None or not self.tiles:
             return
         r0, rows, c0, cols = self.tiles[t]
-        block = self.src.gram
-        if block is None:
-            block = _tile(self.src, r0, rows, c0, cols)
+        if self.tokens.rows <= self.tokens.dim:
+            block = src.gram = _scaled_gram(src.data, src.scale)
+        else:
+            block = _tile(src, r0, rows, c0, cols)
         self.parts[t] = _reduce(block, r0, c0, self.tol)
         if self.parts[t] is None:
-            self.overflow = True  # only ever set, so threads cannot undo it
+            self.src = None  # dropped for good: the image goes to float64
 
     def finish(self) -> list[int]:
         tokens, k, combine = self.tokens, self.k, self.combine
+        if k >= tokens.rows:
+            return list(range(tokens.rows))
         selected = []
         if self.tiles:
             found = _merge(self.parts, self.tol)
@@ -507,24 +509,6 @@ class _Greedy:
             if len(selected) < k:
                 _float64_steps(unit, selected, k, combine)
         return [selected[0]] if k == 1 else sorted(selected)
-
-
-def _work_items(n: int, dim: int) -> int:
-    """The stage-1 work items of an image of n rows of this dim: its
-    streamed seed filter's tiles, or 1 when it keeps its gram (n <= dim)
-    or its filter fits in one tile."""
-    return len(_tiles(n)) if n > dim else 1
-
-
-def _split(tokens: TokenMatrix, k: int, objective: str) -> _Greedy | None:
-    """``greedy_rep_max(tokens, k, objective)``, for an int k >= 1 and a
-    known objective, as a :class:`_Greedy` whose seed filter spans several
-    tiles, or None when the call is one work item (:func:`_work_items`, or
-    k >= rows, or no score source)."""
-    if k >= tokens.rows or _work_items(tokens.rows, tokens.dim) < 2:
-        return None
-    job = _Greedy(tokens, k, objective)
-    return job if len(job.tiles) > 1 else None
 
 
 def _collapsed_arrays(

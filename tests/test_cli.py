@@ -301,6 +301,60 @@ class TestBenchCommand:
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+# Runs the CLI with its address space capped at 4 GiB, so an allocation
+# the machine's overcommit rules would grant fails here at once.
+LIMITED_CLI = """
+import resource, sys
+from tokentrim.cli import main
+limit = 4 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_limited(*argv):
+    pytest.importorskip("resource")
+    src = str(Path(tokentrim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestOutOfMemory:
+    """An allocation the machine refuses exits 31 with its stage, not with
+    numpy's MemoryError traceback."""
+
+    def test_sparse_bundle_declaring_64_gib(self, tmp_path):
+        """4 KiB on disk, 1 x 2**24 x 1024 float32 rows by its header and
+        its apparent size."""
+        path = tmp_path / "sparse.ttb"
+        with open(path, "wb") as fh:
+            fh.write(b"TTB1" + np.array([1, 1, 0, 1024, 2**24], "<u4").tobytes())
+            fh.truncate(fh.tell() + 4 * 2**24 * 1024)
+        proc = run_limited("analyze", "--input", str(path))
+        assert proc.returncode == 31, proc.stderr
+        assert proc.stderr.startswith(
+            "tokentrim analyze: stage load-input: OutOfMemory: cannot allocate "
+            f"the {4 * 2**34}-byte payload"
+        )
+        assert proc.stdout == ""
+
+    def test_gen_beyond_memory(self, tmp_path):
+        out = tmp_path / "x.ttb"
+        proc = run_limited(
+            "gen", "--images", "1", "--tokens", str(2**31), "--dim", "1024",
+            "--output", str(out),
+        )
+        assert proc.returncode == 31, proc.stderr
+        assert proc.stderr.startswith(
+            "tokentrim gen: stage generate: OutOfMemory: "
+            "cannot allocate the synthetic bundle"
+        )
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_missing_input(self, capsys, tmp_path):
         code, _, err = run(

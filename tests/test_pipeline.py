@@ -344,15 +344,15 @@ class TestStage1Pool:
         fake = FakeBlas(2)
         monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
         failures = {5: RuntimeError("image 5"), 7: RuntimeError("image 7")}
-        real = selection.greedy_rep_max
+        real = selection._Greedy.finish
 
-        def greedy(tokens, k, objective):
+        def finish(job):
             for i, exc in failures.items():
-                if tokens is bundle.images[i]:
+                if job.tokens is bundle.images[i]:
                     raise exc
-            return real(tokens, k, objective)
+            return real(job)
 
-        monkeypatch.setattr(selection, "greedy_rep_max", greedy)
+        monkeypatch.setattr(selection._Greedy, "finish", finish)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as err:
             prune(bundle, PruneConfig())
@@ -378,13 +378,13 @@ class TestStage1Pool:
         fake = FakeBlas(2)
         monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
         both_inside = threading.Barrier(2, timeout=60)
-        real = pipeline._signals
+        real = pipeline._stage1
 
-        def signals(*args):
+        def stage1(*args):
             both_inside.wait()
             return real(*args)
 
-        monkeypatch.setattr(pipeline, "_signals", signals)
+        monkeypatch.setattr(pipeline, "_stage1", stage1)
         started = count_thread_starts(monkeypatch)
         results, errors = [], []
 
@@ -416,15 +416,15 @@ class TestStage1Pool:
         want = prune(bundle, cfg)
         fake = FakeBlas(4)
         monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
-        real = selection.greedy_rep_max
+        real = selection._Greedy.reduce
         unpinned = []
 
-        def greedy(tokens, k, objective):
+        def reduce(job, t):
             if fake.threads != 1:
-                unpinned.append(k)
-            return real(tokens, k, objective)
+                unpinned.append(job.k)
+            return real(job, t)
 
-        monkeypatch.setattr(selection, "greedy_rep_max", greedy)
+        monkeypatch.setattr(selection._Greedy, "reduce", reduce)
         results = []
         hosts = [
             threading.Thread(target=lambda: results.append(prune(bundle, cfg)))
@@ -471,7 +471,7 @@ class TestTiledStage1Pool:
         small_tiles(monkeypatch)
         bundle, cfg = pool_bundle(n_images), split_config(n_images)
         assert all(
-            len(selection._split(img, 13, "sum_distance").tiles) == 12
+            selection._Greedy(img, 13, "sum_distance").items == 12
             for img in bundle.images
         )
         one = FakeBlas(1)
@@ -484,8 +484,15 @@ class TestTiledStage1Pool:
         assert len(started) == (n_images >= 2)
         assert pooled == serial
         assert repr(pooled[1].scores) == repr(serial[1].scores)
-        args = (bundle.images, serial[0].per_image_budgets, cfg.greedy_objective)
-        assert pipeline._stage1(*args, 2) == pipeline._stage1(*args, 1)
+        quotas = serial[0].per_image_budgets
+
+        def jobs():
+            return [
+                selection._Greedy(img, k, cfg.greedy_objective)
+                for img, k in zip(bundle.images, quotas)
+            ]
+
+        assert pipeline._stage1(jobs(), 2) == pipeline._stage1(jobs(), 1)
 
     @pytest.mark.parametrize("method", ["reduce", "finish"])
     @pytest.mark.parametrize("error", [MemoryError, RuntimeError])

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,6 +23,7 @@ from tokentrim import (
     apply_selection,
     build_token_matrix,
     make_bundle,
+    pipeline,
     prune,
     read_bundle,
     selection,
@@ -259,9 +260,56 @@ def test_seed_filter_agrees_over_kept_and_streamed_blocks(values, tile_rows, til
         selection._reduce(selection._tile(src, *tile), tile[0], tile[2], tol)
         for tile in tiles
     ]
-    for parts in ([selection._reduce(src.gram, 0, 0, tol)], streamed):
+    gram = selection._scaled_gram(m.data, src.scale)
+    for parts in ([selection._reduce(gram, 0, 0, tol)], streamed):
         found = selection._merge(parts, tol)
         assert selection._certified_seed_pair(m, found) in (None, want)
+
+
+@st.composite
+def mixed_stage1_jobs(draw):
+    """Images of one dim, each with its budget, of the four stage-1 job
+    kinds: k >= rows; a row norm of 2**64, so no score source; no more
+    rows than dims, so a kept gram; and more rows than dims and at least
+    6, so several tiles of at most 4 x 6."""
+    dim = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["all", "huge", "kept", "tiled"]), min_size=1, max_size=6
+        )
+    )
+    images = []
+    for kind in kinds:
+        if kind == "tiled":
+            n = draw(st.integers(max(dim + 1, 6), 40))
+        else:
+            n = draw(st.integers(2, dim if kind == "kept" else 30))
+        k = draw(st.integers(n, n + 2) if kind == "all" else st.integers(1, n - 1))
+        values = rng.standard_normal((n, dim))
+        if kind == "huge":
+            row = values[draw(st.integers(0, n - 1))]
+            row *= 2.0**64 / np.linalg.norm(row)
+        images.append((kind, build_token_matrix(n, dim, values), k))
+    return images
+
+
+@PROPERTY_SETTINGS
+@given(
+    mixed_stage1_jobs(),
+    st.integers(1, 4),
+    st.sampled_from(["sum_distance", "min_distance"]),
+)
+def test_pooled_stage1_matches_each_images_greedy(images, workers, objective):
+    """Stage 1 on 1-4 workers, over jobs of every kind in one list, gives
+    each image's own greedy_rep_max selection."""
+    with mock.patch.multiple(selection, _TILE_ROWS=4, _TILE_COLS=6):
+        want = [greedy_rep_max(m, k, objective) for _, m, k in images]
+        jobs = [selection._Greedy(m, k, objective) for _, m, k in images]
+        for (kind, m, _), job in zip(images, jobs):
+            assert (job.items > 1) == (kind == "tiled")
+            assert (job.src is None) == (kind in ("all", "huge"))
+        assert pipeline._stage1(jobs, workers) == want
 
 
 @st.composite
@@ -528,3 +576,45 @@ def test_write_bundle_raises_only_package_errors(bundle):
     """Only the bundle is hostile: a hostile str or bytes path would
     create a file."""
     _only_package_errors(lambda: write_bundle(bundle, os.devnull))
+
+
+def _below(path) -> bool:
+    """Whether a relative ``path`` has no ".." component."""
+    if isinstance(path, bytes):
+        return b".." not in path.split(b"/")
+    return ".." not in path.split("/")
+
+
+# A str or bytes path made relative by its "./" prefix and kept below the
+# working directory, which the writers' tests set to a temporary one.
+_relative_paths = st.one_of(
+    st.text(max_size=300).map(lambda p: "./" + p),
+    st.binary(max_size=300).map(lambda p: b"./" + p),
+).filter(_below)
+_WRITER_SETTINGS = settings(
+    PROPERTY_SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_WRITER_SETTINGS
+@given(_relative_paths)
+@example("./a\x00")
+@example(b"./\xff\x00")
+@example("./\ud800")
+@example("./")  # the working directory itself
+@example("./missing/dir/x")
+@example("./" + "n" * 300)  # a name longer than file systems allow
+def test_write_bundle_paths_raise_only_package_errors(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    _only_package_errors(lambda: write_bundle(_SMALL, path))
+
+
+@_WRITER_SETTINGS
+@given(_relative_paths)
+@example("./a\x00")
+@example("./\ud800")
+@example("./")
+@example("./" + "n" * 300)
+def test_write_result_paths_raise_only_package_errors(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    _only_package_errors(lambda: write_result(_REPORT, _SEL, path))

@@ -802,7 +802,7 @@ class TestKeptFloat32Gram:
             rows = np.stack([x, -x + scale * rng.standard_normal((6, 16))], axis=1)
             m = build_token_matrix(12, 16, rows.ravel())
             i, j = brute_force_farthest_pair(m)
-            gram = selection._scaled_rows(m).gram
+            gram = selection._scaled_gram(m.data, selection._scaled_rows(m).scale)
             above += bool(min(gram[i, j], gram[j, i]) > gram.min())
             for objective in ("sum_distance", "min_distance"):
                 assert greedy_rep_max(m, 2, objective) == [i, j]
@@ -868,9 +868,8 @@ class TestKeptFloat32Gram:
         rows[0, 0], rows[1, 0], rows[2, 1], rows[3, 1] = 1, -1, 1, -1
         rows[4, :2] = 1
         m = build_token_matrix(5, 8, rows.ravel())
-        src = selection._scaled_rows(m)
-        assert src.gram is not None
-        ci, cj = selection._merge([selection._reduce(src.gram, 0, 0, 1e-6)], 1e-6)
+        gram = selection._scaled_gram(m.data, selection._scaled_rows(m).scale)
+        ci, cj = selection._merge([selection._reduce(gram, 0, 0, 1e-6)], 1e-6)
         assert list(zip(ci.tolist(), cj.tolist())) == [(0, 1), (2, 3)]
 
     def test_kept_gram_stays_below_one_float32_copy(self):
