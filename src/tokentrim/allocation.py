@@ -2,7 +2,8 @@
 
 Turns the scalar redundancy factor into the stage-1 total and splits that
 total into per-image quotas that always sum exactly and respect both the
-one-token floor and each image's token count.
+one-token floor and each image's token count.  An argument of the wrong
+type or out of range raises InfeasibleBudget.
 """
 
 from __future__ import annotations
@@ -10,7 +11,18 @@ from __future__ import annotations
 import math
 
 from .errors import InfeasibleBudget, ShapeMismatch
-from .types import round_half_away
+from .types import _instance, _integer, _items, _real, round_half_away
+
+
+def _weights(values) -> list[float]:
+    """``values`` as a nonempty list of finite floats, else InfeasibleBudget."""
+    items = _items("weights", values, InfeasibleBudget)
+    weights = [_real("weight", w, InfeasibleBudget) for w in items]
+    if not weights:
+        raise InfeasibleBudget("no weights: there are no images")
+    if not all(math.isfinite(w) for w in weights):
+        raise InfeasibleBudget("weights must be finite")
+    return weights
 
 
 def stage1_budget(s: float, m_min: int, m_max: int, lam: float) -> int:
@@ -18,9 +30,14 @@ def stage1_budget(s: float, m_min: int, m_max: int, lam: float) -> int:
 
     M_1 = m_min + round((m_max - m_min) * clip(lam * s, 0, 1)), rounding
     half away from zero.  Saturated (infinite) s clips to the upper bound.
-    Monotone non-decreasing in both s and lam.
+    Monotone non-decreasing in both s and lam.  A NaN s or lam, or lam = 0
+    with an infinite s, raises InfeasibleBudget.
     """
-    scaled = lam * s
+    m_min = _integer("m_min", m_min, 0, InfeasibleBudget)
+    m_max = _integer("m_max", m_max, m_min, InfeasibleBudget)
+    scaled = _real("lam", lam, InfeasibleBudget) * _real("s", s, InfeasibleBudget)
+    if math.isnan(scaled):
+        raise InfeasibleBudget(f"lam * s is not a number (s={s!r}, lam={lam!r})")
     clipped = min(max(scaled, 0.0), 1.0)
     return m_min + round_half_away((m_max - m_min) * clipped)
 
@@ -32,13 +49,15 @@ def image_weights(
 
     With the rule on and more than two images, the last image's weight is
     raised to the sequence maximum so the most recent context never starves.
-    An all-zero profile falls back to uniform weights.
+    An all-zero profile falls back to uniform weights.  No weights, or a
+    weight that is not finite, raises InfeasibleBudget.
     """
-    weights = [float(w) for w in d_intra_per_image]
+    weights = _weights(d_intra_per_image)
+    _instance("last_image_rule", last_image_rule, bool, InfeasibleBudget)
     n = len(weights)
     if last_image_rule and n > 2:
         weights[-1] = max(weights)
-    if max(weights, default=0.0) <= 0.0:
+    if max(weights) <= 0.0:
         return [1.0 / n] * n
     return weights
 
@@ -55,8 +74,14 @@ def per_image_budgets(
     units still owed go to the in-bounds image with the largest remaining
     ideal-share deficit, excess units are taken back from the image with
     the largest overshoot (ties to the lower index in both directions).
-    The output sums to m1 exactly with 1 <= budget[k] <= caps[k].
+    The output sums to m1 exactly with 1 <= budget[k] <= caps[k].  No
+    weights, a weight that is negative or not finite, a weight sum beyond
+    float range or a cap below 1 raises InfeasibleBudget.
     """
+    weights = _weights(weights)
+    m1 = _integer("m1", m1, 0, InfeasibleBudget)
+    items = _items("caps", caps, InfeasibleBudget)
+    caps = [_integer("cap", c, 1, InfeasibleBudget) for c in items]
     n = len(weights)
     if len(caps) != n:
         raise ShapeMismatch(f"{n} weights but {len(caps)} caps")
@@ -64,7 +89,12 @@ def per_image_budgets(
         raise InfeasibleBudget(f"m1={m1} cannot give each of {n} images a token")
     if m1 > sum(caps):
         raise InfeasibleBudget(f"m1={m1} exceeds total capacity {sum(caps)}")
-    total_w = math.fsum(weights)
+    if min(weights) < 0.0:
+        raise InfeasibleBudget("weights must not be negative")
+    try:
+        total_w = math.fsum(weights)
+    except OverflowError:
+        raise InfeasibleBudget("the weights' sum overflows") from None
     if total_w <= 0.0:
         raise InfeasibleBudget("weights must have a positive sum")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 
 class TokenTrimError(Exception):
     """Base class for every error raised by this package."""
@@ -113,6 +115,15 @@ class IoFailure(TokenTrimError):
 
 class OutOfMemory(TokenTrimError):
     """The machine could not allocate the memory an input or spec asks for."""
+
+
+@contextlib.contextmanager
+def _allocating(what: str):
+    """OutOfMemory, naming ``what``, for an allocation the block fails."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise OutOfMemory(f"cannot allocate {what}: {exc}") from exc
 
 
 class BenchGateFailure(TokenTrimError):

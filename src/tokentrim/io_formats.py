@@ -12,7 +12,6 @@ order so documents diff cleanly.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import numbers
 import os
@@ -30,10 +29,10 @@ from .errors import (
     BadSpec,
     BadVersion,
     IoFailure,
-    OutOfMemory,
     SelectionMismatch,
     ShapeMismatch,
     TruncatedFile,
+    _allocating,
 )
 from .types import (
     CONFIG_FIELDS,
@@ -77,15 +76,6 @@ def write_bundle(bundle: TokenBundle, path) -> None:
             fh.write(np.ascontiguousarray(bundle.rows.data, dtype="<f4"))
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
         raise IoFailure(f"cannot write bundle to {path}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _allocating(what: str):
-    """OutOfMemory, naming ``what``, for an allocation the block fails."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise OutOfMemory(f"cannot allocate {what}: {exc}") from exc
 
 
 def _fill(fh, buf) -> int:

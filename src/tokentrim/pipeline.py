@@ -260,10 +260,10 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     Row values are copied bit-exactly in their original relative order;
     images left with zero kept tokens are dropped from the output (the
     report still records them).  Raises SelectionMismatch when the
-    selection does not fit this bundle, is not a Selection or holds
-    something else than its fields' counts and indices, or when its
-    ``stage_sizes`` increase or do not end at the kept count, and
-    ShapeMismatch when ``bundle`` is not a TokenBundle.
+    selection does not fit this bundle, is not a Selection, holds
+    something else than its fields' counts and indices or repeats an
+    index, or when its ``stage_sizes`` increase or do not end at the kept
+    count, and ShapeMismatch when ``bundle`` is not a TokenBundle.
     """
     _instance("bundle", bundle, TokenBundle, ShapeMismatch)
     _instance("selection", sel, Selection, SelectionMismatch)
@@ -301,6 +301,8 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
                 )
             merged.append(offsets[k] + i)
     merged.sort()
+    if len(set(merged)) != len(merged):
+        raise SelectionMismatch("selection repeats a kept index")
     kept_global = _items("selection kept_global", sel.kept_global, SelectionMismatch)
     if merged != list(kept_global):
         raise SelectionMismatch("per-image and global kept indices disagree")

@@ -13,10 +13,10 @@ count, so which copy wins can follow that rounding rather than the index,
 and can change with the BLAS thread count.
 
 Greedy dispersion makes the float64 computation's choices bit for bit from
-a cheaper score source, one :class:`_Source` record with the bound below
-for its dot products: the stored float32 rows with a float32 reciprocal
-norm per row, whose whole scaled gram is kept when an image has no more
-rows than dims and streamed in tiles otherwise.  No float64 copy of
+a cheaper score source, held by the image's :class:`_Greedy` job with the
+bound below for its dot products: the stored float32 rows with a float32
+reciprocal norm per row, whose whole scaled gram is kept when an image has
+no more rows than dims and streamed in tiles otherwise.  No float64 copy of
 an image is made unless a decision cannot be certified: each decision is
 either certified against proven rounding bounds, from float64 copies of
 the few rows it compares, or handed to the float64 computation.  The bounds
@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, BadConfig, BadSubset
+from .errors import BadBudget, BadConfig, BadSubset, _allocating
 from .types import GREEDY_OBJECTIVES, TokenMatrix, _integer
 
 _SEED_BLOCK = 1024
@@ -93,21 +93,6 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else np.inf
 
 
-@dataclass
-class _Source:
-    """A float32 score source: the stored rows ``data`` and their float32
-    reciprocal norms ``scale`` (unit row i is about data[i] * scale[i]),
-    with ``gram``, their whole scaled gram with +inf on its diagonal, or
-    None when tiles of it are computed as needed or until
-    :class:`_Greedy` builds it; ``eps`` bounds each dot product it gives
-    (module docstring)."""
-
-    gram: np.ndarray | None
-    data: np.ndarray
-    scale: np.ndarray
-    eps: float
-
-
 def _delta(dim: int) -> float:
     """The module docstring's delta, with its slack: the bound on a float64
     dot product of two unit rows."""
@@ -119,20 +104,6 @@ def _unit64_rows(tokens: TokenMatrix, idx) -> np.ndarray:
     rows = tokens.data[idx].astype(np.float64)
     rows /= np.sqrt(tokens.norms_sq[idx])[:, None]
     return rows
-
-
-def _scaled_rows(tokens: TokenMatrix) -> _Source | None:
-    """The stored rows as a float32 score source without a kept gram
-    (:class:`_Greedy` builds it), or None when some row's norm is 2**63 or
-    more, where the bound fails."""
-    if tokens.norms_sq.max() >= 2.0**126:
-        return None
-    scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
-    dim = tokens.dim
-    u = 2.0**-24
-    underflow = dim * max(1.0, float(scale.max())) ** 2 * 2.0**-148
-    eps = 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
-    return _Source(None, tokens.data, scale, eps)
 
 
 def _scaled_gram(data: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -161,13 +132,14 @@ def _tiles(n: int) -> list[tuple[int, int, int, int]]:
     return tiles
 
 
-def _tile(src: _Source, r0: int, rows: int, c0: int, cols: int) -> np.ndarray:
+def _tile(
+    data: np.ndarray, scale: np.ndarray, r0: int, rows: int, c0: int, cols: int
+) -> np.ndarray:
     """A fresh array of the dot products of unit rows r0 .. r0 + rows - 1
-    with unit rows c0 .. c0 + cols - 1 from the scaled float32 rows (the
-    raw products, then each row's scale, then each column's), with +inf
-    at every entry (i, j) with j <= i, masked only over the columns that
-    reach the diagonal."""
-    data, scale = src.data, src.scale
+    with unit rows c0 .. c0 + cols - 1 from the float32 rows ``data`` and
+    their reciprocal norms ``scale`` (the raw products, then each row's
+    scale, then each column's), with +inf at every entry (i, j) with
+    j <= i, masked only over the columns that reach the diagonal."""
     tile = data[r0 : r0 + rows] @ data[c0 : c0 + cols].T
     tile *= scale[r0 : r0 + rows, None]
     tile *= scale[c0 : c0 + cols]
@@ -175,18 +147,6 @@ def _tile(src: _Source, r0: int, rows: int, c0: int, cols: int) -> np.ndarray:
     if reach > 0:
         tile[:, :reach][np.tri(rows, reach, r0 - c0, dtype=bool)] = np.inf
     return tile
-
-
-def _dot_column(src: _Source, i: int) -> np.ndarray:
-    """The dot products of every unit row with row i, from ``src``: a
-    read-only view of row i of a kept gram (whose entry i is +inf), or
-    computed as in :func:`_tile`."""
-    if src.gram is not None:
-        return src.gram[i]
-    column = src.data @ src.data[i]
-    column *= src.scale[i]
-    column *= src.scale
-    return column
 
 
 def _exact_seed_pair(unit: np.ndarray) -> tuple[int, int]:
@@ -219,7 +179,7 @@ def _certified_seed_pair(tokens: TokenMatrix, found) -> tuple[int, int] | None:
 
     For a pair p = (i, j), i < j, let G(p) be the value
     :func:`_exact_seed_pair`'s gemm computes, F(p) the value the score
-    source gives at (i, j) (see :func:`_dot_column`) and V(p) a float64
+    source gives at (i, j) (see :meth:`_Greedy.column`) and V(p) a float64
     recomputation; by the module docstring, G and V lie within delta of
     the exact dot product and F, like the source's value at (j, i),
     within eps.
@@ -304,63 +264,6 @@ def _merge(parts, tol: float):
     return None if len(ci) > _MAX_CANDIDATES else (ci, cj)
 
 
-def _certified_steps(
-    tokens: TokenMatrix,
-    src: _Source,
-    selected: list[int],
-    k: int,
-    combine: np.ufunc,
-) -> None:
-    """Extend ``selected`` toward k rows with :func:`_float64_steps`'s choices.
-
-    Keeps a running score read from the score source ``src`` (see
-    :func:`_dot_column`) and certifies each step as :func:`greedy_rep_max`
-    derives.  Stops at the first step it cannot certify, leaving in
-    ``selected`` the choices made so far.
-    """
-    dim = tokens.dim
-    eps, delta = src.eps, _delta(dim)
-    u = 2.0**-24
-    # The float64 unit rows of selected[:filled], widened at rechecks:
-    # sum_distance holds only their sum, min_distance the rows, in arrays
-    # of at least _HELD_BLOCK rows but the last.
-    total, held = np.zeros(dim), []
-    filled = 0
-    score = combine(_dot_column(src, selected[0]), _dot_column(src, selected[1]))
-    score[selected] = np.inf
-    while len(selected) < k:
-        m = len(selected)
-        if combine is np.add:
-            bF = 1.01 * m * (eps + _gamma(m, u) * (1 + eps))
-            b64 = 1.01 * m * (delta + _gamma(m, 2.0**-53) * (1 + delta))
-        else:
-            bF, b64 = eps, delta
-        limit = _limit(float(score.min()), 2 * bF + 2 * b64)
-        cand = np.flatnonzero(score <= limit)
-        win = 0
-        if len(cand) > 1:
-            if len(cand) > _MAX_CANDIDATES:
-                return
-            new = _unit64_rows(tokens, selected[filled:m])
-            filled = m
-            cand64 = _unit64_rows(tokens, cand)
-            if combine is np.add:
-                total += new.sum(axis=0)
-                value = cand64 @ total
-            else:
-                if held and len(held[-1]) < _HELD_BLOCK:
-                    new = np.concatenate((held.pop(), new))
-                held.append(new)
-                value = np.maximum.reduce([(cand64 @ h.T).max(axis=1) for h in held])
-            win = _clear_winner(value, b64)
-            if win is None:
-                return
-        nxt = int(cand[win])
-        selected.append(nxt)
-        combine(score, _dot_column(src, nxt), out=score)
-        score[nxt] = np.inf
-
-
 def _float64_steps(
     unit: np.ndarray, selected: list[int], k: int, combine: np.ufunc
 ) -> None:
@@ -401,7 +304,7 @@ def greedy_rep_max(
     then :func:`_float64_steps`, on ``tokens.unit64()``.  This function
     returns its choices bit for bit, ties included, from one score source,
     the stored float32 rows with a float32 reciprocal norm per row
-    (:func:`_scaled_rows`), and float64 rows of the few rows it checks.
+    (:class:`_Greedy`), and float64 rows of the few rows it checks.
     When the image has no more rows than dims (n <= dim) the scaled gram
     is no larger than the rows, so it is built once by one syrk
     (:func:`_scaled_gram`).  The seed filter reads a kept gram in place
@@ -464,36 +367,110 @@ class _Greedy:
     dims, or one that does nothing when k >= rows, there is no score
     source or the bounds fail at this dim (tol >= 1).  Once a tile has
     more than _MAX_CANDIDATES pairs near its own minimum, the image goes
-    to the float64 computation and the tiles left are not computed."""
+    to the float64 computation and the tiles left are not computed.
+
+    The job is the image's score source (module docstring): the stored
+    rows ``tokens.data``, their float32 reciprocal norms ``scale`` (unit
+    row i is about data[i] * scale[i]), ``eps``, the bound on each dot
+    product it gives, and ``gram``, their whole scaled gram with +inf on
+    its diagonal once the kept-gram item builds it.  ``scale`` is None
+    when k >= rows or some row's norm is 2**63 or more, where the bound
+    fails, and is set to None once a tile overflows or the job finishes."""
 
     def __init__(self, tokens: TokenMatrix, k: int, objective: str):
         self.tokens, self.k = tokens, k
         self.combine = np.add if objective == "sum_distance" else np.maximum
-        self.src = _scaled_rows(tokens) if k < tokens.rows else None
+        self.scale = self.gram = None
         self.tiles = []
-        if self.src is not None:
-            self.tol = 2 * self.src.eps + 2 * _delta(tokens.dim)
+        if k < tokens.rows and tokens.norms_sq.max() < 2.0**126:
+            self.scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
+            dim, u = tokens.dim, 2.0**-24
+            underflow = dim * max(1.0, float(self.scale.max())) ** 2 * 2.0**-148
+            self.eps = 1.01 * (5 * u + _gamma(dim, u) * (1 + 5 * u) + underflow)
+            self.tol = 2 * self.eps + 2 * _delta(dim)
             if self.tol < 1:
                 n = tokens.rows
-                self.tiles = [(0, n, 0, n)] if n <= tokens.dim else _tiles(n)
+                self.tiles = [(0, n, 0, n)] if n <= dim else _tiles(n)
         self.items = len(self.tiles) or 1
         self.parts = [None] * len(self.tiles)
 
     def reduce(self, t: int) -> None:
-        src = self.src
-        if src is None or not self.tiles:
+        scale = self.scale
+        if scale is None or not self.tiles:
             return
         r0, rows, c0, cols = self.tiles[t]
         if self.tokens.rows <= self.tokens.dim:
-            block = src.gram = _scaled_gram(src.data, src.scale)
+            block = self.gram = _scaled_gram(self.tokens.data, scale)
         else:
-            block = _tile(src, r0, rows, c0, cols)
+            block = _tile(self.tokens.data, scale, r0, rows, c0, cols)
         self.parts[t] = _reduce(block, r0, c0, self.tol)
         if self.parts[t] is None:
-            self.src = None  # dropped for good: the image goes to float64
+            self.scale = None  # dropped for good: the image goes to float64
+
+    def column(self, i: int) -> np.ndarray:
+        """The dot products of every unit row with row i: a read-only view
+        of row i of a kept gram (whose entry i is +inf), or computed as in
+        :func:`_tile`."""
+        if self.gram is not None:
+            return self.gram[i]
+        data, scale = self.tokens.data, self.scale
+        column = data @ data[i]
+        column *= scale[i]
+        column *= scale
+        return column
+
+    def _certified_steps(self, selected: list[int]) -> None:
+        """Extend ``selected`` toward k rows with :func:`_float64_steps`'s choices.
+
+        Keeps a running score read from :meth:`column` and certifies each
+        step as :func:`greedy_rep_max` derives.  Stops at the first step it
+        cannot certify, leaving in ``selected`` the choices made so far.
+        """
+        tokens, k, combine = self.tokens, self.k, self.combine
+        dim = tokens.dim
+        eps, delta = self.eps, _delta(dim)
+        u = 2.0**-24
+        # The float64 unit rows of selected[:filled], widened at rechecks:
+        # sum_distance holds only their sum, min_distance the rows, in arrays
+        # of at least _HELD_BLOCK rows but the last.
+        total, held = np.zeros(dim), []
+        filled = 0
+        score = combine(self.column(selected[0]), self.column(selected[1]))
+        score[selected] = np.inf
+        while len(selected) < k:
+            m = len(selected)
+            if combine is np.add:
+                bF = 1.01 * m * (eps + _gamma(m, u) * (1 + eps))
+                b64 = 1.01 * m * (delta + _gamma(m, 2.0**-53) * (1 + delta))
+            else:
+                bF, b64 = eps, delta
+            limit = _limit(float(score.min()), 2 * bF + 2 * b64)
+            cand = np.flatnonzero(score <= limit)
+            win = 0
+            if len(cand) > 1:
+                if len(cand) > _MAX_CANDIDATES:
+                    return
+                new = _unit64_rows(tokens, selected[filled:m])
+                filled = m
+                cand64 = _unit64_rows(tokens, cand)
+                if combine is np.add:
+                    total += new.sum(axis=0)
+                    value = cand64 @ total
+                else:
+                    if held and len(held[-1]) < _HELD_BLOCK:
+                        new = np.concatenate((held.pop(), new))
+                    held.append(new)
+                    value = np.maximum.reduce([(cand64 @ h.T).max(1) for h in held])
+                win = _clear_winner(value, b64)
+                if win is None:
+                    return
+            nxt = int(cand[win])
+            selected.append(nxt)
+            combine(score, self.column(nxt), out=score)
+            score[nxt] = np.inf
 
     def finish(self) -> list[int]:
-        tokens, k, combine = self.tokens, self.k, self.combine
+        tokens, k = self.tokens, self.k
         if k >= tokens.rows:
             return list(range(tokens.rows))
         selected = []
@@ -501,13 +478,14 @@ class _Greedy:
             found = _merge(self.parts, self.tol)
             selected = list(_certified_seed_pair(tokens, found) or ())
             if selected and k > 2:
-                _certified_steps(tokens, self.src, selected, k, combine)
-        self.src = None  # freed before any float64 copy of the whole image
+                self._certified_steps(selected)
+        self.scale = self.gram = None  # freed before any float64 copy of the image
         if len(selected) < k:
-            unit = tokens.unit64()
-            selected = selected or list(_exact_seed_pair(unit))
-            if len(selected) < k:
-                _float64_steps(unit, selected, k, combine)
+            with _allocating(f"the float64 rows of a {tokens.rows}-row image"):
+                unit = tokens.unit64()
+                selected = selected or list(_exact_seed_pair(unit))
+                if len(selected) < k:
+                    _float64_steps(unit, selected, k, self.combine)
         return [selected[0]] if k == 1 else sorted(selected)
 
 

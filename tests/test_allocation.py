@@ -130,3 +130,27 @@ class TestPerImageBudgets:
             with_rule = per_image_budgets(image_weights(d, True), m1, caps)
             without = per_image_budgets(image_weights(d, False), m1, caps)
             assert with_rule[-1] >= without[-1]
+
+
+def test_bad_values_raise_infeasible_budget():
+    """A non-finite weight, a weight sum beyond float range, no weights and
+    a NaN s or lam raise the package's error, not Python's; an infinite s
+    still saturates."""
+    nan, inf = float("nan"), float("inf")
+    calls = (
+        lambda: per_image_budgets([nan, 1.0], 3, [3, 3]),
+        lambda: per_image_budgets([inf, 1.0], 3, [3, 3]),
+        lambda: per_image_budgets([1e308, 1e308], 3, [3, 3]),
+        lambda: per_image_budgets([2.0, -1.0], 3, [3, 3]),
+        lambda: per_image_budgets([1.0, 1.0], 3, [3, 0]),
+        lambda: image_weights([]),
+        lambda: image_weights([0.5, nan]),
+        lambda: stage1_budget(nan, 1, 5, 0.5),
+        lambda: stage1_budget(1.0, 1, 5, nan),
+        lambda: stage1_budget(inf, 1, 5, 0.0),
+    )
+    for call in calls:
+        with pytest.raises(InfeasibleBudget):
+            call()
+    assert stage1_budget(inf, 1, 5, 0.5) == 5
+

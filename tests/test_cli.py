@@ -16,7 +16,7 @@ from tokentrim import bench, metrics, selection
 from tokentrim.cli import main
 from tokentrim.errors import BadSpec, BenchGateFailure
 from tokentrim.io_formats import report_document, result_document
-from tokentrim.types import resolve_config
+from tokentrim.types import TokenMatrix, resolve_config
 
 
 def run(capsys, *argv):
@@ -351,6 +351,31 @@ class TestOutOfMemory:
         assert proc.stderr.startswith(
             "tokentrim gen: stage generate: OutOfMemory: "
             "cannot allocate the synthetic bundle"
+        )
+        assert not out.exists()
+
+    def test_float64_fallback_beyond_memory(self, capsys, tmp_path, monkeypatch):
+        """A row of norm 2**64 sends its image to the float64 computation,
+        whose float64 copy of the image is refused (injected: nothing is
+        allocated for real)."""
+        inp = gen_bundle(capsys, tmp_path, images=2, tokens=400, dim=16)
+        data = bytearray(inp.read_bytes())
+        start = 20 + 4 * 2 + 4 * 16 * 7  # row 7 of image 0
+        row = np.frombuffer(data, "<f4", 16, start)
+        row = row * (2.0**64 / np.linalg.norm(row))
+        data[start : start + 4 * 16] = row.astype("<f4").tobytes()
+        inp.write_bytes(bytes(data))
+
+        def refuse(self):
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(TokenMatrix, "unit64", refuse)
+        out = tmp_path / "o.json"
+        code, _, err = run(capsys, "prune", "--input", str(inp), "--output", str(out))
+        assert code == 31, err
+        assert err.startswith(
+            "tokentrim prune: stage prune: OutOfMemory: "
+            "cannot allocate the float64 rows of a 400-row image"
         )
         assert not out.exists()
 

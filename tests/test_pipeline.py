@@ -702,18 +702,21 @@ def test_stage_sizes_must_be_counts():
 
 def test_stage_sizes_must_fit_the_selection():
     """Stage sizes that increase, or that do not end at the kept count,
-    raise SelectionMismatch instead of materializing a bundle."""
+    and a row kept twice under stage sizes that fit it raise
+    SelectionMismatch instead of materializing a bundle."""
     rng = np.random.default_rng(18)
     bundle = random_bundle(rng, [4, 4], dim=4)
     _, sel = prune(bundle, PruneConfig(final_tokens=2, retention_ratio=None))
     assert len(sel.kept_global) == 2
-    for sizes, why in (
-        ((8, 1, 999, 5), "increase"),
-        ((8, 8, 8, 7), "end at 7"),
-        ((8, 2, 3, 2), "increase"),
+    repeated = {"kept_per_image": ((1, 1), ()), "kept_global": (1, 1)}
+    for fields, why in (
+        ({"stage_sizes": (8, 1, 999, 5)}, "increase"),
+        ({"stage_sizes": (8, 8, 8, 7)}, "end at 7"),
+        ({"stage_sizes": (8, 2, 3, 2)}, "increase"),
+        ({**repeated, "stage_sizes": (8, 8, 8, 2)}, "repeats a kept index"),
     ):
         with pytest.raises(SelectionMismatch, match=why):
-            apply_selection(bundle, dataclasses.replace(sel, stage_sizes=sizes))
+            apply_selection(bundle, dataclasses.replace(sel, **fields))
 
 
 def test_arguments_of_the_wrong_kind():

@@ -19,6 +19,7 @@ from tokentrim import (
     TokenBundle,
     TokenMatrix,
     TokenTrimError,
+    allocation,
     analyze,
     apply_selection,
     build_token_matrix,
@@ -252,15 +253,17 @@ def test_seed_filter_agrees_over_kept_and_streamed_blocks(values, tile_rows, til
     the float64 computation's seed pair or defers to it."""
     m = build_token_matrix(*values.shape, values)
     want = selection._exact_seed_pair(m.unit64())
-    src = selection._scaled_rows(m)
-    tol = 2 * src.eps + 2 * selection._delta(m.dim)
+    job = selection._Greedy(m, 1, "sum_distance")
+    tol = 2 * job.eps + 2 * selection._delta(m.dim)
     with mock.patch.multiple(selection, _TILE_ROWS=tile_rows, _TILE_COLS=tile_cols):
         tiles = selection._tiles(m.rows)
     streamed = [
-        selection._reduce(selection._tile(src, *tile), tile[0], tile[2], tol)
+        selection._reduce(
+            selection._tile(m.data, job.scale, *tile), tile[0], tile[2], tol
+        )
         for tile in tiles
     ]
-    gram = selection._scaled_gram(m.data, src.scale)
+    gram = selection._scaled_gram(m.data, job.scale)
     for parts in ([selection._reduce(gram, 0, 0, tol)], streamed):
         found = selection._merge(parts, tol)
         assert selection._certified_seed_pair(m, found) in (None, want)
@@ -308,7 +311,7 @@ def test_pooled_stage1_matches_each_images_greedy(images, workers, objective):
         jobs = [selection._Greedy(m, k, objective) for _, m, k in images]
         for (kind, m, _), job in zip(images, jobs):
             assert (job.items > 1) == (kind == "tiled")
-            assert (job.src is None) == (kind in ("all", "huge"))
+            assert (job.scale is None) == (kind in ("all", "huge"))
         assert pipeline._stage1(jobs, workers) == want
 
 
@@ -541,6 +544,41 @@ def test_synthetic_spec_raises_only_package_errors(kwargs):
     """Only the spec is built: a legal but huge one would take hours to
     generate."""
     _only_package_errors(lambda: SyntheticSpec(**kwargs))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(_hostile(), st.floats()),
+    st.one_of(_hostile(), st.integers(0, 6)),
+    st.one_of(_hostile(), st.integers(0, 6)),
+    st.one_of(_hostile(), st.floats()),
+)
+@example(float("nan"), 1, 5, 0.5)  # ValueError in the rounding
+@example(float("inf"), 1, 5, 0.0)  # 0 * inf is NaN
+def test_stage1_budget_raises_only_package_errors(s, m_min, m_max, lam):
+    _only_package_errors(lambda: allocation.stage1_budget(s, m_min, m_max, lam))
+
+
+_weight_lists = st.one_of(_hostile(), st.lists(st.floats(), max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(_weight_lists, st.one_of(_hostile(), st.booleans()))
+@example([], True)  # ZeroDivisionError in the uniform fallback
+def test_image_weights_raises_only_package_errors(d_intra, last_image_rule):
+    _only_package_errors(lambda: allocation.image_weights(d_intra, last_image_rule))
+
+
+@PROPERTY_SETTINGS
+@given(
+    _weight_lists,
+    st.one_of(_hostile(), st.integers(0, 12)),
+    st.one_of(_hostile(), st.lists(st.integers(-1, 6), max_size=4)),
+)
+@example([float("nan"), 1.0], 3, [3, 3])  # ValueError in math.floor
+@example([1e308, 1e308], 3, [3, 3])  # OverflowError in math.fsum
+def test_per_image_budgets_raises_only_package_errors(weights, m1, caps):
+    _only_package_errors(lambda: allocation.per_image_budgets(weights, m1, caps))
 
 
 _CFG = PruneConfig(final_tokens=2, retention_ratio=None)

@@ -1,6 +1,5 @@
 """Greedy dispersion selection and Pareto-front machinery."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -243,9 +242,8 @@ class TestSeedPairScan:
         m = build_token_matrix(n, dim, rows.ravel())
         u32 = m.unit64().astype(np.float32)
         assert u32[0] @ u32[1] == u32[-2] @ u32[-1] == -1.0
-        src = selection._scaled_rows(m)
-        column = selection._dot_column
-        assert column(src, 0)[1] == column(src, n - 2)[n - 1] == -1.0
+        job = selection._Greedy(m, 2, "sum_distance")
+        assert job.column(0)[1] == job.column(n - 2)[n - 1] == -1.0
         expected = brute_force_farthest_pair(m)
         assert expected == (n - 2, n - 1)
         for objective in ("sum_distance", "min_distance"):
@@ -304,7 +302,7 @@ def seed_filter(m, order=None):
     """The streamed seed filter's merged candidates for m as pair tuples,
     its tiles reduced in ``order`` (default: tile order)."""
     job = selection._Greedy(m, 2, "sum_distance")
-    assert job.src.gram is None and len(job.tiles) > 1
+    assert job.gram is None and len(job.tiles) > 1
     for t in order or range(len(job.tiles)):
         job.reduce(t)
     found = selection._merge(job.parts, job.tol)
@@ -405,11 +403,7 @@ def oracle_order(tokens, k, objective):
 def float32_score(tokens, chosen, objective):
     """The float32 score greedy_rep_max keeps after choosing ``chosen``."""
     combine = np.add if objective == "sum_distance" else np.maximum
-    src = selection._scaled_rows(tokens)
-
-    def column(c):
-        return selection._dot_column(src, c)
-
+    column = selection._Greedy(tokens, 2, objective).column
     score = combine(column(chosen[0]), column(chosen[1]))
     for c in chosen[2:]:
         combine(score, column(c), out=score)
@@ -482,15 +476,14 @@ class TestCertifiedGreedyLoop:
             rows[0, 12:18] *= 1e-40  # unit entries subnormal in float32
             return build_token_matrix(300, 24, rows.ravel())
 
-        assert selection._scaled_rows(construction(30)) is None
+        assert selection._Greedy(construction(30), 2, "sum_distance").scale is None
         m = construction(18)
         assert 2.0**55 < np.sqrt(m.norms_sq).max() < 2.0**63
         unit = m.unit64()
-        streamed = selection._scaled_rows(m)
+        streamed = selection._Greedy(m, 2, "sum_distance")
         assert streamed.gram is None  # 300 rows > 24 dims
-        kept = dataclasses.replace(
-            streamed, gram=selection._scaled_gram(m.data, streamed.scale)
-        )
+        kept = selection._Greedy(m, 2, "sum_distance")
+        kept.gram = selection._scaled_gram(m.data, kept.scale)
         u = 2.0**-24
         recip = 1 / np.sqrt(m.norms_sq)
         assert np.all(np.abs(streamed.scale - recip) <= u * recip)
@@ -498,14 +491,14 @@ class TestCertifiedGreedyLoop:
         s = max(1.0, float(streamed.scale.max()))
         gamma = 24 * u / (1 - 24 * u)
         eps = 1.01 * (5 * u + gamma * (1 + 5 * u) + 24 * s**2 * 2.0**-148)
-        for src in (streamed, kept):
-            assert src.eps == eps
+        for job in (streamed, kept):
+            assert job.eps == eps
         # eps for the source, delta for the float64 gram it is compared with
         bound = eps + selection._delta(24)
         gram = unit @ unit.T
         tiles = ((0, 299, 0, 300), (256, 43, 256, 44), (0, 40, 30, 9))
         for r0, rows, c0, cols in tiles:
-            tile = selection._tile(streamed, r0, rows, c0, cols)
+            tile = selection._tile(m.data, streamed.scale, r0, rows, c0, cols)
             i, j = np.ogrid[r0 : r0 + rows, c0 : c0 + cols]
             below = j <= i
             assert np.array_equal(np.isposinf(tile), below)
@@ -514,9 +507,9 @@ class TestCertifiedGreedyLoop:
         off = ~np.eye(300, dtype=bool)
         assert np.all(np.abs(kept.gram - gram)[off] <= bound)
         assert np.all(np.isposinf(np.diag(kept.gram)))
-        for src in (streamed, kept):
+        for job in (streamed, kept):
             for i in (0, 1, 150, 299):
-                error = np.abs(selection._dot_column(src, i) - gram[i])
+                error = np.abs(job.column(i) - gram[i])
                 assert np.all(np.delete(error, i) <= bound)
         idx = [299, 3, 3, 150]
         assert np.array_equal(
@@ -543,7 +536,7 @@ class TestCertifiedGreedyLoop:
                 rows[::3] *= 2.0**power  # norms near 2**power .. 2**(power + 2)
                 m = build_token_matrix(n, dim, rows.ravel())
                 assert np.sqrt(m.norms_sq).max() >= 2.0**63
-                assert selection._scaled_rows(m) is None
+                assert selection._Greedy(m, 2, "sum_distance").scale is None
                 for objective in ("sum_distance", "min_distance"):
                     for k in (2, 3, 9, n - 1):
                         calls.clear()
@@ -625,6 +618,35 @@ class TestCertifiedGreedyLoop:
             tracemalloc.stop()
         assert peak < 2880 * 1024 * 4
 
+    @pytest.mark.parametrize("n, dim", [(20, 64), (40, 8)])
+    def test_fallback_frees_the_float32_source_first(self, monkeypatch, n, dim):
+        """Rows 3 and n - 1 are exact copies, so they tie wherever one of
+        them is taken and the selection falls back to float64.  The job
+        holds its scales (and, with n <= dim, its kept gram) until then,
+        and drops them before ``unit64()`` makes the float64 copy."""
+        rows = np.random.default_rng(19).standard_normal((n, dim))
+        rows[-1] = rows[3]
+        m = build_token_matrix(n, dim, rows.ravel())
+        objectives = ("sum_distance", "min_distance")
+        want = [blockwise_greedy_oracle(m, n - 1, o) for o in objectives]
+        unit64, jobs, widened = TokenMatrix.unit64, [], []
+
+        def widen(tokens):
+            assert jobs[-1].gram is None and jobs[-1].scale is None
+            widened.append(tokens.rows)
+            return unit64(tokens)
+
+        monkeypatch.setattr(TokenMatrix, "unit64", widen)
+        for objective, expected in zip(objectives, want):
+            job = selection._Greedy(m, n - 1, objective)
+            jobs.append(job)
+            for t in range(job.items):
+                job.reduce(t)
+            assert job.scale is not None and (job.gram is not None) == (n <= dim)
+            widened.clear()
+            assert job.finish() == expected
+            assert widened == [n]
+
 
 class TestGramSource:
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
@@ -694,14 +716,20 @@ class TestGramSource:
         dim 1024, k = 252) all score from the stored float32 rows: each
         call builds one float32 source and no float64 copy of its image."""
         built, widened = [], []
-        scaled_rows = selection._scaled_rows
+        init, finish = selection._Greedy.__init__, selection._Greedy.finish
 
-        def spy(tokens):
-            src = scaled_rows(tokens)
-            built.append(src)
-            return src
+        def spy(job, *args):
+            init(job, *args)
+            built.append(job)
 
-        monkeypatch.setattr(selection, "_scaled_rows", spy)
+        def full_source(job):
+            # finish frees the source, so read it as the steps do
+            assert job.scale.dtype == np.float32
+            assert job.gram is None or job.gram.dtype == np.float32
+            return finish(job)
+
+        monkeypatch.setattr(selection._Greedy, "__init__", spy)
+        monkeypatch.setattr(selection._Greedy, "finish", full_source)
         monkeypatch.setattr(
             TokenMatrix, "unit64", lambda self: widened.append(self.rows)
         )
@@ -716,8 +744,7 @@ class TestGramSource:
             m = build_token_matrix(n, dim, values)
             built.clear()
             assert len(greedy_rep_max(m, k)) == k
-            assert len(built) == 1 and built[0].data.dtype == np.float32
-            assert built[0].gram is None or built[0].gram.dtype == np.float32
+            assert len(built) == 1 and built[0].tokens.data.dtype == np.float32
         assert widened == []
 
     def test_gram_path_memory(self):
@@ -757,7 +784,7 @@ def record_sources(monkeypatch):
         monkeypatch.setattr(selection, name, wrapper)
 
     spy("_scaled_gram", "float32 gram")
-    spy("_tile", "streamed", lambda src, r0, rows, c0, cols: r0 == c0 == 0)
+    spy("_tile", "streamed", lambda data, scale, r0, rows, c0, cols: r0 == c0 == 0)
     return sources
 
 
@@ -802,7 +829,8 @@ class TestKeptFloat32Gram:
             rows = np.stack([x, -x + scale * rng.standard_normal((6, 16))], axis=1)
             m = build_token_matrix(12, 16, rows.ravel())
             i, j = brute_force_farthest_pair(m)
-            gram = selection._scaled_gram(m.data, selection._scaled_rows(m).scale)
+            job = selection._Greedy(m, 2, "sum_distance")
+            gram = selection._scaled_gram(m.data, job.scale)
             above += bool(min(gram[i, j], gram[j, i]) > gram.min())
             for objective in ("sum_distance", "min_distance"):
                 assert greedy_rep_max(m, 2, objective) == [i, j]
@@ -868,7 +896,8 @@ class TestKeptFloat32Gram:
         rows[0, 0], rows[1, 0], rows[2, 1], rows[3, 1] = 1, -1, 1, -1
         rows[4, :2] = 1
         m = build_token_matrix(5, 8, rows.ravel())
-        gram = selection._scaled_gram(m.data, selection._scaled_rows(m).scale)
+        job = selection._Greedy(m, 2, "sum_distance")
+        gram = selection._scaled_gram(m.data, job.scale)
         ci, cj = selection._merge([selection._reduce(gram, 0, 0, 1e-6)], 1e-6)
         assert list(zip(ci.tolist(), cj.tolist())) == [(0, 1), (2, 3)]
 
