@@ -74,8 +74,10 @@ def per_image_budgets(
     units still owed go to the in-bounds image with the largest remaining
     ideal-share deficit, excess units are taken back from the image with
     the largest overshoot (ties to the lower index in both directions).
-    The output sums to m1 exactly with 1 <= budget[k] <= caps[k].  No
-    weights, a weight that is negative or not finite, a weight sum beyond
+    The output sums to m1 exactly with 1 <= budget[k] <= caps[k].  A
+    negative weight is repaired like any other share: the diversity of an
+    image of identical rows can round to a tiny negative value.  No
+    weights, a weight that is not finite, a weight sum or share beyond
     float range or a cap below 1 raises InfeasibleBudget.
     """
     weights = _weights(weights)
@@ -89,8 +91,6 @@ def per_image_budgets(
         raise InfeasibleBudget(f"m1={m1} cannot give each of {n} images a token")
     if m1 > sum(caps):
         raise InfeasibleBudget(f"m1={m1} exceeds total capacity {sum(caps)}")
-    if min(weights) < 0.0:
-        raise InfeasibleBudget("weights must not be negative")
     try:
         total_w = math.fsum(weights)
     except OverflowError:
@@ -99,6 +99,8 @@ def per_image_budgets(
         raise InfeasibleBudget("weights must have a positive sum")
 
     ideal = [w / total_w * m1 for w in weights]
+    if not all(math.isfinite(q) for q in ideal):
+        raise InfeasibleBudget("a weight's share of the sum overflows")
     budget = [math.floor(q) for q in ideal]
     leftover = m1 - sum(budget)
     by_fraction = sorted(range(n), key=lambda k: (-(ideal[k] - budget[k]), k))

@@ -133,15 +133,15 @@ class TestPerImageBudgets:
 
 
 def test_bad_values_raise_infeasible_budget():
-    """A non-finite weight, a weight sum beyond float range, no weights and
-    a NaN s or lam raise the package's error, not Python's; an infinite s
-    still saturates."""
+    """A non-finite weight, a weight sum or share beyond float range, no
+    weights and a NaN s or lam raise the package's error, not Python's; an
+    infinite s still saturates and a negative weight is repaired."""
     nan, inf = float("nan"), float("inf")
     calls = (
         lambda: per_image_budgets([nan, 1.0], 3, [3, 3]),
         lambda: per_image_budgets([inf, 1.0], 3, [3, 3]),
         lambda: per_image_budgets([1e308, 1e308], 3, [3, 3]),
-        lambda: per_image_budgets([2.0, -1.0], 3, [3, 3]),
+        lambda: per_image_budgets([1e308, -1e308, 1e-300], 3, [3, 3, 3]),
         lambda: per_image_budgets([1.0, 1.0], 3, [3, 0]),
         lambda: image_weights([]),
         lambda: image_weights([0.5, nan]),
@@ -153,4 +153,6 @@ def test_bad_values_raise_infeasible_budget():
         with pytest.raises(InfeasibleBudget):
             call()
     assert stage1_budget(inf, 1, 5, 0.5) == 5
+    assert per_image_budgets([2.0, -1.0], 3, [3, 3]) == [2, 1]
+    assert per_image_budgets([1.0, -3e-16], 5, [4, 4]) == [4, 1]
 

@@ -86,6 +86,23 @@ class TestAnalyze:
         assert report.m1 == 5
         assert report.per_image_budgets == (3, 2)  # zero weights -> uniform
 
+    def test_identical_rows_beside_a_diverse_image(self):
+        # copies of this row sum to a norm that rounds above n, so the
+        # image's diversity is a tiny negative number, not 0
+        row = np.array([1.0, 1.0, 1.0, 3.0])
+        img = build_token_matrix(4, 4, np.tile(row, 4))
+        rng = np.random.default_rng(5)
+        bundle = make_bundle([img, random_matrix(rng, 6, 4)], random_matrix(rng, 2, 4))
+        cfg = PruneConfig(m_min=2, m_max=10, final_tokens=3, retention_ratio=None)
+        report = analyze(bundle, cfg)
+        assert -1e-12 < report.d_intra_per_image[0] < 0.0
+        assert report.per_image_budgets[0] == 1
+        assert sum(report.per_image_budgets) == report.m1
+        pruned_report, sel = prune(bundle, cfg)
+        assert pruned_report.per_image_budgets == report.per_image_budgets
+        assert sel.stage_sizes[1] == report.m1
+        assert sel.stage_sizes[-1] == len(sel.kept_global) > 0
+
     def test_budgets_respect_image_sizes(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

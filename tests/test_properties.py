@@ -577,6 +577,7 @@ def test_image_weights_raises_only_package_errors(d_intra, last_image_rule):
 )
 @example([float("nan"), 1.0], 3, [3, 3])  # ValueError in math.floor
 @example([1e308, 1e308], 3, [3, 3])  # OverflowError in math.fsum
+@example([1e308, -1e308, 1e-300], 3, [3, 3, 3])  # OverflowError in math.floor
 def test_per_image_budgets_raises_only_package_errors(weights, m1, caps):
     _only_package_errors(lambda: allocation.per_image_budgets(weights, m1, caps))
 
