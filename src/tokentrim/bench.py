@@ -30,6 +30,7 @@ from .errors import (
     DimMismatch,
     EmptyText,
     TooFewTokens,
+    _allocating,
 )
 from .types import TokenMatrix, _integer, build_token_matrix
 
@@ -237,6 +238,7 @@ def bench_pareto(
     return BenchResult("pareto", n, 2, t_naive, t_fast, t_naive / t_fast, 0.0)
 
 
+@_allocating("the benchmark's inputs")
 def run_suite(
     kernels: tuple[str, ...] = ("diversity", "alignment", "pareto"),
     repeats: int = DEFAULT_REPEATS,
@@ -252,7 +254,8 @@ def run_suite(
     metric kernels, 500 for pareto).  BadSpec unless ``repeats``, ``dim``,
     ``m_text`` and ``budget`` are integers >= 1, ``n`` is None or an
     integer >= 1 and ``seed`` an integer >= 0, whichever kernels are
-    requested; a bool or float is not an integer.
+    requested; a bool or float is not an integer.  Inputs this machine
+    cannot allocate raise OutOfMemory.
     """
     repeats = _integer("repeats", repeats, 1, BadSpec)
     if n is not None:

@@ -41,10 +41,6 @@ class EmptyText(TokenTrimError):
     """The text matrix has no rows but the operation needs at least one."""
 
 
-class BudgetUnsatisfiable(TokenTrimError):
-    """Fewer visual tokens than images; cannot give each image one token."""
-
-
 class ZeroMeanImage(TokenTrimError):
     """An image's mean embedding has (near-)zero norm.
 
@@ -136,7 +132,6 @@ EXIT_CODES: dict[type, int] = {
     ZeroNormRow: 10,
     ShapeMismatch: 11,
     EmptyText: 12,
-    BudgetUnsatisfiable: 13,
     ZeroMeanImage: 14,
     PositionMismatch: 15,
     EmptySteps: 16,

@@ -42,12 +42,12 @@ from .types import (
     Selection,
     TokenBundle,
     _MAX_DIM,
+    _bundle,
     _instance,
     _integer,
     _items,
     _real,
     _token_counts,
-    _token_matrix,
 )
 
 MAGIC = b"TTB1"
@@ -145,10 +145,11 @@ def _read_ttb1(fh, size: int) -> TokenBundle:
     start = _HEADER.size + 4 * n_images
     if size < start:
         raise TruncatedFile(f"file ends inside the image counts at byte {size}")
-    raw = bytearray(start - _HEADER.size)
-    if _fill(fh, raw) < len(raw):
-        raise TruncatedFile("file shrank while its image counts were read")
-    counts = struct.unpack(f"<{n_images}I", raw)
+    with _allocating(f"the {n_images} image counts"):
+        raw = bytearray(start - _HEADER.size)
+        if _fill(fh, raw) < len(raw):
+            raise TruncatedFile("file shrank while its image counts were read")
+        counts = struct.unpack(f"<{n_images}I", raw)
     n_rows = sum(counts) + n_text
     end = start + 4 * n_rows * dim
     if size != end:
@@ -164,8 +165,8 @@ def _read_ttb1(fh, size: int) -> TokenBundle:
             # so it needs them all first.
             reader.wait(len(payload))
             values = values.astype(np.float32)
-        rows = _token_matrix(values, counts, lambda b: reader.wait(4 * dim * b))
-    return TokenBundle(rows, counts)
+        bundle = _bundle(values, counts, lambda b: reader.wait(4 * dim * b))
+    return bundle
 
 
 class _PayloadReader:
@@ -326,7 +327,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenBundle:
     rows.append(rng.standard_normal((spec.text_tokens, spec.dim)).astype(np.float32))
 
     counts = (spec.tokens_per_image,) * spec.n_images
-    return TokenBundle(_token_matrix(np.concatenate(rows), counts), counts)
+    return _bundle(np.concatenate(rows), counts)
 
 
 def _config_block(

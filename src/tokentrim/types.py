@@ -4,7 +4,8 @@ Embeddings are stored once, as 32-bit float rows, next to each row's 64-bit
 squared norm.  One pass at construction widens every stored row to 64-bit
 exactly once, a few rows at a time, and yields those norms plus, for each
 image and for the text, the 64-bit sum of its unit rows and of its raw
-rows: the aggregates the redundancy signals read.  That pass and the
+rows: the ``sums`` that the image's or text's own matrix keeps, the
+aggregates the redundancy signals read.  That pass and the
 per-token scores walk the rows in the same chunks (``_chunks``), the
 one place that widens stored rows.  A bundle read from a
 file runs that pass while a reader thread is still filling its rows:
@@ -33,7 +34,6 @@ import numpy as np
 
 from .errors import (
     BadConfig,
-    BudgetUnsatisfiable,
     DimMismatch,
     EmptyText,
     NonFiniteRow,
@@ -126,10 +126,9 @@ class TokenMatrix:
     ``data`` holds one float32 row per token and ``norms_sq`` each row's
     squared Euclidean norm, accumulated in float64.  Rows with norm below
     1e-12 or with a non-finite value are rejected at construction.
-    ``segment_sums[s]`` holds the float64 (unit-row sum, raw-row sum) of
-    rows ``segment_ends[s - 1]`` (0 for the first) up to
-    ``segment_ends[s]``, as the build's widening pass left them; a matrix
-    made without them (a :meth:`gather` result) has none.
+    ``sums`` holds the float64 (unit-row sum, raw-row sum) of all rows,
+    shape (2, dim), read-only: from the build's widening pass, or None
+    until the first :meth:`row_sums` keeps them.
 
     Only :func:`build_token_matrix` and the package's own builders
     (:func:`make_bundle`, ``read_bundle``, ``generate_synthetic``; and the
@@ -140,8 +139,7 @@ class TokenMatrix:
 
     data: np.ndarray
     norms_sq: np.ndarray
-    segment_ends: tuple[int, ...] = field(default=(), repr=False)
-    segment_sums: np.ndarray | None = field(default=None, repr=False)
+    sums: np.ndarray | None = field(default=None, repr=False)
     _token: InitVar[object] = None
 
     def __post_init__(self, _token):
@@ -149,7 +147,7 @@ class TokenMatrix:
             raise ShapeMismatch(
                 "a TokenMatrix is made by build_token_matrix, not directly"
             )
-        for arr in (self.data, self.norms_sq, self.segment_sums):
+        for arr in (self.data, self.norms_sq, self.sums):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -169,16 +167,14 @@ class TokenMatrix:
 
     def row_sums(self) -> np.ndarray:
         """The float64 (unit-row sum, raw-row sum) over all rows, shape
-        (2, dim): kept from the build, or from the first read, when the
-        matrix is one segment, else taken by the same widening pass."""
-        if self.segment_ends != (self.rows,):
-            return _widen(self.data, (self.rows,))[1][0]
-        if self.segment_sums is None:
-            sums = _widen(self.data, self.segment_ends)[1]
+        (2, dim): ``sums``, taken by one widening pass on the first read
+        when the build left none."""
+        if self.sums is None:
+            sums = _widen(self.data, (self.rows,))[1][0]
             sums.setflags(write=False)
             # Threads that read at once compute the same bits.
-            object.__setattr__(self, "segment_sums", sums)
-        return self.segment_sums[0]
+            object.__setattr__(self, "sums", sums)
+        return self.sums
 
     def gather(self, indices) -> "TokenMatrix":
         """The given rows in order (views for a slice); nothing is recomputed."""
@@ -190,7 +186,7 @@ class TokenMatrix:
 
 
 def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
-    """Build a TokenMatrix from a flat row-major value buffer, as one segment.
+    """Build a TokenMatrix from a flat row-major value buffer, with its sums.
 
     The matrix holds one fresh float32 copy of ``values``, whatever their
     dtype, so no later write to the caller's buffer reaches its rows.
@@ -208,19 +204,9 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
         raise ShapeMismatch(
             f"expected {rows * dim} values for {rows}x{dim}, got {data.size}"
         )
-    return _token_matrix(data.reshape(rows, dim))
-
-
-def _token_matrix(data: np.ndarray, counts=(), ready=None) -> TokenMatrix:
-    """A TokenMatrix over ``data``, a 2-D float32 buffer that the package
-    made and holds alone (a copy, a file just read, a concatenation),
-    shared as it is.  Its rows split into segments of the image
-    ``counts``, already checked, then the remaining (text) rows.
-    ``ready`` is passed on to :func:`_widen`, for a buffer that is still
-    being filled."""
-    ends = (*itertools.accumulate(counts), len(data))
-    norms_sq, sums = _widen(data, ends, ready)
-    return TokenMatrix(data, norms_sq, ends, sums, _BUILT)
+    data = data.reshape(rows, dim)
+    norms_sq, sums = _widen(data, (rows,))
+    return TokenMatrix(data, norms_sq, sums[0], _BUILT)
 
 
 def _widen(
@@ -233,12 +219,13 @@ def _widen(
     Segment s holds the rows from ``ends[s - 1]`` (0 for the first) to
     ``ends[s]``; ``ends`` must not decrease and must end at the row count.
     :func:`_chunks` walks each segment on its own (passing ``ready`` on),
-    so its sums do not depend on its neighbours.  The norms equal
-    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  Once a
-    segment is summed, the first row whose squared norm is not finite (a
-    NaN or +-inf entry; a finite float32 row cannot overflow float64)
-    raises NonFiniteRow, and one below 1e-24 ZeroNormRow, with no
-    RuntimeWarning.
+    so its sums do not depend on its neighbours: they are the ``sums`` of
+    a TokenMatrix over just those rows (a bundle's image or text view).
+    The norms equal ``einsum("ij,ij->i")`` on the widened rows bit for
+    bit.  Once a segment is summed, the first row whose squared norm is
+    not finite (a NaN or +-inf entry; a finite float32 row cannot
+    overflow float64) raises NonFiniteRow, and one below 1e-24
+    ZeroNormRow, with no RuntimeWarning.
     """
     rows, dim = data.shape
     norms_sq = np.empty(rows)
@@ -333,10 +320,10 @@ class TokenBundle:
     read-only views into ``rows``, and ``offsets`` the global index of each
     image's first token.  Every image must have at least one token; the text
     may be empty for signal-only diagnostics but the full pipeline requires
-    text rows.  Each view carries its own segment's row sums
-    (:meth:`TokenMatrix.row_sums`): those ``rows`` was built with when its
-    segments match ``counts``, else taken by the same widening pass on the
-    view's first read, so a bundle whose sums nobody reads widens no row.
+    text rows.  Each view keeps its own ``sums``: set by the package's
+    builders from their widening pass, else taken on the view's first
+    :meth:`TokenMatrix.row_sums`, so a bundle whose sums nobody reads
+    widens no row.
     ``rows`` that is not a TokenMatrix, ``counts`` that is not iterable
     and a count that is not an integer >= 1 (a bool or float included)
     raise ShapeMismatch; numpy integers are stored as int.
@@ -356,18 +343,8 @@ class TokenBundle:
             raise ShapeMismatch(
                 f"images need {ends[-2]} rows, matrix has {rows.rows}"
             )
-        kept = rows.segment_ends == ends
         starts = (0, *ends[:-1])
-        views = tuple(
-            TokenMatrix(
-                rows.data[lo:hi],
-                rows.norms_sq[lo:hi],
-                (hi - lo,),
-                rows.segment_sums[s : s + 1] if kept else None,
-                _BUILT,
-            )
-            for s, (lo, hi) in enumerate(zip(starts, ends))
-        )
+        views = tuple(rows.gather(slice(lo, hi)) for lo, hi in zip(starts, ends))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "offsets", starts[:-1])
         object.__setattr__(self, "images", views[:-1])
@@ -387,6 +364,21 @@ class TokenBundle:
         return self.rows.rows - self.text.rows
 
 
+def _bundle(data: np.ndarray, counts: tuple[int, ...], ready=None) -> TokenBundle:
+    """A TokenBundle over ``data``, a 2-D float32 buffer that the package
+    made and holds alone (a copy, a file just read, a concatenation),
+    shared as it is, with images of the ``counts``, already checked, then
+    the remaining (text) rows.  One :func:`_widen` over those segments,
+    passing ``ready`` on for a buffer that is still being filled, gives
+    the norms and each view's ``sums``."""
+    norms_sq, sums = _widen(data, (*itertools.accumulate(counts), len(data)), ready)
+    sums.setflags(write=False)
+    bundle = TokenBundle(TokenMatrix(data, norms_sq, _token=_BUILT), counts)
+    for view, own in zip((*bundle.images, bundle.text), sums):
+        object.__setattr__(view, "sums", own)
+    return bundle
+
+
 def make_bundle(images, text: TokenMatrix) -> TokenBundle:
     """Bundle image matrices and a text matrix, copying their rows into one.
 
@@ -401,8 +393,7 @@ def make_bundle(images, text: TokenMatrix) -> TokenBundle:
         if img.dim != text.dim:
             raise DimMismatch(f"image {k} has dim {img.dim}, text has {text.dim}")
     counts = _token_counts(img.rows for img in images)
-    rows = _token_matrix(np.concatenate([m.data for m in (*images, text)]), counts)
-    return TokenBundle(rows, counts)
+    return _bundle(np.concatenate([m.data for m in (*images, text)]), counts)
 
 
 def _typed(name: str, annotation: str, value):
@@ -524,10 +515,6 @@ def resolve_config(
     _instance("cfg", cfg, PruneConfig, BadConfig)
     _instance("bundle", bundle, TokenBundle, ShapeMismatch)
     m0 = bundle.total_tokens
-    if m0 < bundle.n_images:
-        raise BudgetUnsatisfiable(
-            f"{m0} tokens cannot cover {bundle.n_images} images"
-        )
     if require_text and bundle.text.rows == 0:
         raise EmptyText("full pipeline needs at least one text token")
 

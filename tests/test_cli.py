@@ -341,6 +341,32 @@ class TestOutOfMemory:
         )
         assert proc.stdout == ""
 
+    def test_header_declaring_billions_of_images(self, tmp_path):
+        """8 blocks on disk, 2**32 - 1 images of dim 1 by its header and
+        its apparent size: the image counts alone do not fit."""
+        path = tmp_path / "counts.ttb"
+        with open(path, "wb") as fh:
+            fh.write(b"TTB1" + np.array([1, 2**32 - 1, 0, 1], "<u4").tobytes())
+            fh.truncate(fh.tell() + 4 * (2**32 - 1))
+        proc = run_limited("analyze", "--input", str(path))
+        assert proc.returncode == 31, proc.stderr
+        assert proc.stderr.startswith(
+            "tokentrim analyze: stage load-input: OutOfMemory: cannot allocate "
+            f"the {2**32 - 1} image counts"
+        )
+        assert proc.stdout == ""
+
+    def test_bench_beyond_memory(self):
+        proc = run_limited(
+            "bench", "--kernel", "diversity", "--n", str(10**9), "--repeats", "1"
+        )
+        assert proc.returncode == 31, proc.stderr
+        assert proc.stderr.startswith(
+            "tokentrim bench: stage bench: OutOfMemory: "
+            "cannot allocate the benchmark's inputs"
+        )
+        assert proc.stdout == ""
+
     def test_gen_beyond_memory(self, tmp_path):
         out = tmp_path / "x.ttb"
         proc = run_limited(

@@ -201,7 +201,7 @@ class TestBuildTokenMatrix:
         m = build_token_matrix(2, 2, [1, 2, 3, 4])
         forgeries = (
             lambda: TokenMatrix(m.data, m.norms_sq),
-            lambda: TokenMatrix(m.data, m.norms_sq * 4, (2,), None),
+            lambda: TokenMatrix(m.data, m.norms_sq * 4, m.sums, None),
             lambda: TokenMatrix(m.data.astype(np.float64), m.norms_sq),
             lambda: TokenMatrix("ab", None),
             lambda: dataclasses.replace(m, norms_sq=m.norms_sq * 4),
@@ -212,7 +212,7 @@ class TestBuildTokenMatrix:
 
     def test_arrays_read_only(self):
         m = build_token_matrix(1, 2, [1, 2])
-        for arr in (m.data, m.norms_sq):
+        for arr in (m.data, m.norms_sq, m.sums):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

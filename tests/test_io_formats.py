@@ -387,13 +387,18 @@ class TestThreadedRead:
         path.write_bytes(data)
         return path
 
+    def view_sums(self, bundle) -> bytes:
+        """The bytes of each image's and the text's sums, in row order."""
+        return b"".join(v.row_sums().tobytes() for v in (*bundle.images, bundle.text))
+
     def test_sums_equal_one_plain_widening(self, tmp_path, large_bytes):
         with leaves_nothing_open():
-            got = read_bundle(self.write(tmp_path, large_bytes)).rows
+            bundle = read_bundle(self.write(tmp_path, large_bytes))
+        got = bundle.rows
         rows = np.frombuffer(large_bytes, "<f4", offset=20 + 4 * 3).reshape(-1, 1024)
         norms_sq, sums = types._widen(rows, (500, 900, 1076, 1100))
         assert got.norms_sq.tobytes() == norms_sq.tobytes()
-        assert got.segment_sums.tobytes() == sums.tobytes()
+        assert self.view_sums(bundle) == sums.tobytes()
         np.testing.assert_array_equal(got.data, rows)
 
     def test_each_read_starts_one_thread(self, tmp_path, monkeypatch, large_bytes):
@@ -423,18 +428,18 @@ class TestThreadedRead:
         """Three reads at once on two cores, in pieces that end inside a
         float, under a 1 µs switch interval: every chunk still waits for
         all of its bytes, so each read gives the same rows and sums."""
-        want = read_bundle(self.write(tmp_path, large_bytes)).rows
+        want = read_bundle(self.write(tmp_path, large_bytes))
         path = self.write(tmp_path, large_bytes, "shared.ttb")
         monkeypatch.setattr(io_formats, "_PIECE", 4096 + 3)
         results = []
 
         def reader():
             for _ in range(2):
-                got = read_bundle(path).rows
+                got = read_bundle(path)
                 results.append(
-                    got.data.tobytes() == want.data.tobytes()
-                    and got.norms_sq.tobytes() == want.norms_sq.tobytes()
-                    and got.segment_sums.tobytes() == want.segment_sums.tobytes()
+                    got.rows.data.tobytes() == want.rows.data.tobytes()
+                    and got.rows.norms_sq.tobytes() == want.rows.norms_sq.tobytes()
+                    and self.view_sums(got) == self.view_sums(want)
                 )
 
         interval = sys.getswitchinterval()

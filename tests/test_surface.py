@@ -8,6 +8,7 @@ from pathlib import Path
 
 import tokentrim
 from tokentrim import metrics, selection
+from tokentrim.errors import EXIT_CODES
 
 PUBLIC = {
     "__version__",
@@ -114,3 +115,16 @@ def test_readme_library_quick_start_runs():
     sel = namespace["sel"]
     assert sel.stage_sizes[0] == 4 * 576
     assert namespace["small"].n_images == 4
+
+
+def test_readme_exit_code_table_matches_the_code():
+    """Both column pairs of README's exit-code table name exactly the
+    codes of ``errors.EXIT_CODES``; a code with no class reads
+    "(unassigned)"."""
+    text = README.read_text()
+    table = text[text.index("### Exit codes") : text.index("## File formats")]
+    documented = {
+        int(code): name
+        for code, name in re.findall(r"\| (\d+) \| (\w+) ", table)
+    }
+    assert documented == {code: cls.__name__ for cls, code in EXIT_CODES.items()}
