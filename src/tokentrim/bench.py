@@ -32,7 +32,7 @@ from .errors import (
     TooFewTokens,
     _allocating,
 )
-from .types import TokenMatrix, _integer, build_token_matrix
+from .types import TokenMatrix, _integer, _items, build_token_matrix
 
 # Acceptance floors for commodity hardware; the reference figures from the
 # original measurements are far higher, so these are deliberately derated.
@@ -251,12 +251,18 @@ def run_suite(
     """Run the requested kernels with shared seeding; order is fixed.
 
     ``n`` overrides the per-kernel default problem size (8192 for the two
-    metric kernels, 500 for pareto).  BadSpec unless ``repeats``, ``dim``,
-    ``m_text`` and ``budget`` are integers >= 1, ``n`` is None or an
-    integer >= 1 and ``seed`` an integer >= 0, whichever kernels are
-    requested; a bool or float is not an integer.  Inputs this machine
-    cannot allocate raise OutOfMemory.
+    metric kernels, 500 for pareto).  BadSpec, before any kernel runs,
+    unless ``kernels`` names only "diversity", "alignment" and "pareto",
+    ``repeats``, ``dim``, ``m_text`` and ``budget`` are integers >= 1,
+    ``n`` is None or an integer >= 1 and ``seed`` an integer >= 0,
+    whichever kernels are requested; a bool or float is not an integer.
+    Inputs this machine cannot allocate raise OutOfMemory.
     """
+    sizes = {"diversity": 8192, "alignment": 8192, "pareto": 500}
+    kernels = _items("kernels", kernels, BadSpec)
+    for kernel in kernels:
+        if not isinstance(kernel, str) or kernel not in sizes:
+            raise BadSpec(f"unknown benchmark kernel {kernel!r}")
     repeats = _integer("repeats", repeats, 1, BadSpec)
     if n is not None:
         n = _integer("problem size n", n, 1, BadSpec)
@@ -264,17 +270,14 @@ def run_suite(
     m_text = _integer("text tokens m_text", m_text, 1, BadSpec)
     budget = _integer("budget", budget, 1, BadSpec)
     seed = _integer("seed", seed, 0, BadSpec)
-    sizes = {"diversity": 8192, "alignment": 8192, "pareto": 500}
     results = []
     for kernel in kernels:
         rng = np.random.default_rng(seed)
-        size = sizes.get(kernel) if n is None else n
+        size = sizes[kernel] if n is None else n
         if kernel == "diversity":
             results.append(bench_diversity(size, dim, repeats, rng))
         elif kernel == "alignment":
             results.append(bench_alignment(size, m_text, dim, repeats, rng))
-        elif kernel == "pareto":
-            results.append(bench_pareto(size, budget, repeats, rng))
         else:
-            raise BadSpec(f"unknown benchmark kernel {kernel!r}")
+            results.append(bench_pareto(size, budget, repeats, rng))
     return results

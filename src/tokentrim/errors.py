@@ -86,7 +86,8 @@ class InfeasibleBudget(TokenTrimError):
 
 
 class SelectionMismatch(TokenTrimError):
-    """A selection does not fit the bundle it is being applied to."""
+    """A selection or report is malformed, or a selection does not fit the
+    bundle it is being applied to."""
 
 
 class BadMagic(TokenTrimError):

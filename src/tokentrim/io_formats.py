@@ -19,7 +19,7 @@ import stat
 import struct
 import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,10 @@ from .types import (
     _bundle,
     _instance,
     _integer,
+    _ints,
     _items,
     _real,
+    _selection_fields,
     _token_counts,
 )
 
@@ -339,7 +341,10 @@ def _config_block(
         return None
     block = {key: getattr(cfg, name) for key, name in CONFIG_FIELDS.items()}
     if budgets is not None:
-        block["resolved"] = asdict(budgets)
+        block["resolved"] = {
+            key: _integer(f"budgets {key}", value, 0, BadConfig)
+            for key, value in vars(budgets).items()
+        }
     return block
 
 
@@ -351,7 +356,8 @@ def report_document(
     """JSON-ready document for a redundancy report (no selection).  A
     ``report`` that is not a RedundancyReport, or whose fields do not hold
     real numbers and counts, raises SelectionMismatch naming the field,
-    and a ``cfg`` or ``budgets`` of the wrong type BadConfig."""
+    and a ``cfg`` or ``budgets`` of the wrong type, or a budget that is
+    not a count, BadConfig naming it."""
     _instance("report", report, RedundancyReport, SelectionMismatch)
     d_inter = report.d_inter
     return {
@@ -380,25 +386,12 @@ def result_document(
 ) -> dict:
     """JSON-ready document for a full pruning result; arguments of the
     wrong type raise as in :func:`report_document`, and a ``sel`` that is
-    not a Selection, or whose fields do not hold indices, counts and
-    (index, diversity, alignment) triples, SelectionMismatch naming the
+    not a well-formed Selection (``types._selection_fields``, the check
+    that ``apply_selection`` makes too) SelectionMismatch naming the
     field."""
-    _instance("selection", sel, Selection, SelectionMismatch)
-    doc = report_document(report, cfg, budgets)
-    per_image = _items(
-        "selection kept_per_image", sel.kept_per_image, SelectionMismatch
-    )
-    scores = _items("selection scores", sel.scores, SelectionMismatch)
-    doc["selection"] = {
-        "kept_per_image": [
-            _ints(f"selection kept_per_image[{k}]", loc)
-            for k, loc in enumerate(per_image)
-        ],
-        "kept_global": _ints("selection kept_global", sel.kept_global),
-        "stage_sizes": _ints("selection stage_sizes", sel.stage_sizes),
-        "scores": [_score(f"selection scores[{i}]", t) for i, t in enumerate(scores)],
-    }
-    return doc
+    names = ("kept_per_image", "kept_global", "stage_sizes", "scores")
+    selection = dict(zip(names, _selection_fields(sel)))
+    return {**report_document(report, cfg, budgets), "selection": selection}
 
 
 def _float(name: str, value) -> float:
@@ -409,23 +402,6 @@ def _floats(name: str, values) -> list[float]:
     """``values``'s items as floats, else SelectionMismatch naming them."""
     items = _items(name, values, SelectionMismatch)
     return [_float(f"{name}[{i}]", v) for i, v in enumerate(items)]
-
-
-def _ints(name: str, values) -> list[int]:
-    """``values``'s items as ints >= 0, else SelectionMismatch naming them."""
-    items = _items(name, values, SelectionMismatch)
-    return [
-        _integer(f"{name}[{i}]", v, 0, SelectionMismatch) for i, v in enumerate(items)
-    ]
-
-
-def _score(name: str, triple) -> list:
-    """One selection score as [global index, diversity, alignment]."""
-    items = _items(name, triple, SelectionMismatch)
-    if len(items) != 3:
-        raise SelectionMismatch(f"{name} must hold 3 values, got {len(items)}")
-    g, v, a = items
-    return [_integer(name, g, 0, SelectionMismatch), _float(name, v), _float(name, a)]
 
 
 def write_result(
@@ -441,11 +417,13 @@ def write_result(
 
 def write_json(doc, path, noun: str) -> None:
     """Write ``doc`` as indented JSON plus a newline; IoFailure names
-    ``noun``, also for a ``path`` that is not a str, bytes or os.PathLike."""
+    ``noun``, also for a ``path`` that is not a str, bytes or os.PathLike.
+    The text is made before the file is opened, so a ``doc`` that JSON
+    cannot encode leaves no file behind."""
     _instance(f"{noun} path", path, _PATH_TYPES, IoFailure)
+    text = json.dumps(doc, indent=2) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
         raise IoFailure(f"cannot write {noun} to {path}: {exc}") from exc

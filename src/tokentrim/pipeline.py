@@ -25,7 +25,7 @@ from .types import (
     TokenBundle,
     _instance,
     _integer,
-    _items,
+    _selection_fields,
     resolve_config,
 )
 
@@ -260,59 +260,38 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     Row values are copied bit-exactly in their original relative order;
     images left with zero kept tokens are dropped from the output (the
     report still records them).  Raises SelectionMismatch when the
-    selection does not fit this bundle, is not a Selection, holds
-    something else than its fields' counts and indices or repeats an
-    index, or when its ``stage_sizes`` increase or do not end at the kept
-    count, and ShapeMismatch when ``bundle`` is not a TokenBundle.
+    selection is not well-formed (``types._selection_fields``, the check
+    that ``result_document`` makes too) or does not fit this bundle: its
+    first stage size is not the bundle's token count, it lists indices
+    for another number of images, a local index is out of its image's
+    range, or the per-image indices are not ``kept_global``.  Raises
+    ShapeMismatch when ``bundle`` is not a TokenBundle.
     """
     _instance("bundle", bundle, TokenBundle, ShapeMismatch)
-    _instance("selection", sel, Selection, SelectionMismatch)
-    sizes = _items("selection stage_sizes", sel.stage_sizes, SelectionMismatch)
-    if len(sizes) != 4:
-        raise SelectionMismatch(
-            f"selection stage_sizes must hold 4 counts, got {len(sizes)}"
-        )
-    for i, m in enumerate(sizes):
-        _integer(f"selection stage_sizes[{i}]", m, 0, SelectionMismatch)
-    if any(a < b for a, b in zip(sizes, sizes[1:])):
-        raise SelectionMismatch(f"selection stage_sizes increase: {sizes}")
+    per_image, kept_global, sizes, _ = _selection_fields(sel)
     if sizes[0] != bundle.total_tokens:
         raise SelectionMismatch(
             f"selection was made for {sizes[0]} tokens, "
             f"bundle has {bundle.total_tokens}"
         )
-    per_image = _items(
-        "selection kept_per_image", sel.kept_per_image, SelectionMismatch
-    )
     if len(per_image) != bundle.n_images:
         raise SelectionMismatch(
             f"selection covers {len(per_image)} images, "
             f"bundle has {bundle.n_images}"
         )
-    offsets = bundle.offsets
     merged: list[int] = []
-    for k, locals_k in enumerate(per_image):
-        rows_k = bundle.counts[k]
-        for i in _items(f"image {k} kept indices", locals_k, SelectionMismatch):
-            i = _integer(f"image {k}: local index", i, 0, SelectionMismatch)
-            if i >= rows_k:
-                raise SelectionMismatch(
-                    f"image {k}: local index {i} out of range ({rows_k} rows)"
-                )
-            merged.append(offsets[k] + i)
-    merged.sort()
-    if len(set(merged)) != len(merged):
-        raise SelectionMismatch("selection repeats a kept index")
-    kept_global = _items("selection kept_global", sel.kept_global, SelectionMismatch)
-    if merged != list(kept_global):
+    images = zip(bundle.offsets, bundle.counts, per_image)
+    for k, (lo, rows_k, local) in enumerate(images):
+        if local and max(local) >= rows_k:
+            raise SelectionMismatch(
+                f"image {k}: local index {max(local)} out of range ({rows_k} rows)"
+            )
+        merged += (lo + i for i in local)
+    if sorted(merged) != kept_global:
         raise SelectionMismatch("per-image and global kept indices disagree")
-    if sizes[3] != len(merged):
-        raise SelectionMismatch(
-            f"selection stage_sizes end at {sizes[3]}, but it keeps {len(merged)}"
-        )
 
     text_rows = range(bundle.total_tokens, bundle.rows.rows)
     return TokenBundle(
-        bundle.rows.gather([*merged, *text_rows]),
-        tuple(len(locals_k) for locals_k in per_image if locals_k),
+        bundle.rows.gather([*kept_global, *text_rows]),
+        tuple(len(local) for local in per_image if local),
     )

@@ -37,6 +37,7 @@ from .errors import (
     DimMismatch,
     EmptyText,
     NonFiniteRow,
+    SelectionMismatch,
     ShapeMismatch,
     TokenTrimError,
     ZeroNormRow,
@@ -77,7 +78,8 @@ def _real(name: str, value, error: type[TokenTrimError]) -> float:
     """``value`` as a float when it is a real number (numpy scalars and
     integers too, never a bool; inf and NaN included); anything else
     raises ``error``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # float first: it settles the common case without the slower ABC check.
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
         raise error(f"{name} must be of type float, got {value!r}")
     return float(value)
 
@@ -551,9 +553,68 @@ class Selection:
     merged sorted global indices; ``scores`` one (global_index, diversity,
     alignment) triple per token that survived global filtering; and
     ``stage_sizes`` the (M0, M1, M2, M_final) counts, non-increasing.
+    Construction checks nothing; :func:`_selection_fields` checks a
+    Selection's form wherever one is applied or written.
     """
 
     kept_per_image: tuple[tuple[int, ...], ...]
     kept_global: tuple[int, ...]
     scores: tuple[tuple[int, float, float], ...] = field(repr=False)
     stage_sizes: tuple[int, int, int, int]
+
+
+def _ints(name: str, values) -> list[int]:
+    """``values``'s items as ints >= 0, else SelectionMismatch naming them."""
+    items = _items(name, values, SelectionMismatch)
+    return [
+        _integer(f"{name}[{i}]", v, 0, SelectionMismatch) for i, v in enumerate(items)
+    ]
+
+
+def _score(name: str, triple) -> list:
+    """One selection score as [global index, diversity, alignment]."""
+    items = _items(name, triple, SelectionMismatch)
+    if len(items) != 3:
+        raise SelectionMismatch(f"{name} must hold 3 values, got {len(items)}")
+    g, v, a = items
+    return [
+        _integer(name, g, 0, SelectionMismatch),
+        _real(name, v, SelectionMismatch),
+        _real(name, a, SelectionMismatch),
+    ]
+
+
+def _selection_fields(sel) -> tuple[list, list[int], list[int], list]:
+    """``sel``'s kept_per_image, kept_global, stage_sizes and scores, in
+    that (document) order, as lists of ints and of :func:`_score` lists,
+    when ``sel`` is a well-formed Selection: every index and count an int
+    >= 0, every score a real number, four stage sizes that do not
+    increase and end at the kept count, and a strictly ascending
+    ``kept_global``.  Anything else raises SelectionMismatch naming the
+    field.  The one check of a Selection's own form, for
+    ``pipeline.apply_selection`` and ``io_formats.result_document``;
+    whether it fits a bundle is theirs to check.
+    """
+    _instance("selection", sel, Selection, SelectionMismatch)
+    name = "selection kept_per_image"
+    per_image = _items(name, sel.kept_per_image, SelectionMismatch)
+    per_image = [_ints(f"{name}[{k}]", loc) for k, loc in enumerate(per_image)]
+    kept = _ints("selection kept_global", sel.kept_global)
+    sizes = _ints("selection stage_sizes", sel.stage_sizes)
+    scores = _items("selection scores", sel.scores, SelectionMismatch)
+    scores = [_score(f"selection scores[{i}]", t) for i, t in enumerate(scores)]
+    if len(sizes) != 4:
+        raise SelectionMismatch(
+            f"selection stage_sizes must hold 4 counts, got {len(sizes)}"
+        )
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise SelectionMismatch(f"selection stage_sizes increase: {tuple(sizes)}")
+    if sizes[3] != len(kept):
+        raise SelectionMismatch(
+            f"selection stage_sizes end at {sizes[3]}, but it keeps {len(kept)}"
+        )
+    if any(a >= b for a, b in zip(kept, kept[1:])):
+        raise SelectionMismatch(
+            "selection kept_global repeats a kept index or is not ascending"
+        )
+    return per_image, kept, sizes, scores

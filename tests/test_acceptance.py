@@ -8,9 +8,12 @@ the criteria and are enforced.
 
 import struct
 import time
+import traceback
+from pathlib import Path
 
 import numpy as np
 
+import tokentrim
 from tokentrim import (
     PruneConfig,
     SyntheticSpec,
@@ -61,6 +64,24 @@ def _finish(num, label, failures):
     )
 
 
+_PACKAGE = Path(tokentrim.__file__).parent
+
+
+def _raised(exc):
+    """``exc``'s type and message, and the innermost frame of the package
+    it was raised in (file, line, function), so that a failure seen once
+    says where it arose."""
+    inside = [
+        f for f in traceback.extract_tb(exc.__traceback__)
+        if Path(f.filename).parent == _PACKAGE
+    ]
+    text = f"{type(exc).__name__}: {exc}"
+    if inside:
+        f = inside[-1]
+        text += f" at {Path(f.filename).name}:{f.lineno} in {f.name}"
+    return text
+
+
 def _random_matrix(rng, rows, dim):
     return build_token_matrix(rows, dim, rng.standard_normal(rows * dim))
 
@@ -103,7 +124,7 @@ def test_criterion_01_diversity_oracle():
         if elapsed >= 60:
             failures.append(f"runtime {elapsed:.1f}s >= 60s")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(1, "fast diversity matches the quadratic oracle", failures)
 
 
@@ -137,7 +158,7 @@ def test_criterion_02_alignment_oracle():
         if elapsed >= 60:
             failures.append(f"runtime {elapsed:.1f}s >= 60s")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(2, "fast alignment matches the direct average", failures)
 
 
@@ -192,7 +213,7 @@ def test_criterion_03_pareto_front_equivalence():
         if elapsed >= 30:
             failures.append(f"runtime {elapsed:.1f}s >= 30s")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(3, "sort-scan Pareto front matches the domination oracle", failures)
 
 
@@ -216,7 +237,7 @@ def test_criterion_04_budget_conservation():
         if elapsed >= 10:
             failures.append(f"runtime {elapsed:.1f}s >= 10s")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(4, "apportionment conserves totals within caps", failures)
 
 
@@ -229,7 +250,7 @@ def test_criterion_05_stage1_budget_table():
             if got != want:
                 failures.append(f"s={s}: got {got}, want {want}")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(5, "default stage-1 budget interpolation table", failures)
 
 
@@ -286,7 +307,7 @@ def test_criterion_06_pipeline_invariants():
         if elapsed >= 120:
             failures.append(f"runtime {elapsed:.1f}s >= 120s")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(6, "pipeline stages nest, size exactly, and rerun identically", failures)
 
 
@@ -330,7 +351,7 @@ def test_criterion_07_last_image_rule():
             if on != off:
                 failures.append(f"trial {trial}: n=2 outputs differ")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(7, "last-image promotion never shrinks its budget", failures)
 
 
@@ -355,7 +376,7 @@ def test_criterion_08_kernel_speedups():
         if elapsed >= 120:
             failures.append(f"runtime {elapsed:.1f}s >= 120s")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(8, "fast kernels clear the derated speedup floors", failures)
 
 
@@ -375,7 +396,7 @@ def test_criterion_09_positionwise_vs_global():
         if abs(pw_step - 1.0) > 1e-9:
             failures.append(f"position-wise step {pw_step:.12f} != 1")
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(9, "position-wise variation flags reordering the mean misses", failures)
 
 
@@ -420,8 +441,8 @@ def test_criterion_10_serialization(tmp_path):
                 pass
             except Exception as exc:
                 failures.append(
-                    f"{want.__name__}: got {type(exc).__name__} instead"
+                    f"{want.__name__}: got {_raised(exc)} instead"
                 )
     except Exception as exc:
-        failures.append(f"unexpected {type(exc).__name__}: {exc}")
+        failures.append(f"unexpected {_raised(exc)}")
     _finish(10, "binary round trip is bit-exact; malformed files rejected", failures)

@@ -263,11 +263,15 @@ class TestBenchCommand:
         monkeypatch.setattr(
             metrics, "intra_diversity_fast", lambda mat: diversity(mat) + 1.0
         )
+        alignment = metrics.alignment_fast
+        monkeypatch.setattr(
+            metrics, "alignment_fast", lambda *args: alignment(*args) + 1.0
+        )
         # Peels one point per front, so it keeps the last `budget` indices.
         monkeypatch.setattr(
             selection, "pareto_front_sortscan", lambda points: [points[-1].index]
         )
-        for kernel in ("diversity", "pareto"):
+        for kernel in ("diversity", "alignment", "pareto"):
             with pytest.raises(BenchGateFailure):
                 bench.run_suite((kernel,), repeats=1, n=64)
 
@@ -276,6 +280,18 @@ class TestBenchCommand:
         )
         assert code == 29 and out == ""
         assert err.startswith("tokentrim bench: stage bench: BenchGateFailure:")
+
+    def test_unknown_kernel_is_refused_before_any_runs(self, monkeypatch):
+        """Kernel names are checked with the other arguments, so a bad one
+        late in the list costs no run of the good ones before it."""
+
+        def timed(*args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(bench, "bench_diversity", timed)
+        for kernels in (("diversity", "bogus"), ("diversity", ["pareto"]), 5):
+            with pytest.raises(BadSpec):
+                bench.run_suite(kernels, repeats=1)
 
     def test_repeats_defaults_to_the_suite_default(self, capsys, monkeypatch):
         seen = {}

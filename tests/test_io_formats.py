@@ -299,12 +299,14 @@ class TestMalformedFiles:
         bundle = random_bundle(rng, [3], dim=2)
         cfg = PruneConfig(final_tokens=2, retention_ratio=None)
         report, sel = prune(bundle, cfg)
+        hostile = types.ResolvedBudgets(object(), 1, 1, 1, 1)
         path = tmp_path / "out.json"
         calls = (
             (lambda: write_result(None, sel, path), SelectionMismatch),
             (lambda: write_result(report, None, path), SelectionMismatch),
             (lambda: write_result(report, sel, path, cfg="abc"), BadConfig),
             (lambda: write_result(report, sel, path, cfg, budgets=1), BadConfig),
+            (lambda: write_result(report, sel, path, cfg, hostile), BadConfig),
             (lambda: generate_synthetic(None), BadSpec),
         )
         for call, error in calls:
@@ -766,6 +768,33 @@ class TestResultDocuments:
         for rep, s, field in cases:
             with pytest.raises(SelectionMismatch, match=field):
                 write_result(rep, s, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_selections_that_break_its_rules(self, tmp_path):
+        """write_result holds a Selection to the rules apply_selection
+        does: stage sizes that increase, a kept index listed twice, or
+        stage sizes that end above the kept count raise SelectionMismatch,
+        before any file is opened."""
+        rng = np.random.default_rng(15)
+        bundle = random_bundle(rng, [8, 6], dim=4)
+        report, sel = prune(bundle, PruneConfig(final_tokens=3, retention_ratio=None))
+        assert sel.kept_global[0] < 8  # image 0 keeps an index
+        first = sel.kept_global[0]
+        cases = (
+            ({"stage_sizes": (14, 1, 999, 3)}, "increase"),
+            (
+                {
+                    "kept_per_image": ((first, first, first), ()),
+                    "kept_global": (first,) * 3,
+                },
+                "repeats a kept index",
+            ),
+            ({"stage_sizes": (14, 8, 8, 5)}, "end at 5, but it keeps 3"),
+        )
+        path = tmp_path / "out.json"
+        for fields, why in cases:
+            with pytest.raises(SelectionMismatch, match=why):
+                write_result(report, dataclasses.replace(sel, **fields), path)
         assert list(tmp_path.iterdir()) == []
 
     def test_numpy_numbers_are_written_as_json_numbers(self, tmp_path):

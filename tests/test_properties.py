@@ -489,7 +489,9 @@ def test_make_bundle_raises_only_package_errors(images, text):
 
 
 _SMALL = TokenBundle(build_token_matrix(5, 2, np.arange(1, 11)), (2, 2))
-_REPORT, _SEL = prune(_SMALL, PruneConfig(final_tokens=2, retention_ratio=None))
+_CFG = PruneConfig(final_tokens=2, retention_ratio=None)
+_REPORT, _SEL = prune(_SMALL, _CFG)
+_BUDGETS = types.resolve_config(_CFG, _SMALL)
 
 
 def _fields_of(record):
@@ -514,12 +516,16 @@ def test_apply_selection_raises_only_package_errors(fields):
 
 
 @PROPERTY_SETTINGS
-@given(_fields_of(_REPORT), _fields_of(_SEL))
-@example({"d_inter": object()}, {"kept_per_image": 5})
-def test_write_result_raises_only_package_errors(report_fields, sel_fields):
+@given(_fields_of(_REPORT), _fields_of(_SEL), _fields_of(_BUDGETS))
+@example({"d_inter": object()}, {"kept_per_image": 5}, {})
+@example({}, {}, {"m0": object()})  # a budget that JSON cannot encode
+def test_write_result_raises_only_package_errors(
+    report_fields, sel_fields, budget_fields
+):
     report = dataclasses.replace(_REPORT, **report_fields)
     sel = dataclasses.replace(_SEL, **sel_fields)
-    _only_package_errors(lambda: write_result(report, sel, os.devnull))
+    budgets = dataclasses.replace(_BUDGETS, **budget_fields)
+    _only_package_errors(lambda: write_result(report, sel, os.devnull, _CFG, budgets))
 
 
 def _one_field(record_type, base):

@@ -589,6 +589,49 @@ class TestCertifiedGreedyLoop:
         assert deepest >= 4  # the replay repeats certified steps' matvecs
 
     @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
+    def test_too_many_step_candidates_replay_float64(self, monkeypatch, objective):
+        """Rows e0 and -e0 are the certified seed; at the third step the
+        100 copies of e1 and the row 0.5 e2 + 0.1 e3 all score 0, 101
+        candidates, more than the float64 recheck takes.  The step hands
+        the image to the float64 loop without rechecking them (the seed
+        pair's is the one recheck), and the loop replays from the seed.
+        With the cap raised, the same step rechecks all 101 instead."""
+        rows = np.zeros((103, 8))
+        rows[0, 0], rows[1, 0] = 1.0, -1.0
+        rows[2:102, 1] = 1.0
+        rows[102, 2:4] = 0.5, 0.1
+        m = build_token_matrix(103, 8, rows.ravel())
+        rechecked, replayed_at = [], []
+        clear_winner = selection._clear_winner
+        float64_steps = selection._float64_steps
+
+        def recheck(value, b64):
+            rechecked.append(len(value))
+            return clear_winner(value, b64)
+
+        def replay(unit, selected, k, combine):
+            replayed_at.append(len(selected))
+            float64_steps(unit, selected, k, combine)
+
+        def exact_seed_pair(unit):
+            raise AssertionError("the seed pair was not certified")
+
+        monkeypatch.setattr(selection, "_clear_winner", recheck)
+        monkeypatch.setattr(selection, "_float64_steps", replay)
+        monkeypatch.setattr(selection, "_exact_seed_pair", exact_seed_pair)
+        assert 101 > selection._MAX_CANDIDATES
+        want = blockwise_greedy_oracle(m, 4, objective)
+        assert want == [0, 1, 2, 102]
+        assert greedy_rep_max(m, 4, objective) == want
+        assert rechecked == [1] and replayed_at == [2]
+
+        rechecked.clear()
+        replayed_at.clear()
+        monkeypatch.setattr(selection, "_MAX_CANDIDATES", 128)
+        assert greedy_rep_max(m, 4, objective) == want
+        assert rechecked == [1, 101] and replayed_at == [2]
+
+    @pytest.mark.parametrize("objective", ["sum_distance", "min_distance"])
     def test_noisy_image_takes_no_fallback(self, monkeypatch, objective):
         """A noisy 576 x 1024 image is selected from float32 rows alone."""
         spec = SyntheticSpec(
