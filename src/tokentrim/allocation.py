@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InfeasibleBudget, ShapeMismatch
 from .types import _instance, _integer, _items, _real, round_half_away
 
@@ -70,10 +72,11 @@ def per_image_budgets(
     Ideal shares q_k = (w_k / sum w) * m1 are integerized by the largest-
     remainder method (floor everything, hand the leftover units to the
     largest fractional parts, ties to the lower index).  The result is then
-    repaired against the [1, caps[k]] bounds by moving one unit at a time:
-    units still owed go to the in-bounds image with the largest remaining
-    ideal-share deficit, excess units are taken back from the image with
-    the largest overshoot (ties to the lower index in both directions).
+    repaired against the [1, caps[k]] bounds as if one unit moved at a
+    time: units still owed go to the in-bounds image with the largest
+    remaining ideal-share deficit, excess units are taken back from the
+    image with the largest overshoot (ties to the lower index in both
+    directions).  :func:`_repair` makes those moves in closed form.
     The output sums to m1 exactly with 1 <= budget[k] <= caps[k].  A
     negative weight is repaired like any other share: the diversity of an
     image of identical rows can round to a tiny negative value.  No
@@ -108,16 +111,74 @@ def per_image_budgets(
         budget[k] += 1
 
     budget = [min(max(b, 1), caps[k]) for k, b in enumerate(budget)]
-    while sum(budget) < m1:
-        k = max(
-            (k for k in range(n) if budget[k] < caps[k]),
-            key=lambda k: (ideal[k] - budget[k], -k),
-        )
-        budget[k] += 1
-    while sum(budget) > m1:
-        k = max(
-            (k for k in range(n) if budget[k] > 1),
-            key=lambda k: (budget[k] - ideal[k], -k),
-        )
-        budget[k] -= 1
+    owed = m1 - sum(budget)
+    if owed:
+        budget = _repair(ideal, budget, caps, owed)
     return budget
+
+
+def _repair(ideal: list[float], budget: list[int], caps: list[int], owed: int) -> list[int]:
+    """``budget`` after :func:`per_image_budgets`' one-unit moves: ``owed``
+    units added when it is positive, -``owed`` taken back when negative.
+
+    Adding, image k's unit j (j = 0, 1, ...) is worth ideal[k] -
+    (budget[k] + j), the deficit the loop reads before it gives that
+    unit, and it has cap[k] - budget[k] units; taking back, its unit j is
+    worth (budget[k] - j) - ideal[k], and it has budget[k] - 1.  Each
+    worth is the float the loop computes, and it does not increase in j,
+    so the loop, which always takes the largest (worth, -k), takes the
+    |owed| largest units of all, lowest image first among equal worths.
+    So does this, in O(n log n): a bisection over a real level L counts,
+    per image, about worth(0) - L units above it, and stops once one unit
+    of level brackets the last unit taken.  Every unit worth more than
+    that bracket plus 1 is surely taken and none worth less than the
+    bracket minus 1 is (each float worth lies within a few ulps of
+    worth(0) - j, far below 1, while every count stays below 2**53).
+    The few units in between, at most a handful per image, are sorted by
+    their exact worths.
+    """
+    take = owed < 0
+    units = abs(owed)
+    b = np.array(budget, dtype=np.int64)
+    x = np.array(ideal)
+    room = np.minimum(b - 1 if take else np.array(caps, dtype=np.int64) - b, units)
+    k = np.arange(len(b))
+
+    def worth(k, j):
+        return (b[k] - j) - x[k] if take else x[k] - (b[k] + j)
+
+    first = worth(k, 0)
+
+    def above(level: float) -> np.ndarray:
+        """Each image's count of units worth more than ``level``, exactly."""
+        j = np.clip(np.ceil(first - level), 0, room).astype(np.int64)
+        while True:
+            down = (j > 0) & (worth(k, j - 1) <= level)
+            up = (j < room) & (worth(k, j) > level)
+            if not (down.any() or up.any()):
+                return j
+            j += up.astype(np.int64) - down
+
+    def about(level: float) -> int:
+        return int(np.clip(np.ceil(first - level), 0, room).sum())
+
+    hi = float(first.max()) + 1.0  # about(hi) == 0 < units
+    lo = float((first - room).min()) - 1.0  # about(lo) == room.sum() >= units
+    while hi - lo > 1.0:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:  # a level beyond 2**53: no float between
+            break
+        if about(mid) >= units:
+            lo = mid
+        else:
+            hi = mid
+    sure, near = above(hi + 1.0), above(lo - 1.0)
+    # The units between: image ks[i]'s unit js[i], ordered by worth, then
+    # image, then unit.
+    ks = np.repeat(k, near - sure)
+    js = np.arange(len(ks)) - np.repeat(np.cumsum(near - sure) - (near - sure), near - sure)
+    js += sure[ks]
+    order = np.lexsort((js, ks, -worth(ks, js)))
+    chosen = ks[order[: units - int(sure.sum())]]
+    moved = sure + np.bincount(chosen, minlength=len(b))
+    return (b - moved if take else b + moved).tolist()

@@ -138,17 +138,22 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     _enter("configure")
     cfg = _build_config(args)
     _enter("load-input")
-    bundle = io_formats.read_bundle(args.input)
-    _enter("resolve-config")
-    budgets = resolve_config(cfg, bundle, require_text=True)
-    _enter("prune")
-    report, sel = pipeline.prune(bundle, cfg)
-    _enter("write-output")
-    io_formats.write_result(report, sel, args.output, cfg, budgets)
-    if args.emit_pruned:
-        _enter("emit-pruned")
-        pruned = pipeline.apply_selection(bundle, sel)
-        io_formats.write_bundle(pruned, args.emit_pruned)
+    with io_formats._streamed(args.input) as bundle:
+        _enter("resolve-config")
+        budgets = resolve_config(cfg, bundle, require_text=True)
+        _enter("prune")
+        report, sel = pipeline.prune(bundle, cfg)
+        _enter("write-output")
+        doc = io_formats.result_document(report, sel, cfg, budgets)
+        io_formats.write_json(doc, args.output, "result")
+        if args.emit_pruned:
+            _enter("emit-pruned")
+            # The fields result_document checked: the selection is walked once.
+            kept = doc["selection"]
+            pruned = pipeline._applied(
+                bundle, kept["kept_per_image"], kept["kept_global"], kept["stage_sizes"]
+            )
+            io_formats.write_bundle(pruned, args.emit_pruned)
     return 0
 
 
@@ -156,10 +161,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _enter("configure")
     cfg = _build_config(args)
     _enter("load-input")
-    bundle = io_formats.read_bundle(args.input)
-    _enter("analyze")
-    budgets = resolve_config(cfg, bundle)
-    report = pipeline.analyze(bundle, cfg)
+    with io_formats._streamed(args.input) as bundle:
+        _enter("analyze")
+        budgets = resolve_config(cfg, bundle)
+        report = pipeline.analyze(bundle, cfg)
     _enter("write-output")
     doc = io_formats.report_document(report, cfg, budgets)
     if args.output:

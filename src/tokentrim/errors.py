@@ -102,6 +102,12 @@ class TruncatedFile(TokenTrimError):
     """Bundle file ends before the header-declared payload."""
 
 
+class FileChanged(TokenTrimError):
+    """A bundle file read in two passes changed between them: its size,
+    modification time or inode, or a row's norm, is not what the first
+    pass found."""
+
+
 class BadSpec(TokenTrimError):
     """Synthetic generator parameters violate their invariants."""
 
@@ -151,6 +157,7 @@ EXIT_CODES: dict[type, int] = {
     BenchGateFailure: 29,
     NonFiniteRow: 30,
     OutOfMemory: 31,
+    FileChanged: 32,
 }
 
 

@@ -8,10 +8,18 @@ Embeddings travel in TTB1, a little-endian binary layout:
 with all rows stored row-major as 32-bit floats, images first (in order),
 then text.  Reports and selections are serialized as JSON with a fixed key
 order so documents diff cleanly.
+
+A file is read in one of two ways, by one reader (:class:`_PayloadReader`)
+whose thread fills a buffer while the calling thread widens the rows
+(``types._widen``).  :func:`read_bundle` fills one payload-sized buffer
+that the bundle's rows then share.  The command line's :func:`_streamed`
+reads through a small ring and keeps only the norms and sums; each later
+``gather`` of its bundle's rows reads them back with ``os.preadv``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 import os
@@ -28,6 +36,7 @@ from .errors import (
     BadMagic,
     BadSpec,
     BadVersion,
+    FileChanged,
     IoFailure,
     SelectionMismatch,
     ShapeMismatch,
@@ -42,7 +51,11 @@ from .types import (
     Selection,
     TokenBundle,
     _MAX_DIM,
+    _FileRows,
     _bundle,
+    _chunk_rows,
+    _ends,
+    _file_bundle,
     _instance,
     _integer,
     _ints,
@@ -50,6 +63,7 @@ from .types import (
     _real,
     _selection_fields,
     _token_counts,
+    _widen,
 )
 
 MAGIC = b"TTB1"
@@ -58,6 +72,9 @@ _HEADER = struct.Struct("<4sIIII")
 _PATH_TYPES = (str, bytes, os.PathLike)
 # Bytes the payload reader thread asks for per read call.
 _PIECE = 1 << 20
+# Bytes of the ring a streamed read's first pass reads into: at least two
+# chunks of the widening, and never more than the payload.
+_RING = 4 << 20
 
 
 def write_bundle(bundle: TokenBundle, path) -> None:
@@ -93,6 +110,23 @@ def _fill(fh, buf) -> int:
     return got
 
 
+def _open(path):
+    """``path`` open unbuffered for reading, and its ``os.fstat``.  A path
+    that names no regular file (a FIFO or a directory, say) raises
+    IoFailure; an OSError or ValueError is the caller's to translate."""
+    # O_NONBLOCK: opening a FIFO must not wait for a writer.
+    flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
+    fd = os.open(path, flags | getattr(os, "O_BINARY", 0))
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise IoFailure(f"cannot read bundle from {path}: not a regular file")
+        return open(fd, "rb", buffering=0), info
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def read_bundle(path) -> TokenBundle:
     """Load a TTB1 bundle, validating magic, version and exact payload size.
 
@@ -100,41 +134,98 @@ def read_bundle(path) -> TokenBundle:
     before the payload is allocated, and a payload this machine cannot
     allocate (a sparse file's size costs no disk) raises OutOfMemory.
     The payload is then read once, into a buffer that only the returned
-    bundle's rows hold, by one reader thread in _PIECE-byte pieces, while
-    this thread widens each chunk of rows (``types._widen``) as soon as
-    its bytes have arrived.  The reader is joined on every path before
-    the file is closed.  A ``path`` that is not a str, bytes or
-    os.PathLike, or that names no regular file (a FIFO or a directory,
-    say), raises IoFailure, as does any OS error; a file that ends early,
-    or runs past the declared payload, raises TruncatedFile, also when it
-    changes size while being read.  Those read errors win over a bad row
-    found meanwhile (NonFiniteRow, ZeroNormRow), as a read done first
-    would have raised them first.
+    bundle's rows hold, by a :class:`_PayloadReader`'s thread, while this
+    thread widens each chunk of rows (``types._widen``) as soon as its
+    bytes have arrived.  The reader is joined on every path before the
+    file is closed.  A ``path`` that is not a str, bytes or os.PathLike,
+    or that names no regular file (a FIFO or a directory, say), raises
+    IoFailure, as does any OS error; a file that ends early, or runs past
+    the declared payload, raises TruncatedFile, also when it changes size
+    while being read.  Those read errors win over a bad row found
+    meanwhile (NonFiniteRow, ZeroNormRow), as a read done first would
+    have raised them first.
     """
     _instance("path", path, _PATH_TYPES, IoFailure)
     try:
-        # O_NONBLOCK: opening a FIFO must not wait for a writer.
-        flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
-        fd = os.open(path, flags | getattr(os, "O_BINARY", 0))
-        try:
-            info = os.fstat(fd)
-            if not stat.S_ISREG(info.st_mode):
-                raise IoFailure(f"cannot read bundle from {path}: not a regular file")
-            fh = open(fd, "rb", buffering=0)
-        except BaseException:
-            os.close(fd)
-            raise
+        fh, info = _open(path)
         with fh:
-            return _read_ttb1(fh, info.st_size)
+            head = _read_head(fh, info.st_size)
+            with _allocating(f"the {head.nbytes}-byte payload"):
+                payload = np.empty(head.nbytes, dtype=np.uint8)
+            with _PayloadReader(fh, payload, head.shape) as reader:
+                values = payload.view("<f4").reshape(head.shape)
+                if not values.dtype.isnative:
+                    # A big-endian host converts the rows before widening
+                    # them, so it needs them all first.
+                    values = reader[0 : head.shape[0]].astype(np.float32)
+                    reader = None
+                return _bundle(values, head.counts, reader)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
         raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
 
 
-def _read_ttb1(fh, size: int) -> TokenBundle:
-    """The bundle in a TTB1 file of ``size`` bytes, open unbuffered at its
-    start: header and image counts read and checked here (a dim of 0 or a
-    count of 0 raises ShapeMismatch), the payload by a
-    :class:`_PayloadReader` while its rows are built."""
+@contextlib.contextmanager
+def _streamed(path):
+    """Yield the bundle of the TTB1 file at ``path`` as a
+    ``types._FileBundle``, open while the block runs: its rows stay in the
+    file, which is read in two passes.
+
+    Pass 1 is :func:`read_bundle`'s read and widening, with every check of
+    the header, the size and the rows, but through a ring of _RING bytes
+    that the reader thread refills as the widening moves on, so it keeps
+    only the norms and the sums; it raises as read_bundle does, except
+    that a bad row stops the read at once and is raised unless a read
+    error came first.  Pass 2 is every later ``gather`` of the bundle's
+    rows: one ``os.preadv`` per run of consecutive rows, from any thread.
+    A short read raises TruncatedFile, and FileChanged is raised when,
+    after the read, the file's size or ``st_mtime_ns`` (``os.fstat``) or
+    the inode that ``path`` names differs from what pass 1 opened, or a
+    row's norm from what pass 1 found (``types._FileRows.gather``).
+    Not detected: a change that restores the modification time and
+    keeps the size and every re-read row's norm within its float32 bound,
+    such as a row's entries permuted or their signs flipped.  Such rows
+    are then selected with pass 1's norms and sums.
+    """
+    _instance("path", path, _PATH_TYPES, IoFailure)
+    try:
+        fh, info = _open(path)
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+    with fh:
+        try:
+            head = _read_head(fh, info.st_size)
+            rows, dim = head.shape
+            ring = 4 * dim * min(rows, max(_RING // (4 * dim), 2 * _chunk_rows(rows, dim)))
+            with _allocating(f"the {ring}-byte read buffer"):
+                buffer = np.empty(ring, dtype=np.uint8)
+            with _allocating(f"the norms and sums of {rows} rows"):
+                with _PayloadReader(fh, buffer, head.shape) as reader:
+                    norms_sq, sums = _widen(reader, _ends(head.counts, rows))
+            del buffer, reader
+        except (OSError, ValueError) as exc:
+            raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+        read = _row_reader(fh.fileno(), path, info, head)
+        yield _file_bundle(_FileRows(read, 0, norms_sq, dim), head.counts, sums)
+
+
+@dataclass(frozen=True)
+class _Head:
+    """A TTB1 file's header: its image counts, the payload's rows and
+    dim, and the byte offset where the payload starts."""
+
+    counts: tuple[int, ...]
+    shape: tuple[int, int]
+    start: int
+
+    @property
+    def nbytes(self) -> int:
+        return 4 * self.shape[0] * self.shape[1]
+
+
+def _read_head(fh, size: int) -> _Head:
+    """The header and image counts of a TTB1 file of ``size`` bytes, open
+    unbuffered at its start, read and checked against that size (a dim of
+    0 or a count of 0 raises ShapeMismatch)."""
     head = bytearray(_HEADER.size)
     got = _fill(fh, head)
     if got < _HEADER.size:
@@ -157,56 +248,109 @@ def _read_ttb1(fh, size: int) -> TokenBundle:
     if size != end:
         raise TruncatedFile(f"header declares {end} bytes, file has {size}")
     _integer("dim", dim, 1, ShapeMismatch)
-    counts = _token_counts(counts)
-    with _allocating(f"the {end - start}-byte payload"):
-        payload = np.empty(end - start, dtype=np.uint8)
-    with _PayloadReader(fh, payload, end) as reader:
-        values = payload.view("<f4").reshape(n_rows, dim)
-        if not values.dtype.isnative:
-            # A big-endian host converts the rows before widening them,
-            # so it needs them all first.
-            reader.wait(len(payload))
-            values = values.astype(np.float32)
-        bundle = _bundle(values, counts, lambda b: reader.wait(4 * dim * b))
-    return bundle
+    return _Head(_token_counts(counts), (n_rows, dim), start)
+
+
+def _row_reader(fd: int, path, info: os.stat_result, head: _Head):
+    """``types._FileRows``'s ``read(out, row)`` for the payload of the
+    TTB1 file open as ``fd`` (see :func:`_streamed`)."""
+    row_bytes = 4 * head.shape[1]
+    stamp = (info.st_size, info.st_mtime_ns)
+
+    def read(out: np.ndarray, row: int) -> None:
+        view = memoryview(out).cast("B")
+        try:
+            got = _pread(fd, view, head.start + row_bytes * row)
+            now = os.fstat(fd)
+            same = (now.st_size, now.st_mtime_ns) == stamp
+            same = same and os.stat(path).st_ino == info.st_ino
+        except (OSError, ValueError) as exc:
+            raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+        if got < len(view):
+            raise TruncatedFile(f"file shrank after its first pass, at row {row}")
+        if not same:
+            raise FileChanged(f"{path} changed after its first pass")
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+
+    return read
+
+
+def _pread(fd: int, view: memoryview, offset: int) -> int:
+    """Read into ``view`` from byte ``offset`` of ``fd`` until it is full
+    or the file ends, leaving the file position alone; returns the bytes
+    read.  ``os.preadv`` releases the GIL while it copies."""
+    got = 0
+    while got < len(view):
+        n = os.preadv(fd, [view[got:]], offset + got)
+        if not n:
+            break
+        got += n
+    return got
 
 
 class _PayloadReader:
-    """Fills a payload buffer from an open file on one thread of its own.
+    """Reads a payload of ``shape`` float32 rows from an open file, on one
+    thread of its own, into ``buffer``: the whole payload (read_bundle's
+    rows), or a ring of fewer whole rows that it refills as they are used.
 
-    The thread ``readinto``s the buffer in _PIECE-byte pieces, then checks
-    that the file ends there, and publishes how many bytes it has read
-    for :meth:`wait`; its error (TruncatedFile, or the OSError) is kept for
-    :meth:`wait` and the context's exit to raise.  The exit joins the
-    thread, then raises that error in place of any other.  The buffer is
-    read-only to everyone else from the start.
+    The thread ``readinto``s the buffer in _PIECE-byte pieces, never past
+    the end of the buffer in one call and, in a ring, never over rows not
+    yet released: it waits until a whole piece fits, so that it wakes once
+    per piece, not once per chunk.  Then it checks that the file ends with the payload.  Its
+    error (TruncatedFile, or the OSError) is kept for a slice and the
+    context's exit to raise.  ``reader[a:b]``, for slices in ascending
+    order (``types._widen``), waits until rows a .. b - 1 have arrived,
+    releases every row before a, and returns those rows: a view, or a
+    fresh copy of a run that wraps around the ring's end.  The exit stops
+    a thread waiting for room in the ring, joins it, then raises its error
+    in place of any other; a full-payload buffer never waits, so its read
+    always runs to the end of the file, and a ring stops within a ring's
+    length.  The buffer is read-only to
+    everyone else from the start.
     """
 
-    def __init__(self, fh, payload: np.ndarray, end: int):
+    def __init__(self, fh, buffer: np.ndarray, shape: tuple[int, int]):
+        self.shape = shape
         self._fh = fh
-        self._view = memoryview(payload)
-        payload.setflags(write=False)
-        self._end = end
+        self._row = 4 * shape[1]
+        self._size = self._row * shape[0]
+        self._view = memoryview(buffer)
+        buffer.setflags(write=False)
+        self._rows = buffer.view("<f4").reshape(-1, shape[1])
+        self._ring = len(self._rows)
         self._got = 0
+        # The thread may read up to here: the released rows plus the ring.
+        self._limit = len(buffer)
+        self._waiting = self._stop = self._done = False
         self._error: Exception | None = None
-        self._done = False
         self._cond = threading.Condition()
         self._thread = threading.Thread(target=self._run, name="ttb1-reader")
         self._thread.start()
 
     def _run(self) -> None:
-        view, fh = self._view, self._fh
+        view, fh, cap = self._view, self._fh, len(self._view)
         try:
-            while self._got < len(view):
-                n = fh.readinto(view[self._got : self._got + _PIECE])
+            while self._got < self._size:
+                if not self._room():
+                    with self._cond:
+                        self._waiting = True
+                        self._cond.wait_for(lambda: self._room() or self._stop)
+                        self._waiting = False
+                    if self._stop:
+                        return
+                pos = self._got % cap
+                n = min(self._got + _PIECE, self._limit, self._size) - self._got
+                n = fh.readinto(view[pos : pos + min(n, cap - pos)])
                 if not n:
                     break
                 with self._cond:
                     self._got += n
                     self._cond.notify_all()
-            if self._got < len(view) or fh.read(1):
+            if self._got < self._size or fh.read(1):
                 raise TruncatedFile(
-                    f"file changed size while read: header declares {self._end} bytes"
+                    f"file changed size while read: header declares "
+                    f"{self._size} payload bytes"
                 )
         except Exception as exc:
             self._error = exc
@@ -215,20 +359,38 @@ class _PayloadReader:
                 self._done = True
                 self._cond.notify_all()
 
-    def wait(self, nbytes: int) -> None:
-        """Return once the first ``nbytes`` bytes are in the buffer; raise
-        the reader's error if it stopped before them."""
-        if self._got >= nbytes:
-            return
-        with self._cond:
-            self._cond.wait_for(lambda: self._got >= nbytes or self._done)
-        if self._got < nbytes:
-            raise self._error
+    def _room(self) -> bool:
+        """Whether the ring has room for the next piece, or for the rest:
+        a piece is at most half the ring, and a chunk never holds more."""
+        piece = min(_PIECE, len(self._view) // 2, self._size - self._got)
+        return self._limit - self._got >= piece
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b = rows.start, rows.stop
+        self._limit = max(self._limit, self._row * a + len(self._view))
+        # The limit is set before the flag is read, so a thread that starts
+        # to wait after this sees it.
+        if self._waiting and self._room():
+            with self._cond:
+                self._cond.notify_all()
+        need = self._row * b
+        if self._got < need:
+            with self._cond:
+                self._cond.wait_for(lambda: self._got >= need or self._done)
+            if self._got < need:
+                raise self._error
+        i, n = a % self._ring, b - a
+        if i + n <= self._ring:
+            return self._rows[i : i + n]
+        return np.concatenate((self._rows[i:], self._rows[: i + n - self._ring]))
 
     def __enter__(self) -> "_PayloadReader":
         return self
 
     def __exit__(self, *exc_info) -> None:
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
         self._thread.join()
         if self._error is not None:
             raise self._error

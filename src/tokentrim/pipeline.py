@@ -5,6 +5,14 @@ stage 2 pools the survivors, filters them globally by dispersion, scores
 the candidates on (diversity, alignment) and keeps the budgeted Pareto
 selection.  All indices in the result refer to positions in the original
 bundle.
+
+The signals and budgets read only each image's norms and sums.  Rows are
+read through one accessor, ``gather``: a view of an in-memory bundle's, a
+read of a bundle whose rows stay in their file (``types._FileBundle``,
+the command line's).  Each stage-1 job takes its image's rows at its
+first work item and keeps only the rows it picks; stage 2, scoring and
+Pareto run on those survivors, and ``apply_selection`` gathers the kept
+rows by their global index.  The same body runs on both kinds of bundle.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .types import (
     _instance,
     _integer,
     _selection_fields,
+    _stacked,
     resolve_config,
 )
 
@@ -184,6 +193,11 @@ def prune(
     Returns the redundancy report and a Selection whose indices, scores and
     stage sizes all reference the original bundle.
 
+    ``bundle`` may also be ``types._FileBundle``, whose rows stay in their
+    file: each job then reads its image at its first item and drops it
+    when it finishes, so the rows in memory at once are the images in
+    flight and the survivors.
+
     Stage 1 runs one :class:`selection._Greedy` job per image, made once
     the quotas are known, as work items: one per seed-filter tile for an
     image with more rows than dims and than one tile holds (a 2880 × 1024
@@ -218,12 +232,15 @@ def prune(
             offsets[k] + i for k, local in enumerate(stage1_local) for i in local
         ]
 
-        pooled = bundle.rows.gather(x1_global)
-        picked = selection.greedy_rep_max(pooled, budgets.m2, cfg.greedy_objective)
-        del pooled  # freed before the candidates are gathered and scored
+        stage2 = selection._Greedy(
+            _stacked([job.kept for job in jobs]), budgets.m2, cfg.greedy_objective
+        )
+        del jobs  # the pooled rows are freed with the job, before scoring
+        picked = stage2.run()
+        cand = stage2.kept
+        del stage2
         cand_global = [x1_global[p] for p in picked]
 
-        cand = bundle.rows.gather(cand_global)
         if cand.rows >= 2:
             v = metrics.token_diversity_fast(cand)
         else:
@@ -261,14 +278,25 @@ def apply_selection(bundle: TokenBundle, sel: Selection) -> TokenBundle:
     images left with zero kept tokens are dropped from the output (the
     report still records them).  Raises SelectionMismatch when the
     selection is not well-formed (``types._selection_fields``, the check
-    that ``result_document`` makes too) or does not fit this bundle: its
-    first stage size is not the bundle's token count, it lists indices
-    for another number of images, a local index is out of its image's
-    range, or the per-image indices are not ``kept_global``.  Raises
-    ShapeMismatch when ``bundle`` is not a TokenBundle.
+    that ``result_document`` makes too) or does not fit this bundle
+    (:func:`_applied`).  Raises ShapeMismatch when ``bundle`` is not a
+    TokenBundle.
     """
     _instance("bundle", bundle, TokenBundle, ShapeMismatch)
     per_image, kept_global, sizes, _ = _selection_fields(sel)
+    return _applied(bundle, per_image, kept_global, sizes)
+
+
+def _applied(
+    bundle: TokenBundle, per_image: list, kept_global: list[int], sizes: list[int]
+) -> TokenBundle:
+    """:func:`apply_selection` of a Selection whose fields
+    ``_selection_fields`` has checked, given as it returns them.  Raises
+    SelectionMismatch when they do not fit the bundle: the first stage
+    size is not its token count, they list indices for another number of
+    images, a local index is out of its image's range, or the per-image
+    indices are not ``kept_global``.  The kept rows and the text are taken
+    by one ``gather`` of their global indices."""
     if sizes[0] != bundle.total_tokens:
         raise SelectionMismatch(
             f"selection was made for {sizes[0]} tokens, "

@@ -57,6 +57,7 @@ not exactly 1 and the rounding of the threshold arithmetic.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -350,10 +351,7 @@ def greedy_rep_max(
     if objective not in GREEDY_OBJECTIVES:
         raise BadConfig(f"unknown greedy_objective {objective!r}")
     k = _integer("selection budget", k, 1, BadBudget)
-    job = _Greedy(tokens, k, objective)
-    for t in range(job.items):
-        job.reduce(t)
-    return job.finish()
+    return _Greedy(tokens, k, objective).run()
 
 
 class _Greedy:
@@ -369,18 +367,26 @@ class _Greedy:
     more than _MAX_CANDIDATES pairs near its own minimum, the image goes
     to the float64 computation and the tiles left are not computed.
 
-    The job is the image's score source (module docstring): the stored
-    rows ``tokens.data``, their float32 reciprocal norms ``scale`` (unit
-    row i is about data[i] * scale[i]), ``eps``, the bound on each dot
-    product it gives, and ``gram``, their whole scaled gram with +inf on
-    its diagonal once the kept-gram item builds it.  ``scale`` is None
-    when k >= rows or some row's norm is 2**63 or more, where the bound
-    fails, and is set to None once a tile overflows or the job finishes."""
+    ``tokens`` is the image: a TokenMatrix, or ``types._FileRows`` whose
+    rows stay in their file; the job needs only its ``rows``, ``dim`` and
+    ``norms_sq`` until the first item that reads a row takes them all
+    through its ``gather``, once (a view of a matrix's rows, a read of a
+    file's), as ``data``.  ``finish()`` keeps the rows it picked as
+    ``kept``, in ascending order, and drops ``data``.
 
-    def __init__(self, tokens: TokenMatrix, k: int, objective: str):
+    The job is the image's score source (module docstring): the rows
+    ``data``, their float32 reciprocal norms ``scale`` (unit row i is
+    about data[i] * scale[i]), ``eps``, the bound on each dot product it
+    gives, and ``gram``, their whole scaled gram with +inf on its diagonal
+    once the kept-gram item builds it.  ``scale`` is None when k >= rows
+    or some row's norm is 2**63 or more, where the bound fails, and is set
+    to None once a tile overflows or the job finishes."""
+
+    def __init__(self, tokens, k: int, objective: str):
         self.tokens, self.k = tokens, k
         self.combine = np.add if objective == "sum_distance" else np.maximum
-        self.scale = self.gram = None
+        self.scale = self.gram = self.data = self.kept = None
+        self.lock = threading.Lock()
         self.tiles = []
         if k < tokens.rows and tokens.norms_sq.max() < 2.0**126:
             self.scale = (1 / np.sqrt(tokens.norms_sq)).astype(np.float32)
@@ -394,15 +400,30 @@ class _Greedy:
         self.items = len(self.tiles) or 1
         self.parts = [None] * len(self.tiles)
 
+    def run(self) -> list[int]:
+        """Every item in order, then :meth:`finish`."""
+        for t in range(self.items):
+            self.reduce(t)
+        return self.finish()
+
+    def load(self) -> TokenMatrix:
+        """``data``, taken through the image's ``gather`` by the first
+        caller; the others wait for it."""
+        with self.lock:
+            if self.data is None:
+                self.data = self.tokens.gather(slice(None))
+            return self.data
+
     def reduce(self, t: int) -> None:
         scale = self.scale
         if scale is None or not self.tiles:
             return
+        data = self.load().data
         r0, rows, c0, cols = self.tiles[t]
         if self.tokens.rows <= self.tokens.dim:
-            block = self.gram = _scaled_gram(self.tokens.data, scale)
+            block = self.gram = _scaled_gram(data, scale)
         else:
-            block = _tile(self.tokens.data, scale, r0, rows, c0, cols)
+            block = _tile(data, scale, r0, rows, c0, cols)
         self.parts[t] = _reduce(block, r0, c0, self.tol)
         if self.parts[t] is None:
             self.scale = None  # dropped for good: the image goes to float64
@@ -413,7 +434,7 @@ class _Greedy:
         :func:`_tile`."""
         if self.gram is not None:
             return self.gram[i]
-        data, scale = self.tokens.data, self.scale
+        data, scale = self.load().data, self.scale
         column = data @ data[i]
         column *= scale[i]
         column *= scale
@@ -426,7 +447,7 @@ class _Greedy:
         step as :func:`greedy_rep_max` derives.  Stops at the first step it
         cannot certify, leaving in ``selected`` the choices made so far.
         """
-        tokens, k, combine = self.tokens, self.k, self.combine
+        tokens, k, combine = self.load(), self.k, self.combine
         dim = tokens.dim
         eps, delta = self.eps, _delta(dim)
         u = 2.0**-24
@@ -470,8 +491,9 @@ class _Greedy:
             score[nxt] = np.inf
 
     def finish(self) -> list[int]:
-        tokens, k = self.tokens, self.k
+        tokens, k = self.load(), self.k
         if k >= tokens.rows:
+            self.kept, self.data = tokens, None
             return list(range(tokens.rows))
         selected = []
         if self.tiles:
@@ -486,7 +508,9 @@ class _Greedy:
                 selected = selected or list(_exact_seed_pair(unit))
                 if len(selected) < k:
                     _float64_steps(unit, selected, k, self.combine)
-        return [selected[0]] if k == 1 else sorted(selected)
+        selected = [selected[0]] if k == 1 else sorted(selected)
+        self.kept, self.data = tokens.gather(selected), None
+        return selected
 
 
 def _collapsed_arrays(

@@ -7,10 +7,12 @@ image and for the text, the 64-bit sum of its unit rows and of its raw
 rows: the ``sums`` that the image's or text's own matrix keeps, the
 aggregates the redundancy signals read.  That pass and the
 per-token scores walk the rows in the same chunks (``_chunks``), the
-one place that widens stored rows.  A bundle read from a
-file runs that pass while a reader thread is still filling its rows:
-each chunk waits until its bytes have arrived (see
-``io_formats.read_bundle``).  Greedy selection scores
+one place that widens stored rows.  A bundle read from a file runs that
+pass over the rows a reader thread delivers, each chunk as soon as its
+bytes have arrived (see ``io_formats``).  The command line keeps no more
+of a file than that pass yields: a :class:`_FileBundle` holds the norms,
+the sums and the file, and reads an image's rows back (:class:`_FileRows`)
+only when selection gets to it.  Greedy selection scores
 the stored rows, scaled by a 32-bit reciprocal norm per row (keeping their
 whole scaled gram when an image has no more rows than dims), and
 certifies its choices in 64-bit (see ``selection``); every other
@@ -29,6 +31,7 @@ import itertools
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .errors import (
     BadConfig,
     DimMismatch,
     EmptyText,
+    FileChanged,
     NonFiniteRow,
     SelectionMismatch,
     ShapeMismatch,
@@ -47,6 +51,9 @@ _ZERO_NORM_EPS = 1e-12
 # Values widened to float64 at a time by :func:`_chunks`: a 256 KiB chunk
 # (32 rows at dim 1024) stays in cache while it is reduced.
 _WIDEN_VALUES = 32 * 1024
+# Rows are checked for a zero or non-finite norm at least once per this
+# many values widened, and at the end of every segment.
+_CHECK_VALUES = 8 * _WIDEN_VALUES
 # The largest dim: what a TTB1 header can store.
 _MAX_DIM = 2**32 - 1
 # Passed by this module's own TokenMatrix constructions only.
@@ -211,23 +218,25 @@ def build_token_matrix(rows: int, dim: int, values) -> TokenMatrix:
     return TokenMatrix(data, norms_sq, sums[0], _BUILT)
 
 
-def _widen(
-    data: np.ndarray, ends: tuple[int, ...], ready=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _widen(data, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each row's float64 squared norm, and each segment's float64
     (unit-row sum, raw-row sum), shape (segments, 2, dim), from one
     widening of every row.
 
+    ``data`` is a 2-D float32 array, or rows still being read
+    (``io_formats._PayloadReader``): anything with a ``shape`` whose
+    slices ``data[a:b]``, taken in ascending order, are those rows.
     Segment s holds the rows from ``ends[s - 1]`` (0 for the first) to
     ``ends[s]``; ``ends`` must not decrease and must end at the row count.
-    :func:`_chunks` walks each segment on its own (passing ``ready`` on),
-    so its sums do not depend on its neighbours: they are the ``sums`` of
-    a TokenMatrix over just those rows (a bundle's image or text view).
-    The norms equal ``einsum("ij,ij->i")`` on the widened rows bit for
-    bit.  Once a segment is summed, the first row whose squared norm is
-    not finite (a NaN or +-inf entry; a finite float32 row cannot
-    overflow float64) raises NonFiniteRow, and one below 1e-24
-    ZeroNormRow, with no RuntimeWarning.
+    :func:`_chunks` walks each segment on its own, so its sums do not
+    depend on its neighbours: they are the ``sums`` of a TokenMatrix over
+    just those rows (a bundle's image or text view).  The norms equal
+    ``einsum("ij,ij->i")`` on the widened rows bit for bit.  The rows are
+    checked as they go, at the end of each segment and at least once per
+    _CHECK_VALUES values, so a bad row stops the walk within a few chunks:
+    the first row whose squared norm is not finite (a NaN or +-inf entry;
+    a finite float32 row cannot overflow float64) raises NonFiniteRow,
+    and one below 1e-24 ZeroNormRow, with no RuntimeWarning.
     """
     rows, dim = data.shape
     norms_sq = np.empty(rows)
@@ -237,35 +246,45 @@ def _widen(
     buf = _buffer(data)
     weights = np.ones((2, len(buf)))  # reciprocal norms, then ones
     product = np.empty((2, dim)) if rows else None  # each chunk's w @ chunk
-    lo = 0
-    # A bad row's reciprocal and products may be inf or NaN until its
-    # segment's check raises.
+    every = max(1, _CHECK_VALUES // dim)
+    lo = checked = 0
+    # A bad row's reciprocal and products may be inf or NaN until the
+    # check after its chunk raises.
     with np.errstate(divide="ignore", invalid="ignore"):
         for total, end in zip(sums, ends):
-            for a, chunk in _chunks(data, buf, lo, end, ready=ready):
-                nsq, w = norms_sq[a : a + len(chunk)], weights[:, : len(chunk)]
+            for a, chunk in _chunks(data, buf, lo, end):
+                b = a + len(chunk)
+                nsq, w = norms_sq[a:b], weights[:, : len(chunk)]
                 np.einsum("ij,ij->i", chunk, chunk, out=nsq)
                 np.sqrt(nsq, out=w[0])
                 np.divide(1.0, w[0], out=w[0])
                 np.matmul(w, chunk, out=product)
                 total += product
-            _check_norms(norms_sq[lo:end], lo)
+                if b == end or b - checked >= every:
+                    _check_norms(norms_sq[checked:b], checked)
+                    checked = b
             lo = end
     return norms_sq, sums
 
 
-def _buffer(data: np.ndarray, lead: int = 0) -> np.ndarray:
-    """A float64 buffer for :func:`_chunks` over ``data``'s rows, after
-    ``lead`` spare rows: the most whole 32-row groups that _WIDEN_VALUES
-    values hold (at least one) plus one row, or all rows when fewer."""
-    rows, dim = data.shape
+def _chunk_rows(rows: int, dim: int) -> int:
+    """The rows of a :func:`_buffer` for ``rows`` rows of ``dim`` values:
+    the most whole 32-row groups that _WIDEN_VALUES values hold (at least
+    one) plus one row, or all rows when fewer."""
     groups = max(1, _WIDEN_VALUES // (32 * dim))
-    return np.empty((lead + min(rows, 32 * groups + 1), dim))
+    return min(rows, 32 * groups + 1)
+
+
+def _buffer(data, lead: int = 0) -> np.ndarray:
+    """A float64 buffer for :func:`_chunks` over ``data``'s rows, after
+    ``lead`` spare rows (:func:`_chunk_rows`)."""
+    rows, dim = data.shape
+    return np.empty((lead + _chunk_rows(rows, dim), dim))
 
 
 def _chunks(
-    data: np.ndarray, buf: np.ndarray, lo: int = 0, hi: int | None = None,
-    norms_sq: np.ndarray | None = None, ready=None,
+    data, buf: np.ndarray, lo: int = 0, hi: int | None = None,
+    norms_sq: np.ndarray | None = None,
 ):
     """(a, chunk) for consecutive row chunks of ``data[lo:hi]`` from row a,
     each widened to float64 in ``buf`` (from :func:`_buffer`; the next
@@ -274,15 +293,13 @@ def _chunks(
     row less than ``buf``, the last up to one more, so every chunk but the
     last holds whole 32-row groups and none is a lone row: BLAS computes a
     matrix-vector product a few rows at a time, and a row left over may
-    round differently.  ``ready(b)``, when given, is called before each
-    chunk and returns once rows up to ``b`` hold their values.
+    round differently.  Each chunk's rows are taken as one slice
+    ``data[a:b]`` (see :func:`_widen`).
     """
     a, hi = lo, len(data) if hi is None else hi
     while a < hi:
         b = hi if hi - a <= len(buf) else a + len(buf) - 1
         chunk = buf[: b - a]
-        if ready is not None:
-            ready(b)
         np.copyto(chunk, data[a:b])
         if norms_sq is not None:
             chunk /= np.sqrt(norms_sq[a:b])[:, None]
@@ -339,6 +356,11 @@ class TokenBundle:
 
     def __post_init__(self):
         rows = _instance("rows", self.rows, TokenMatrix, ShapeMismatch)
+        self._split(lambda lo, hi: rows.gather(slice(lo, hi)))
+
+    def _split(self, view) -> None:
+        """Check the counts and set the views, ``view(lo, hi)`` each."""
+        rows = self.rows
         counts = _token_counts(self.counts)
         ends = (*itertools.accumulate(counts), rows.rows)
         if ends[-2] > rows.rows:
@@ -346,7 +368,7 @@ class TokenBundle:
                 f"images need {ends[-2]} rows, matrix has {rows.rows}"
             )
         starts = (0, *ends[:-1])
-        views = tuple(rows.gather(slice(lo, hi)) for lo, hi in zip(starts, ends))
+        views = tuple(view(lo, hi) for lo, hi in zip(starts, ends))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "offsets", starts[:-1])
         object.__setattr__(self, "images", views[:-1])
@@ -366,18 +388,126 @@ class TokenBundle:
         return self.rows.rows - self.text.rows
 
 
-def _bundle(data: np.ndarray, counts: tuple[int, ...], ready=None) -> TokenBundle:
+def _ends(counts: tuple[int, ...], rows: int) -> tuple[int, ...]:
+    """The segment ends of a bundle's rows: each image's, then the text's."""
+    return (*itertools.accumulate(counts), rows)
+
+
+def _bundle(data: np.ndarray, counts: tuple[int, ...], rows=None) -> TokenBundle:
     """A TokenBundle over ``data``, a 2-D float32 buffer that the package
     made and holds alone (a copy, a file just read, a concatenation),
     shared as it is, with images of the ``counts``, already checked, then
-    the remaining (text) rows.  One :func:`_widen` over those segments,
-    passing ``ready`` on for a buffer that is still being filled, gives
-    the norms and each view's ``sums``."""
-    norms_sq, sums = _widen(data, (*itertools.accumulate(counts), len(data)), ready)
-    sums.setflags(write=False)
+    the remaining (text) rows.  One :func:`_widen` over those segments of
+    ``rows`` (``data`` itself, or the reader still filling its buffer)
+    gives the norms and each view's ``sums``."""
+    norms_sq, sums = _widen(data if rows is None else rows, _ends(counts, len(data)))
     bundle = TokenBundle(TokenMatrix(data, norms_sq, _token=_BUILT), counts)
+    _set_sums(bundle, sums)
+    return bundle
+
+
+def _set_sums(bundle: TokenBundle, sums: np.ndarray) -> None:
+    """Give each view of a freshly built bundle its segment's ``sums``."""
+    sums.setflags(write=False)
     for view, own in zip((*bundle.images, bundle.text), sums):
         object.__setattr__(view, "sums", own)
+
+
+def _stacked(parts) -> TokenMatrix:
+    """The rows of the TokenMatrix ``parts``, in order, in one fresh
+    matrix; nothing is recomputed."""
+    data = np.concatenate([m.data for m in parts])
+    return TokenMatrix(data, np.concatenate([m.norms_sq for m in parts]), _token=_BUILT)
+
+
+@dataclass(frozen=True, eq=False)
+class _FileRows:
+    """Consecutive rows of a TTB1 payload that stay in their file, from
+    global row ``first`` on, with what the first pass (:func:`_widen`)
+    kept of them: ``norms_sq`` and, for an image or the text, ``sums``.
+
+    It stands in for a TokenMatrix wherever only those are read (``rows``,
+    ``dim``, :meth:`row_sums`); :meth:`gather` is the one way to its
+    rows, as :meth:`TokenMatrix.gather` is a matrix's: it reads them back.
+    ``read(out, row)`` fills the float32 array ``out`` with the payload's
+    rows from global row ``row`` on; it raises TruncatedFile,
+    FileChanged or IoFailure when it cannot (see ``io_formats``).
+    """
+
+    read: Callable[[np.ndarray, int], None]
+    first: int
+    norms_sq: np.ndarray
+    dim: int
+    sums: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rows(self) -> int:
+        return len(self.norms_sq)
+
+    def row_sums(self) -> np.ndarray:
+        return self.sums
+
+    def part(self, lo: int, hi: int) -> "_FileRows":
+        """Rows lo .. hi - 1 of these, still in the file."""
+        return _FileRows(self.read, self.first + lo, self.norms_sq[lo:hi], self.dim)
+
+    def gather(self, indices) -> TokenMatrix:
+        """The given rows in order (a slice or a sequence of indices), read
+        from the file in runs of consecutive rows, with the first pass's
+        norms.  A row whose float32 squared norm is not within the float32
+        bound of that norm raises FileChanged: |fl32(d.d) - d.d| <=
+        gamma_dim(2**-24) d.d for d.d >= 0, plus dim 2**-149 for gradual
+        underflow, and 1% slack covers the float64 norm's own rounding.
+        Rows of norm 2**63 or more, whose float32 sum could overflow, are
+        summed in float64 instead.  A change that keeps every row's norm
+        within that bound is not detected here."""
+        if isinstance(indices, slice):
+            idx = np.arange(*indices.indices(self.rows))
+        else:
+            idx = np.asarray(indices, dtype=np.int64)
+        data = np.empty((len(idx), self.dim), dtype=np.float32)
+        cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+        for p, q in zip(cuts, cuts[1:]):
+            self.read(data[p:q], self.first + int(idx[p]))
+        norms_sq = self.norms_sq[idx]
+        wide = norms_sq >= 2.0**126
+        got = np.einsum("ij,ij->i", data, data).astype(np.float64)
+        if wide.any():
+            rows = data[wide].astype(np.float64)
+            got[wide] = np.einsum("ij,ij->i", rows, rows)
+        u = self.dim * 2.0**-24
+        bound = 1.01 * ((u / (1 - u) if u < 1 else np.inf) * norms_sq + self.dim * 2.0**-149)
+        changed = np.flatnonzero(~(np.abs(got - norms_sq) <= bound))
+        if len(changed):
+            row = self.first + int(idx[changed[0]])
+            raise FileChanged(f"row {row} no longer has the norm the first pass read")
+        return TokenMatrix(data, norms_sq, _token=_BUILT)
+
+    def unit64(self) -> np.ndarray:
+        """As :meth:`TokenMatrix.unit64`, of the rows read back."""
+        return self.gather(slice(None)).unit64()
+
+
+@dataclass(frozen=True, eq=False)
+class _FileBundle(TokenBundle):
+    """A TokenBundle whose rows stay in their TTB1 file: ``rows`` and its
+    views ``images`` and ``text`` are :class:`_FileRows`, with the first
+    pass's norms and sums.  What the pipeline reads of a bundle other than
+    those, it reads through their ``gather``, so ``analyze``, ``prune``
+    and ``apply_selection`` run on it unchanged and read back only the
+    rows they use.  Made by ``io_formats`` for the command line, and
+    valid while its file is open; no other code sees one.
+    """
+
+    def __post_init__(self):
+        self._split(self.rows.part)
+
+
+def _file_bundle(rows: _FileRows, counts: tuple[int, ...], sums) -> _FileBundle:
+    """A :class:`_FileBundle` over ``rows`` with images of the ``counts``,
+    already checked, and each view's ``sums`` from the first pass."""
+    bundle = _FileBundle(rows, counts)
+    _set_sums(bundle, sums)
     return bundle
 
 

@@ -1,7 +1,12 @@
 """Budget arithmetic: stage-1 size, weights, and integer apportionment."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokentrim.allocation import (
     image_weights,
@@ -156,3 +161,78 @@ def test_bad_values_raise_infeasible_budget():
     assert per_image_budgets([2.0, -1.0], 3, [3, 3]) == [2, 1]
     assert per_image_budgets([1.0, -3e-16], 5, [4, 4]) == [4, 1]
 
+
+
+def one_unit_at_a_time(weights, m1, caps):
+    """per_image_budgets as it was first written: the largest-remainder
+    shares, clamped to [1, cap], then repaired one unit per pass over
+    every image.  The oracle for the closed-form repair."""
+    n = len(weights)
+    total_w = math.fsum(weights)
+    ideal = [w / total_w * m1 for w in weights]
+    budget = [math.floor(q) for q in ideal]
+    leftover = m1 - sum(budget)
+    by_fraction = sorted(range(n), key=lambda k: (-(ideal[k] - budget[k]), k))
+    for k in by_fraction[:leftover]:
+        budget[k] += 1
+    budget = [min(max(b, 1), caps[k]) for k, b in enumerate(budget)]
+    while sum(budget) < m1:
+        k = max(
+            (k for k in range(n) if budget[k] < caps[k]),
+            key=lambda k: (ideal[k] - budget[k], -k),
+        )
+        budget[k] += 1
+    while sum(budget) > m1:
+        k = max(
+            (k for k in range(n) if budget[k] > 1),
+            key=lambda k: (budget[k] - ideal[k], -k),
+        )
+        budget[k] -= 1
+    return budget
+
+
+@st.composite
+def apportionments(draw):
+    """Weights (zeros, ties, tiny negatives and magnitudes far apart
+    included) with a positive sum, caps, and a feasible m1."""
+    n = draw(st.integers(1, 12))
+    weight = st.one_of(
+        st.just(0.0),
+        st.sampled_from([1.0, 2.0, 0.5]),
+        st.floats(1e-12, 1e3),
+        st.floats(-1e-15, 0.0),
+    )
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    if math.fsum(weights) <= 0:
+        weights[draw(st.integers(0, n - 1))] = draw(st.floats(1e-9, 10.0))
+    caps = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    m1 = draw(st.integers(n, sum(caps)))
+    return weights, m1, caps
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(apportionments())
+@example(([1.0, 0.0] * 3, 6, [5] * 6))  # zero shares raised to 1, then taken back
+@example(([1.0, 1e-9, 1e-9], 25, [10, 10, 10]))  # the first cap binds
+@example(([2.0, -1.0], 3, [3, 3]))
+@example(([1.0, -3e-16], 5, [4, 4]))
+def test_closed_form_repair_matches_one_unit_moves(case):
+    """The same budgets, bit for bit, as the loop that moves one unit per
+    pass, on random weights, caps and m1."""
+    weights, m1, caps = case
+    assert per_image_budgets(weights, m1, caps) == one_unit_at_a_time(weights, m1, caps)
+
+
+def test_repair_at_one_hour_video_scale():
+    """3600 frames of 576 tokens, half of them of identical rows (weight
+    0): every zero share is raised to one token and the rest taken back
+    from the others, or every other share is capped and the rest spread.
+    Both repairs move thousands of units; the loop takes about a second,
+    the closed form milliseconds."""
+    n = 3600
+    weights = [1.0 if k % 2 else 0.0 for k in range(n)]
+    for m1 in (n, 414720):
+        start = time.perf_counter()
+        got = per_image_budgets(weights, m1, [576] * n)
+        assert time.perf_counter() - start < 0.25
+        assert got == one_unit_at_a_time(weights, m1, [576] * n)
