@@ -117,7 +117,9 @@ def per_image_budgets(
     return budget
 
 
-def _repair(ideal: list[float], budget: list[int], caps: list[int], owed: int) -> list[int]:
+def _repair(
+    ideal: list[float], budget: list[int], caps: list[int], owed: int
+) -> list[int]:
     """``budget`` after :func:`per_image_budgets`' one-unit moves: ``owed``
     units added when it is positive, -``owed`` taken back when negative.
 
@@ -175,8 +177,9 @@ def _repair(ideal: list[float], budget: list[int], caps: list[int], owed: int) -
     sure, near = above(hi + 1.0), above(lo - 1.0)
     # The units between: image ks[i]'s unit js[i], ordered by worth, then
     # image, then unit.
-    ks = np.repeat(k, near - sure)
-    js = np.arange(len(ks)) - np.repeat(np.cumsum(near - sure) - (near - sure), near - sure)
+    between = near - sure
+    ks = np.repeat(k, between)
+    js = np.arange(len(ks)) - np.repeat(np.cumsum(between) - between, between)
     js += sure[ks]
     order = np.lexsort((js, ks, -worth(ks, js)))
     chosen = ks[order[: units - int(sure.sum())]]

@@ -195,7 +195,8 @@ def _streamed(path):
         try:
             head = _read_head(fh, info.st_size)
             rows, dim = head.shape
-            ring = 4 * dim * min(rows, max(_RING // (4 * dim), 2 * _chunk_rows(rows, dim)))
+            ring_rows = max(_RING // (4 * dim), 2 * _chunk_rows(rows, dim))
+            ring = 4 * dim * min(rows, ring_rows)
             with _allocating(f"the {ring}-byte read buffer"):
                 buffer = np.empty(ring, dtype=np.uint8)
             with _allocating(f"the norms and sums of {rows} rows"):
@@ -296,13 +297,14 @@ class _PayloadReader:
 
     The thread ``readinto``s the buffer in _PIECE-byte pieces, never past
     the end of the buffer in one call and, in a ring, never over rows not
-    yet released: it waits until a whole piece fits, so that it wakes once
-    per piece, not once per chunk.  Then it checks that the file ends with the payload.  Its
-    error (TruncatedFile, or the OSError) is kept for a slice and the
-    context's exit to raise.  ``reader[a:b]``, for slices in ascending
-    order (``types._widen``), waits until rows a .. b - 1 have arrived,
-    releases every row before a, and returns those rows: a view, or a
-    fresh copy of a run that wraps around the ring's end.  The exit stops
+    yet released: it waits until a whole piece (at most half the ring)
+    fits, so that it wakes once per piece, not once per chunk.  Then it
+    checks that the file ends with the payload.  Its error (TruncatedFile,
+    or the OSError) is kept for a slice and the context's exit to raise.
+    ``reader[a:b]``, for slices in ascending order (``types._widen``),
+    waits until rows a .. b - 1 have arrived, releases every row before a,
+    and returns those rows: a view, or a fresh copy of a run that wraps
+    around the ring's end.  The exit stops
     a thread waiting for room in the ring, joins it, then raises its error
     in place of any other; a full-payload buffer never waits, so its read
     always runs to the end of the file, and a ring stops within a ring's

@@ -235,10 +235,10 @@ def prune(
         stage2 = selection._Greedy(
             _stacked([job.kept for job in jobs]), budgets.m2, cfg.greedy_objective
         )
-        del jobs  # the pooled rows are freed with the job, before scoring
+        del jobs
         picked = stage2.run()
         cand = stage2.kept
-        del stage2
+        del stage2  # the pooled rows are freed before the scores are taken
         cand_global = [x1_global[p] for p in picked]
 
         if cand.rows >= 2:

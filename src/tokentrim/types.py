@@ -471,12 +471,16 @@ class _FileRows:
             self.read(data[p:q], self.first + int(idx[p]))
         norms_sq = self.norms_sq[idx]
         wide = norms_sq >= 2.0**126
-        got = np.einsum("ij,ij->i", data, data).astype(np.float64)
+        with np.errstate(over="ignore"):
+            # One dot product per row; a stacked matmul lets other
+            # threads run while it does.
+            got = np.matmul(data[:, None], data[:, :, None]).ravel().astype(np.float64)
         if wide.any():
             rows = data[wide].astype(np.float64)
             got[wide] = np.einsum("ij,ij->i", rows, rows)
         u = self.dim * 2.0**-24
-        bound = 1.01 * ((u / (1 - u) if u < 1 else np.inf) * norms_sq + self.dim * 2.0**-149)
+        gamma = u / (1 - u) if u < 1 else np.inf
+        bound = 1.01 * (gamma * norms_sq + self.dim * 2.0**-149)
         changed = np.flatnonzero(~(np.abs(got - norms_sq) <= bound))
         if len(changed):
             row = self.first + int(idx[changed[0]])
