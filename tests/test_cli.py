@@ -340,9 +340,10 @@ def run_limited(*argv):
 
 class TestOutOfMemory:
     """An allocation the machine refuses exits 31 with its stage, not with
-    numpy's MemoryError traceback."""
+    numpy's MemoryError traceback; a hostile file whose size the command
+    line never allocates fails on its contents instead."""
 
-    def test_sparse_bundle_declaring_64_gib_fails_at_its_first_row(self, tmp_path):
+    def test_sparse_bundle_declaring_64_gib(self, tmp_path):
         """4 KiB on disk, 1 x 2**24 x 1024 float32 rows by its header and
         its apparent size.  The command line never allocates the payload:
         its first pass checks the rows a few chunks at a time, so the zero
