@@ -18,7 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tokentrim
-from test_pipeline import FakeBlas, count_thread_starts, pool_bundle
+from test_pipeline import (
+    FakeBlas,
+    count_thread_starts,
+    pool_bundle,
+    small_tiles,
+    split_config,
+)
 from tokentrim import (
     PruneConfig,
     TokenBundle,
@@ -185,11 +191,12 @@ def test_the_first_pass_keeps_norms_and_sums(tmp_path, monkeypatch):
 
 def test_stress_pooled_reads_on_more_workers_than_cores(tmp_path, monkeypatch):
     """Three host threads prune one open file on four workers each,
-    switching threads every microsecond: each job reads its image once
-    and every result equals the serial one."""
-    bundle = pool_bundle(n_images=16)
+    switching threads every microsecond, with each image split into 12
+    tiles so that several workers start on one image at once: each job
+    reads its image once and every result equals the serial one."""
+    small_tiles(monkeypatch)
+    bundle, cfg = pool_bundle(n_images=16), split_config(16)
     write_bundle(bundle, tmp_path / "pool.ttb")
-    cfg = PruneConfig()
     want = prune(bundle, cfg)
     fake = FakeBlas(4)
     monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
