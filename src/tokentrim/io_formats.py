@@ -202,7 +202,7 @@ def _streamed(path):
             with _allocating(f"the norms and sums of {rows} rows"):
                 with _PayloadReader(fh, buffer, head.shape) as reader:
                     norms_sq, sums = _widen(reader, _ends(head.counts, rows))
-            del buffer, reader
+            del buffer, reader  # so that no pass-1 buffer lives into stage 1
         except (OSError, ValueError) as exc:
             raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
         read = _row_reader(fh.fileno(), path, info, head)
@@ -304,12 +304,11 @@ class _PayloadReader:
     ``reader[a:b]``, for slices in ascending order (``types._widen``),
     waits until rows a .. b - 1 have arrived, releases every row before a,
     and returns those rows: a view, or a fresh copy of a run that wraps
-    around the ring's end.  The exit stops
-    a thread waiting for room in the ring, joins it, then raises its error
-    in place of any other; a full-payload buffer never waits, so its read
-    always runs to the end of the file, and a ring stops within a ring's
-    length.  The buffer is read-only to
-    everyone else from the start.
+    around the ring's end.  The exit stops a thread waiting for room in
+    the ring, joins it, then raises its error in place of any other; a
+    full-payload buffer never waits, so its read always runs to the end
+    of the file, and a ring stops within a ring's length.  The buffer is
+    read-only to everyone else from the start.
     """
 
     def __init__(self, fh, buffer: np.ndarray, shape: tuple[int, int]):

@@ -83,6 +83,28 @@ class TestWorkflows:
         want = result_document(report, sel, cfg, budgets)
         assert json.loads(out.read_text()) == json.loads(json.dumps(want))
 
+    def test_emit_pruned_walks_the_selection_once(self, capsys, tmp_path, monkeypatch):
+        """The pruned bundle is made from the fields the result document
+        checked: one walk of the Selection per request, not one for the
+        document and one for the bundle."""
+        from tokentrim import io_formats, pipeline, types
+
+        inp = gen_bundle(capsys, tmp_path)
+        walks = []
+
+        def counting(sel):
+            walks.append(sel)
+            return types._selection_fields(sel)
+
+        for module in (io_formats, pipeline):
+            monkeypatch.setattr(module, "_selection_fields", counting)
+        code, _, err = run(
+            capsys, "prune", "--input", str(inp), "--output", str(tmp_path / "r.json"),
+            "--emit-pruned", str(tmp_path / "small.ttb"),
+        )
+        assert code == 0, err
+        assert len(walks) == 1
+
     def test_emit_pruned_matches_apply_selection(self, capsys, tmp_path):
         inp = gen_bundle(capsys, tmp_path)
         out = tmp_path / "result.json"
