@@ -393,14 +393,15 @@ def _ends(counts: tuple[int, ...], rows: int) -> tuple[int, ...]:
     return (*itertools.accumulate(counts), rows)
 
 
-def _bundle(data: np.ndarray, counts: tuple[int, ...], rows=None) -> TokenBundle:
+def _bundle(data: np.ndarray, counts: tuple[int, ...], source=None) -> TokenBundle:
     """A TokenBundle over ``data``, a 2-D float32 buffer that the package
     made and holds alone (a copy, a file just read, a concatenation),
     shared as it is, with images of the ``counts``, already checked, then
     the remaining (text) rows.  One :func:`_widen` over those segments of
-    ``rows`` (``data`` itself, or the reader still filling its buffer)
+    ``source`` (``data`` itself, or the reader still filling its buffer)
     gives the norms and each view's ``sums``."""
-    norms_sq, sums = _widen(data if rows is None else rows, _ends(counts, len(data)))
+    rows = data if source is None else source
+    norms_sq, sums = _widen(rows, _ends(counts, len(data)))
     bundle = TokenBundle(TokenMatrix(data, norms_sq, _token=_BUILT), counts)
     _set_sums(bundle, sums)
     return bundle
@@ -466,8 +467,8 @@ class _FileRows:
         else:
             idx = np.asarray(indices, dtype=np.int64)
         data = np.empty((len(idx), self.dim), dtype=np.float32)
-        cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
-        for p, q in zip(cuts, cuts[1:]):
+        starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1).tolist()
+        for p, q in zip(starts, [*starts[1:], len(idx)]):
             self.read(data[p:q], self.first + int(idx[p]))
         norms_sq = self.norms_sq[idx]
         wide = norms_sq >= 2.0**126
