@@ -2,7 +2,6 @@
 norms and sums, and each image is read back only when selection gets to
 it.  Its results must equal those of the whole bundle in memory."""
 
-import contextlib
 import json
 import os
 import subprocess
@@ -30,7 +29,6 @@ from tokentrim import (
     TokenBundle,
     analyze,
     apply_selection,
-    build_token_matrix,
     io_formats,
     pipeline,
     prune,
