@@ -4,8 +4,8 @@ Every library error maps to a fixed nonzero exit code (see errors.py) and
 a one-line stderr diagnostic naming the stage that failed; argparse usage
 errors keep their conventional exit code 2.  ``prune`` and ``analyze``
 read their input in two passes (``io_formats._streamed``), so a request
-holds the first pass's norms and sums, the images being selected and the
-survivors, never the whole bundle.
+holds the first pass's norms and sums, at most one image per stage-1
+worker and the survivors, never the whole bundle.
 """
 
 from __future__ import annotations

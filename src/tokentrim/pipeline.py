@@ -93,36 +93,59 @@ def _stage1_workers(images: int, items: int):
 
 def _stage1(jobs: list[selection._Greedy], workers: int) -> list[list[int]]:
     """Each job's selection, on ``workers`` threads: the calling thread and
-    ``workers - 1`` started here.  Each thread takes the next work item
-    (i, t) from one shared iterator and reduces item t of job i, and the
-    thread that reduces a job's last item finishes that job (its seed
-    check and steps).  The last ``workers`` jobs of several items have
-    theirs dealt in turn, so that their finishes start together.  No item
-    is taken once one has failed, and the first failure by image index is
-    raised after every thread has been joined."""
+    ``workers - 1`` started here.  Each thread takes the first work item
+    (i, t) it may from one shared queue and reduces item t of job i, and
+    the thread that reduces a job's last item finishes that job (its seed
+    check and steps).  An image is open from its first taken item until
+    its finish returns, and an item of an image not yet open may be taken
+    only while fewer than ``workers`` images are open, so stage 1 holds at
+    most one image per worker.  A thread always finds an item while any
+    is queued: each open image with none queued is being reduced or
+    finished by one of the other ``workers - 1`` threads.
+
+    The last ``workers`` jobs of several items have theirs dealt in turn,
+    and when one of them has its last item reduced while another's are
+    still queued, its finish is queued behind them as item (i, None), so
+    that their finishes start together.  No item is taken once one has
+    failed, and the first failure by image index is raised after every
+    thread has been joined."""
     tail = [i for i, job in enumerate(jobs) if job.items > 1][-workers:]
     order = [(i, t) for i, job in enumerate(jobs) for t in range(job.items)]
     dealt = sorted((item for item in order if item[0] in tail), key=lambda it: it[1])
-    items = iter([item for item in order if item[0] not in tail] + dealt)
+    queue = [item for item in order if item[0] not in tail] + dealt
     left = [job.items for job in jobs]
+    opened: set[int] = set()
     results: list = [None] * len(jobs)
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
 
+    def take():
+        with lock:
+            if not errors:
+                room = len(opened) < workers
+                for n, (i, _) in enumerate(queue):
+                    if room or i in opened:
+                        opened.add(i)
+                        return queue.pop(n)
+        return None
+
     def work():
-        while True:
-            with lock:
-                item = None if errors else next(items, None)
-            if item is None:
-                return
+        while (item := take()) is not None:
             i, t = item
             try:
-                jobs[i].reduce(t)
+                if t is not None:
+                    jobs[i].reduce(t)
+                    with lock:
+                        left[i] -= 1
+                        last = not left[i]
+                        if last and i in tail and any(u is not None for _, u in queue):
+                            queue.append((i, None))  # behind the other tail tiles
+                            last = False
+                    if not last:
+                        continue
+                results[i] = jobs[i].finish()
                 with lock:
-                    left[i] -= 1
-                    last = not left[i]
-                if last:
-                    results[i] = jobs[i].finish()
+                    opened.discard(i)
             except BaseException as exc:
                 with lock:
                     errors.setdefault(i, exc)
@@ -135,7 +158,7 @@ def _stage1(jobs: list[selection._Greedy], workers: int) -> list[list[int]]:
         work()
     finally:
         with lock:
-            items = iter(())  # an interrupt stops the other workers too
+            queue.clear()  # an interrupt stops the other workers too
         for t in threads:
             t.join()
     if errors:
@@ -195,8 +218,8 @@ def prune(
 
     ``bundle`` may also be ``types._FileBundle``, whose rows stay in their
     file: each job then reads its image at its first item and drops it
-    when it finishes, so the rows in memory at once are the images in
-    flight and the survivors.
+    when it finishes, so the rows in memory at once are at most one image
+    per stage-1 worker (:func:`_stage1` opens no more) and the survivors.
 
     Stage 1 runs one :class:`selection._Greedy` job per image, made once
     the quotas are known, as work items: one per seed-filter tile for an

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -476,6 +477,43 @@ def split_config(n_images):
     )
 
 
+def open_images(monkeypatch, n_images, is_held):
+    """Count the stage-1 jobs that have loaded their rows and not yet
+    finished, and hold the finish of the job ``is_held`` picks until the
+    other ``n_images - 1`` have finished (60 s at most), so that the other
+    workers go through the rest of the bundle while it holds its rows.
+    Returns a list whose one entry is the largest count."""
+    lock, loaded, others_done = threading.Lock(), set(), threading.Event()
+    finished, peak = [0], [0]
+    real_load, real_finish = selection._Greedy.load, selection._Greedy.finish
+
+    def load(job):
+        with lock:
+            loaded.add(job)
+            peak[0] = max(peak[0], len(loaded))
+        return real_load(job)
+
+    def finish(job):
+        if is_held(job):
+            others_done.wait(timeout=60)
+        try:
+            return real_finish(job)
+        finally:
+            with lock:
+                loaded.discard(job)
+                finished[0] += 1
+                if finished[0] == n_images - 1:
+                    others_done.set()
+
+    monkeypatch.setattr(selection._Greedy, "load", load)
+    monkeypatch.setattr(selection._Greedy, "finish", finish)
+    return peak
+
+
+class Interrupted(BaseException):
+    """Stands in for KeyboardInterrupt."""
+
+
 class TestTiledStage1Pool:
     """Stage 1 also takes seed-filter tiles as work items: the 48 x 32 pool
     images, with small tiles, give 12 items each."""
@@ -535,6 +573,110 @@ class TestTiledStage1Pool:
         with pytest.raises(error) as err:
             prune(bundle, split_config(4))
         assert err.value is failures[1]
+        assert fake.calls == [1, 2]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("w, n_images", [(2, 4), (2, 5), (3, 6)])
+    def test_at_most_one_open_image_per_worker(self, monkeypatch, w, n_images):
+        """Image 0's finish is held until every other image has finished,
+        so the other workers go through the bundle while it is open: no
+        more than w images are loaded and unfinished at once, and the
+        result is one worker's."""
+        small_tiles(monkeypatch)
+        bundle, cfg = pool_bundle(n_images), split_config(n_images)
+        serial = prune(bundle, cfg)
+        fake = FakeBlas(w)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        peak = open_images(
+            monkeypatch, n_images, lambda job: job.tokens is bundle.images[0]
+        )
+        pooled = prune(bundle, cfg)
+        assert fake.calls == [1, w]
+        assert peak == [w]
+        assert pooled == serial
+
+    @pytest.mark.parametrize("method", ["reduce", "finish"])
+    def test_failure_while_every_slot_is_open(self, monkeypatch, method):
+        """Image 0's finish holds its rows until image 2 fails at its
+        sixth tile or its finish, then fails too: prune raises image 0's
+        failure, the lowest, with every worker joined and the BLAS count
+        restored."""
+        small_tiles(monkeypatch)
+        bundle = pool_bundle(n_images=4)
+        fake = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        failed = threading.Event()
+        held, failure = RuntimeError("image 0"), RuntimeError("image 2")
+        real = {m: getattr(selection._Greedy, m) for m in ("reduce", "finish")}
+
+        def fails(job, *args):
+            if job.tokens is bundle.images[2] and args in ((), (5,)):
+                failed.set()
+                raise failure
+            return real[method](job, *args)
+
+        def finish(job):
+            if job.tokens is bundle.images[0]:
+                assert failed.wait(timeout=60)
+                raise held
+            return fails(job) if method == "finish" else real["finish"](job)
+
+        monkeypatch.setattr(selection._Greedy, method, fails)
+        monkeypatch.setattr(selection._Greedy, "finish", finish)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            prune(bundle, split_config(4))
+        assert err.value is held
+        assert fake.calls == [1, 2]
+        assert threading.active_count() == before
+
+    def test_interrupt_in_the_calling_thread_stops_the_pool(self, monkeypatch):
+        """An interrupt that reaches the calling thread between items (here
+        at its first take) empties the queue: the other worker takes
+        nothing once its item is done, is joined, and the BLAS count is
+        restored."""
+        small_tiles(monkeypatch)
+        bundle, cfg = pool_bundle(n_images=4), split_config(4)
+        fake = FakeBlas(2)
+        monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+        emptied = threading.Event()
+        caller = threading.current_thread()
+
+        class Lock:
+            """_stage1's lock: the caller's first entry raises Interrupted,
+            and its next (the queue being emptied) sets ``emptied``."""
+
+            def __init__(self):
+                self.lock, self.entries = threading.Lock(), 0
+
+            def __enter__(self):
+                if threading.current_thread() is caller:
+                    self.entries += 1
+                    if self.entries == 1:
+                        raise Interrupted
+                self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+                if threading.current_thread() is caller:
+                    emptied.set()
+
+        monkeypatch.setattr(
+            pipeline, "threading", SimpleNamespace(Lock=Lock, Thread=threading.Thread)
+        )
+        reduced = []
+        real = selection._Greedy.reduce
+
+        def reduce(job, t):
+            reduced.append(t)
+            assert emptied.wait(timeout=60)
+            return real(job, t)
+
+        monkeypatch.setattr(selection._Greedy, "reduce", reduce)
+        before = threading.active_count()
+        with pytest.raises(Interrupted):
+            prune(bundle, cfg)
+        assert len(reduced) <= 1
         assert fake.calls == [1, 2]
         assert threading.active_count() == before
 

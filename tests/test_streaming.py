@@ -20,6 +20,7 @@ import tokentrim
 from test_pipeline import (
     FakeBlas,
     count_thread_starts,
+    open_images,
     pool_bundle,
     small_tiles,
     split_config,
@@ -33,6 +34,7 @@ from tokentrim import (
     pipeline,
     prune,
     read_bundle,
+    selection,
     types,
     write_bundle,
 )
@@ -267,6 +269,33 @@ def test_pruning_128_frames_holds_a_few_frames_and_the_survivors(tmp_path):
         tracemalloc.stop()
     assert peak < io_formats._RING + 8 * frame + 2 * survivors
     assert peak < os.path.getsize(src) / 8
+
+
+def test_pooled_prune_holds_one_tiled_image_per_worker(tmp_path, monkeypatch):
+    """Six 2048 x 512 images (4 MiB, 11 seed-filter tiles each) pruned by
+    the command line on two workers, with image 0's finish held until the
+    others have finished: the tracemalloc peak stays below the first
+    pass's ring, two images, the survivors and two tiles' buffers."""
+    rows, dim, n = 2048, 512, 6
+    src = write_rows(tmp_path / "t.ttb", [rows] * n, 16, dim)
+    monkeypatch.setattr(io_formats, "_RING", 1 << 20)
+    fake = FakeBlas(2)
+    monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
+    images = open_images(
+        monkeypatch, n, lambda job: getattr(job.tokens, "first", None) == 0
+    )
+    tracemalloc.start()
+    try:
+        cli("prune", "--input", src, "--output", tmp_path / "r.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    image = 4 * rows * dim
+    tile = 4 * selection._TILE_ROWS * selection._TILE_COLS
+    survivors = 4 * PruneConfig().m_max * dim
+    assert peak < io_formats._RING + 2 * image + survivors + 2 * tile
+    assert images == [2]
+    assert fake.calls == [1, 2]
 
 
 # Caps the address space at what the process maps once tokentrim is
