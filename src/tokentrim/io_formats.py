@@ -9,12 +9,15 @@ with all rows stored row-major as 32-bit floats, images first (in order),
 then text.  Reports and selections are serialized as JSON with a fixed key
 order so documents diff cleanly.
 
-A file is read in one of two ways, by one reader (:class:`_PayloadReader`)
-whose thread fills a buffer while the calling thread widens the rows
-(``types._widen``).  :func:`read_bundle` fills one payload-sized buffer
-that the bundle's rows then share.  The command line's :func:`_streamed`
-reads through a small ring and keeps only the norms and sums; each later
-``gather`` of its bundle's rows reads them back with ``os.preadv``.
+This module owns every read of a TTB1 file.  One routine,
+:func:`_first_pass`, opens the file, checks its header and reads its
+payload once: a reader thread (:class:`_PayloadReader`) fills a buffer
+while the calling thread widens the rows (``types._widen``).
+:func:`read_bundle` reads into one payload-sized buffer that the
+bundle's rows then share.  The command line's :func:`_streamed` reads
+through a small ring and keeps only the norms and sums: its bundle's
+rows stay in the file (:class:`_FileRows`), and each ``gather`` reads
+them back with ``os.preadv`` and checks that the file has not changed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import stat
 import struct
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,12 +53,12 @@ from .types import (
     ResolvedBudgets,
     Selection,
     TokenBundle,
+    TokenMatrix,
+    _BUILT,
     _MAX_DIM,
-    _FileRows,
     _bundle,
     _chunk_rows,
     _ends,
-    _file_bundle,
     _instance,
     _integer,
     _ints,
@@ -64,6 +67,7 @@ from .types import (
     _selection_fields,
     _token_counts,
     _widen,
+    _with_sums,
 )
 
 MAGIC = b"TTB1"
@@ -130,83 +134,83 @@ def _open(path):
 def read_bundle(path) -> TokenBundle:
     """Load a TTB1 bundle, validating magic, version and exact payload size.
 
-    The header and the image counts are checked against the file's size
-    before the payload is allocated, and a payload this machine cannot
-    allocate (a sparse file's size costs no disk) raises OutOfMemory.
-    The payload is then read once, into a buffer that only the returned
-    bundle's rows hold, by a :class:`_PayloadReader`'s thread, while this
-    thread widens each chunk of rows (``types._widen``) as soon as its
-    bytes have arrived.  The reader is joined on every path before the
-    file is closed.  A ``path`` that is not a str, bytes or os.PathLike,
-    or that names no regular file (a FIFO or a directory, say), raises
-    IoFailure, as does any OS error; a file that ends early, or runs past
-    the declared payload, raises TruncatedFile, also when it changes size
-    while being read.  Those read errors win over a bad row found
-    meanwhile (NonFiniteRow, ZeroNormRow), as a read done first would
-    have raised them first.
+    The file is read once by :func:`_first_pass`, into a buffer of the
+    whole payload that only the returned bundle's rows hold.  A payload
+    this machine cannot allocate (a sparse file's size costs no disk)
+    raises OutOfMemory.  A ``path`` that is not a str, bytes or
+    os.PathLike, or that names no regular file (a FIFO or a directory,
+    say), raises IoFailure, as does any OS error; a file that ends early,
+    or runs past the declared payload, raises TruncatedFile, also when it
+    changes size while being read.  Those read errors win over a bad row
+    found meanwhile (NonFiniteRow, ZeroNormRow), as a read done first
+    would have raised them first.
     """
-    _instance("path", path, _PATH_TYPES, IoFailure)
-    try:
-        fh, info = _open(path)
-        with fh:
-            head = _read_head(fh, info.st_size)
-            with _allocating(f"the {head.nbytes}-byte payload"):
-                payload = np.empty(head.nbytes, dtype=np.uint8)
-            with _PayloadReader(fh, payload, head.shape) as reader:
-                values = payload.view("<f4").reshape(head.shape)
-                if not values.dtype.isnative:
-                    # A big-endian host converts the rows before widening
-                    # them, so it needs them all first.
-                    values = reader[0 : head.shape[0]].astype(np.float32)
-                    reader = None
-                return _bundle(values, head.counts, reader)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
-        raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+    fh, _, head, payload, norms_sq, sums = _first_pass(path, None)
+    fh.close()
+    # A big-endian host converts the rows after their pass: a copy.
+    values = payload.view("<f4").reshape(head.shape).astype(np.float32, copy=False)
+    return _bundle(values, head.counts, (norms_sq, sums))
 
 
 @contextlib.contextmanager
 def _streamed(path):
     """Yield the bundle of the TTB1 file at ``path`` as a
-    ``types._FileBundle``, open while the block runs: its rows stay in the
+    :class:`_FileBundle`, open while the block runs: its rows stay in the
     file, which is read in two passes.
 
-    Pass 1 is :func:`read_bundle`'s read and widening, with every check of
-    the header, the size and the rows, but through a ring of _RING bytes
-    that the reader thread refills as the widening moves on, so it keeps
-    only the norms and the sums; it raises as read_bundle does, except
-    that a bad row stops the read at once and is raised unless a read
-    error came first.  Pass 2 is every later ``gather`` of the bundle's
-    rows: one ``os.preadv`` per run of consecutive rows, from any thread.
-    A short read raises TruncatedFile, and FileChanged is raised when,
-    after the read, the file's size or ``st_mtime_ns`` (``os.fstat``) or
-    the inode that ``path`` names differs from what pass 1 opened, or a
-    row's norm from what pass 1 found (``types._FileRows.gather``).
-    Not detected: a change that restores the modification time and
-    keeps the size and every re-read row's norm within its float32 bound,
-    such as a row's entries permuted or their signs flipped.  Such rows
-    are then selected with pass 1's norms and sums.
+    Pass 1 is :func:`read_bundle`'s, with every check of the header, the
+    size and the rows, but through a ring of _RING bytes that the reader
+    thread refills as the widening moves on, so it keeps only the norms
+    and the sums; it raises as read_bundle does, except that a bad row
+    stops the read at once and is raised unless a read error came first.
+    Pass 2 is every later ``gather`` of the bundle's rows
+    (:meth:`_FileRows.gather`), which raises TruncatedFile, FileChanged
+    or IoFailure when the file changed after pass 1.
+    """
+    fh, info, head, ring, norms_sq, sums = _first_pass(path, _RING)
+    del ring  # so that no pass-1 buffer lives into stage 1
+    with fh:
+        dim = head.shape[1]
+        rows = _FileRows(fh.fileno(), path, info, head.start, 0, norms_sq, dim)
+        yield _with_sums(_FileBundle(rows, head.counts), sums)
+
+
+def _first_pass(path, ring: int | None):
+    """Open the TTB1 file at ``path`` and read it once.
+
+    The header and the image counts are read and checked against the
+    file's size before anything else is allocated.  Then a
+    :class:`_PayloadReader`'s thread reads the payload into a buffer of
+    the whole payload or, given ``ring``, of about that many bytes (at
+    least two chunks of the widening, never more than the payload) that
+    it refills as rows are used, while this thread widens each chunk of
+    rows (``types._widen``) as soon as its bytes have arrived.  The
+    reader is joined on every path, and the file closed on every failure.
+    Returns the file, still open, its ``os.fstat``, its :class:`_Head`,
+    the buffer, and the rows' norms and each segment's sums.  The errors
+    are read_bundle's.
     """
     _instance("path", path, _PATH_TYPES, IoFailure)
     try:
         fh, info = _open(path)
-    except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
-    with fh:
         try:
             head = _read_head(fh, info.st_size)
             rows, dim = head.shape
-            ring_rows = max(_RING // (4 * dim), 2 * _chunk_rows(rows, dim))
-            ring = 4 * dim * min(rows, ring_rows)
-            with _allocating(f"the {ring}-byte read buffer"):
-                buffer = np.empty(ring, dtype=np.uint8)
+            nbytes, noun = head.nbytes, "payload"
+            if ring is not None:
+                ring_rows = max(ring // (4 * dim), 2 * _chunk_rows(rows, dim))
+                nbytes, noun = 4 * dim * min(rows, ring_rows), "read buffer"
+            with _allocating(f"the {nbytes}-byte {noun}"):
+                buffer = np.empty(nbytes, dtype=np.uint8)
             with _allocating(f"the norms and sums of {rows} rows"):
                 with _PayloadReader(fh, buffer, head.shape) as reader:
                     norms_sq, sums = _widen(reader, _ends(head.counts, rows))
-            del buffer, reader  # so that no pass-1 buffer lives into stage 1
-        except (OSError, ValueError) as exc:
-            raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
-        read = _row_reader(fh.fileno(), path, info, head)
-        yield _file_bundle(_FileRows(read, 0, norms_sq, dim), head.counts, sums)
+        except BaseException:
+            fh.close()
+            raise
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in path
+        raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
+    return fh, info, head, buffer, norms_sq, sums
 
 
 @dataclass(frozen=True)
@@ -252,29 +256,126 @@ def _read_head(fh, size: int) -> _Head:
     return _Head(_token_counts(counts), (n_rows, dim), start)
 
 
-def _row_reader(fd: int, path, info: os.stat_result, head: _Head):
-    """``types._FileRows``'s ``read(out, row)`` for the payload of the
-    TTB1 file open as ``fd`` (see :func:`_streamed`)."""
-    row_bytes = 4 * head.shape[1]
-    stamp = (info.st_size, info.st_mtime_ns)
+@dataclass(frozen=True, eq=False)
+class _FileRows:
+    """Consecutive rows of the payload of a TTB1 file open as ``fd``, from
+    global row ``first`` on, with what :func:`_first_pass` kept of them:
+    ``norms_sq`` and, for an image or the text, ``sums``.  ``info`` is
+    the pass's ``os.fstat`` of the file at ``path``, and ``start`` the
+    payload's byte offset.
 
-    def read(out: np.ndarray, row: int) -> None:
-        view = memoryview(out).cast("B")
+    It stands in for a TokenMatrix wherever only those are read (``rows``,
+    ``dim``, :meth:`row_sums`); :meth:`gather` is the one way to its
+    rows, as :meth:`TokenMatrix.gather` is a matrix's: it reads them back.
+    """
+
+    fd: int
+    path: object
+    info: os.stat_result
+    start: int
+    first: int
+    norms_sq: np.ndarray
+    dim: int
+    sums: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def rows(self) -> int:
+        return len(self.norms_sq)
+
+    def row_sums(self) -> np.ndarray:
+        return self.sums
+
+    def part(self, lo: int, hi: int) -> "_FileRows":
+        """Rows lo .. hi - 1 of these, still in the file."""
+        return replace(
+            self, first=self.first + lo, norms_sq=self.norms_sq[lo:hi], sums=None
+        )
+
+    def gather(self, indices) -> TokenMatrix:
+        """The given rows in order (a slice or a sequence of indices), read
+        from the file with the first pass's norms: one ``os.preadv`` per
+        run of consecutive rows, from any thread.
+
+        A short read raises TruncatedFile, and FileChanged is raised when,
+        after the reads, the file's size or ``st_mtime_ns`` (``os.fstat``)
+        or the inode that ``path`` names differs from what the first pass
+        opened; that check is made once, as if after the first run, so a
+        first run that comes up short raises TruncatedFile.  An OS error
+        raises IoFailure.  Then a row whose float32 squared norm is not
+        within the float32 bound of the first pass's norm raises
+        FileChanged: |fl32(d.d) - d.d| <= gamma_dim(2**-24) d.d for d.d >=
+        0, plus dim 2**-149 for gradual underflow, and 1% slack covers the
+        float64 norm's own rounding.  Rows of norm 2**63 or more, whose
+        float32 sum could overflow, are summed in float64 instead.
+        Not detected: a change that restores the modification time and
+        keeps the size and every re-read row's norm within that bound,
+        such as a row's entries permuted or their signs flipped.  Such
+        rows are then selected with the first pass's norms and sums.
+        """
+        if isinstance(indices, slice):
+            idx = np.arange(*indices.indices(self.rows))
+        else:
+            idx = np.asarray(indices, dtype=np.int64)
+        data = np.empty((len(idx), self.dim), dtype=np.float32)
+        starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1).tolist()
+        short, stale = None, False
         try:
-            got = _pread(fd, view, head.start + row_bytes * row)
-            now = os.fstat(fd)
-            same = (now.st_size, now.st_mtime_ns) == stamp
-            same = same and os.stat(path).st_ino == info.st_ino
+            for p, q in zip(starts, [*starts[1:], len(idx)]):
+                row = self.first + int(idx[p])
+                view = memoryview(data[p:q]).cast("B")
+                if _pread(self.fd, view, self.start + 4 * self.dim * row) < len(view):
+                    short = row
+                    break
+            # p > 0: the run that came up short was not the first.
+            if starts and (short is None or p > 0):
+                now, was = os.fstat(self.fd), self.info
+                stale = (now.st_size, now.st_mtime_ns) != (
+                    was.st_size, was.st_mtime_ns
+                ) or os.stat(self.path).st_ino != was.st_ino
         except (OSError, ValueError) as exc:
-            raise IoFailure(f"cannot read bundle from {path}: {exc}") from exc
-        if got < len(view):
-            raise TruncatedFile(f"file shrank after its first pass, at row {row}")
-        if not same:
-            raise FileChanged(f"{path} changed after its first pass")
+            raise IoFailure(f"cannot read bundle from {self.path}: {exc}") from exc
+        if stale:
+            raise FileChanged(f"{self.path} changed after its first pass")
+        if short is not None:
+            raise TruncatedFile(f"file shrank after its first pass, at row {short}")
         if sys.byteorder == "big":
-            out.byteswap(inplace=True)
+            data.byteswap(inplace=True)
+        norms_sq = self.norms_sq[idx]
+        wide = norms_sq >= 2.0**126
+        with np.errstate(over="ignore"):
+            # One dot product per row; a stacked matmul lets other
+            # threads run while it does.
+            got = np.matmul(data[:, None], data[:, :, None]).ravel().astype(np.float64)
+        if wide.any():
+            rows = data[wide].astype(np.float64)
+            got[wide] = np.einsum("ij,ij->i", rows, rows)
+        u = self.dim * 2.0**-24
+        gamma = u / (1 - u) if u < 1 else np.inf
+        bound = 1.01 * (gamma * norms_sq + self.dim * 2.0**-149)
+        changed = np.flatnonzero(~(np.abs(got - norms_sq) <= bound))
+        if len(changed):
+            row = self.first + int(idx[changed[0]])
+            raise FileChanged(f"row {row} no longer has the norm the first pass read")
+        return TokenMatrix(data, norms_sq, _token=_BUILT)
 
-    return read
+    def unit64(self) -> np.ndarray:
+        """As :meth:`TokenMatrix.unit64`, of the rows read back."""
+        return self.gather(slice(None)).unit64()
+
+
+@dataclass(frozen=True, eq=False)
+class _FileBundle(TokenBundle):
+    """A TokenBundle whose rows stay in their TTB1 file: ``rows`` and its
+    views ``images`` and ``text`` are :class:`_FileRows`, with the first
+    pass's norms and sums.  What the pipeline reads of a bundle other than
+    those, it reads through their ``gather``, so ``analyze``, ``prune``
+    and ``apply_selection`` run on it unchanged and read back only the
+    rows they use.  Made by :func:`_streamed` for the command line, and
+    valid while its file is open; no other code sees one.
+    """
+
+    def __post_init__(self):
+        self._split(self.rows.part)
 
 
 def _pread(fd: int, view: memoryview, offset: int) -> int:

@@ -8,11 +8,13 @@ bundle.
 
 The signals and budgets read only each image's norms and sums.  Rows are
 read through one accessor, ``gather``: a view of an in-memory bundle's, a
-read of a bundle whose rows stay in their file (``types._FileBundle``,
-the command line's).  Each stage-1 job takes its image's rows at its
-first work item and keeps only the rows it picks; stage 2, scoring and
-Pareto run on those survivors, and ``apply_selection`` gathers the kept
-rows by their global index.  The same body runs on both kinds of bundle.
+read of a bundle whose rows stay in their file (``io_formats._FileBundle``,
+the command line's).  This module reads no file itself: ``io_formats``
+owns the file, its reads and their checks.  Each stage-1 job takes its
+image's rows at its first work item and keeps only the rows it picks;
+stage 2, scoring and Pareto run on those survivors, and
+``apply_selection`` gathers the kept rows by their global index.  The
+same body runs on both kinds of bundle.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def prune(
     Returns the redundancy report and a Selection whose indices, scores and
     stage sizes all reference the original bundle.
 
-    ``bundle`` may also be ``types._FileBundle``, whose rows stay in their
+    ``bundle`` may also be ``io_formats._FileBundle``, whose rows stay in their
     file: each job then reads its image at its first item and drops it
     when it finishes, so the rows in memory at once are at most one image
     per stage-1 worker (:func:`_stage1` opens no more) and the survivors.

@@ -367,7 +367,7 @@ class _Greedy:
     more than _MAX_CANDIDATES pairs near its own minimum, the image goes
     to the float64 computation and the tiles left are not computed.
 
-    ``tokens`` is the image: a TokenMatrix, or ``types._FileRows`` whose
+    ``tokens`` is the image: a TokenMatrix, or ``io_formats._FileRows`` whose
     rows stay in their file; the job needs only its ``rows``, ``dim`` and
     ``norms_sq`` until the first item that reads a row takes them all
     through its ``gather``, once (a view of a matrix's rows, a read of a
@@ -556,12 +556,13 @@ def _rank_sum_order(front: list[ParetoPoint]) -> list[int]:
     """Front indices ordered by rank-sum, ties by original index.
 
     Ranks are 1-based competition ranks per objective, descending (rank 1 =
-    best); a point's rank is 1 plus the count of strictly better points.
+    best); a point's rank is 1 plus the count of strictly better points,
+    the points after the last of its value's copies in sorted order.
     """
     v = np.array([p.v for p in front])
     a = np.array([p.a for p in front])
-    rank_v = 1 + (v[None, :] > v[:, None]).sum(axis=1)
-    rank_a = 1 + (a[None, :] > a[:, None]).sum(axis=1)
+    rank_v = 1 + len(v) - np.searchsorted(np.sort(v), v, side="right")
+    rank_a = 1 + len(a) - np.searchsorted(np.sort(a), a, side="right")
     total = rank_v + rank_a
     order = sorted(range(len(front)), key=lambda i: (total[i], front[i].index))
     return [front[i].index for i in order]

@@ -7,12 +7,10 @@ image and for the text, the 64-bit sum of its unit rows and of its raw
 rows: the ``sums`` that the image's or text's own matrix keeps, the
 aggregates the redundancy signals read.  That pass and the
 per-token scores walk the rows in the same chunks (``_chunks``), the
-one place that widens stored rows.  A bundle read from a file runs that
-pass over the rows a reader thread delivers, each chunk as soon as its
-bytes have arrived (see ``io_formats``).  The command line keeps no more
-of a file than that pass yields: a :class:`_FileBundle` holds the norms,
-the sums and the file, and reads an image's rows back (:class:`_FileRows`)
-only when selection gets to it.  Greedy selection scores
+one place that widens stored rows.  This module reads no file:
+``io_formats`` runs that pass over a TTB1 file's rows as they arrive
+and owns every read of a file, the command line's bundles whose rows
+stay in their file included.  Greedy selection scores
 the stored rows, scaled by a 32-bit reciprocal norm per row (keeping their
 whole scaled gram when an image has no more rows than dims), and
 certifies its choices in 64-bit (see ``selection``); every other
@@ -31,7 +29,6 @@ import itertools
 import math
 import numbers
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +36,6 @@ from .errors import (
     BadConfig,
     DimMismatch,
     EmptyText,
-    FileChanged,
     NonFiniteRow,
     SelectionMismatch,
     ShapeMismatch,
@@ -56,7 +52,7 @@ _WIDEN_VALUES = 32 * 1024
 _CHECK_VALUES = 8 * _WIDEN_VALUES
 # The largest dim: what a TTB1 header can store.
 _MAX_DIM = 2**32 - 1
-# Passed by this module's own TokenMatrix constructions only.
+# Passed by the package's own TokenMatrix constructions only.
 _BUILT = object()
 
 
@@ -223,8 +219,8 @@ def _widen(data, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     (unit-row sum, raw-row sum), shape (segments, 2, dim), from one
     widening of every row.
 
-    ``data`` is a 2-D float32 array, or rows still being read
-    (``io_formats._PayloadReader``): anything with a ``shape`` whose
+    ``data`` is a 2-D float32 array of either byte order, or rows still
+    being read (``io_formats._PayloadReader``): anything with a ``shape`` whose
     slices ``data[a:b]``, taken in ascending order, are those rows.
     Segment s holds the rows from ``ends[s - 1]`` (0 for the first) to
     ``ends[s]``; ``ends`` must not decrease and must end at the row count.
@@ -393,25 +389,24 @@ def _ends(counts: tuple[int, ...], rows: int) -> tuple[int, ...]:
     return (*itertools.accumulate(counts), rows)
 
 
-def _bundle(data: np.ndarray, counts: tuple[int, ...], source=None) -> TokenBundle:
+def _bundle(data: np.ndarray, counts: tuple[int, ...], widened=None) -> TokenBundle:
     """A TokenBundle over ``data``, a 2-D float32 buffer that the package
     made and holds alone (a copy, a file just read, a concatenation),
     shared as it is, with images of the ``counts``, already checked, then
-    the remaining (text) rows.  One :func:`_widen` over those segments of
-    ``source`` (``data`` itself, or the reader still filling its buffer)
-    gives the norms and each view's ``sums``."""
-    rows = data if source is None else source
-    norms_sq, sums = _widen(rows, _ends(counts, len(data)))
+    the remaining (text) rows.  Its norms and each view's ``sums`` are
+    ``widened``, the (norms_sq, sums) of a :func:`_widen` over those
+    segments that a read already ran, or of one run here."""
+    norms_sq, sums = widened or _widen(data, _ends(counts, len(data)))
     bundle = TokenBundle(TokenMatrix(data, norms_sq, _token=_BUILT), counts)
-    _set_sums(bundle, sums)
-    return bundle
+    return _with_sums(bundle, sums)
 
 
-def _set_sums(bundle: TokenBundle, sums: np.ndarray) -> None:
-    """Give each view of a freshly built bundle its segment's ``sums``."""
+def _with_sums(bundle: TokenBundle, sums: np.ndarray) -> TokenBundle:
+    """``bundle``, freshly built, with each view given its segment's ``sums``."""
     sums.setflags(write=False)
     for view, own in zip((*bundle.images, bundle.text), sums):
         object.__setattr__(view, "sums", own)
+    return bundle
 
 
 def _stacked(parts) -> TokenMatrix:
@@ -419,101 +414,6 @@ def _stacked(parts) -> TokenMatrix:
     matrix; nothing is recomputed."""
     data = np.concatenate([m.data for m in parts])
     return TokenMatrix(data, np.concatenate([m.norms_sq for m in parts]), _token=_BUILT)
-
-
-@dataclass(frozen=True, eq=False)
-class _FileRows:
-    """Consecutive rows of a TTB1 payload that stay in their file, from
-    global row ``first`` on, with what the first pass (:func:`_widen`)
-    kept of them: ``norms_sq`` and, for an image or the text, ``sums``.
-
-    It stands in for a TokenMatrix wherever only those are read (``rows``,
-    ``dim``, :meth:`row_sums`); :meth:`gather` is the one way to its
-    rows, as :meth:`TokenMatrix.gather` is a matrix's: it reads them back.
-    ``read(out, row)`` fills the float32 array ``out`` with the payload's
-    rows from global row ``row`` on; it raises TruncatedFile,
-    FileChanged or IoFailure when it cannot (see ``io_formats``).
-    """
-
-    read: Callable[[np.ndarray, int], None]
-    first: int
-    norms_sq: np.ndarray
-    dim: int
-    sums: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def rows(self) -> int:
-        return len(self.norms_sq)
-
-    def row_sums(self) -> np.ndarray:
-        return self.sums
-
-    def part(self, lo: int, hi: int) -> "_FileRows":
-        """Rows lo .. hi - 1 of these, still in the file."""
-        return _FileRows(self.read, self.first + lo, self.norms_sq[lo:hi], self.dim)
-
-    def gather(self, indices) -> TokenMatrix:
-        """The given rows in order (a slice or a sequence of indices), read
-        from the file in runs of consecutive rows, with the first pass's
-        norms.  A row whose float32 squared norm is not within the float32
-        bound of that norm raises FileChanged: |fl32(d.d) - d.d| <=
-        gamma_dim(2**-24) d.d for d.d >= 0, plus dim 2**-149 for gradual
-        underflow, and 1% slack covers the float64 norm's own rounding.
-        Rows of norm 2**63 or more, whose float32 sum could overflow, are
-        summed in float64 instead.  A change that keeps every row's norm
-        within that bound is not detected here."""
-        if isinstance(indices, slice):
-            idx = np.arange(*indices.indices(self.rows))
-        else:
-            idx = np.asarray(indices, dtype=np.int64)
-        data = np.empty((len(idx), self.dim), dtype=np.float32)
-        starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1).tolist()
-        for p, q in zip(starts, [*starts[1:], len(idx)]):
-            self.read(data[p:q], self.first + int(idx[p]))
-        norms_sq = self.norms_sq[idx]
-        wide = norms_sq >= 2.0**126
-        with np.errstate(over="ignore"):
-            # One dot product per row; a stacked matmul lets other
-            # threads run while it does.
-            got = np.matmul(data[:, None], data[:, :, None]).ravel().astype(np.float64)
-        if wide.any():
-            rows = data[wide].astype(np.float64)
-            got[wide] = np.einsum("ij,ij->i", rows, rows)
-        u = self.dim * 2.0**-24
-        gamma = u / (1 - u) if u < 1 else np.inf
-        bound = 1.01 * (gamma * norms_sq + self.dim * 2.0**-149)
-        changed = np.flatnonzero(~(np.abs(got - norms_sq) <= bound))
-        if len(changed):
-            row = self.first + int(idx[changed[0]])
-            raise FileChanged(f"row {row} no longer has the norm the first pass read")
-        return TokenMatrix(data, norms_sq, _token=_BUILT)
-
-    def unit64(self) -> np.ndarray:
-        """As :meth:`TokenMatrix.unit64`, of the rows read back."""
-        return self.gather(slice(None)).unit64()
-
-
-@dataclass(frozen=True, eq=False)
-class _FileBundle(TokenBundle):
-    """A TokenBundle whose rows stay in their TTB1 file: ``rows`` and its
-    views ``images`` and ``text`` are :class:`_FileRows`, with the first
-    pass's norms and sums.  What the pipeline reads of a bundle other than
-    those, it reads through their ``gather``, so ``analyze``, ``prune``
-    and ``apply_selection`` run on it unchanged and read back only the
-    rows they use.  Made by ``io_formats`` for the command line, and
-    valid while its file is open; no other code sees one.
-    """
-
-    def __post_init__(self):
-        self._split(self.rows.part)
-
-
-def _file_bundle(rows: _FileRows, counts: tuple[int, ...], sums) -> _FileBundle:
-    """A :class:`_FileBundle` over ``rows`` with images of the ``counts``,
-    already checked, and each view's ``sums`` from the first pass."""
-    bundle = _FileBundle(rows, counts)
-    _set_sums(bundle, sums)
-    return bundle
 
 
 def make_bundle(images, text: TokenMatrix) -> TokenBundle:

@@ -12,6 +12,7 @@ from tokentrim import (
     analyze,
     build_token_matrix,
     generate_synthetic,
+    io_formats,
     make_bundle,
     read_bundle,
     types,
@@ -492,6 +493,7 @@ class TestWideningOnce:
             return real(data, ends, *ready)
 
         monkeypatch.setattr(types, "_widen", spy)
+        monkeypatch.setattr(io_formats, "_widen", spy)
         return calls
 
     def test_one_pass_per_build_and_none_in_the_signals(self, tmp_path, monkeypatch):

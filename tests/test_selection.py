@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokentrim import build_token_matrix, selection
 from tokentrim.bench import greedy_objective_value, pareto_front_naive
@@ -1087,6 +1089,31 @@ class TestParetoFront:
                     assert not any(is_dominated(p, q) for q in pts)
                 elif p.index in rep_indices:
                     assert any(is_dominated(p, by_index[f]) for f in front)
+
+
+def rank_sum_order_quadratic(front):
+    """``selection._rank_sum_order`` by its definition: each point's rank
+    per objective is 1 plus the count of strictly better points, counted
+    over an F x F comparison matrix."""
+    v = np.array([p.v for p in front])
+    a = np.array([p.a for p in front])
+    rank_v = 1 + (v[None, :] > v[:, None]).sum(axis=1)
+    rank_a = 1 + (a[None, :] > a[:, None]).sum(axis=1)
+    total = rank_v + rank_a
+    order = sorted(range(len(front)), key=lambda i: (total[i], front[i].index))
+    return [front[i].index for i in order]
+
+
+# Few distinct values, -0.0 and 0.0 among them, so most draws hold ties.
+TIED = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]) | st.floats(-4, 4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(TIED, TIED), min_size=1, max_size=60), st.randoms())
+def test_rank_sum_order_matches_the_comparison_matrix(values, rnd):
+    indices = rnd.sample(range(1000), len(values))
+    front = [ParetoPoint(i, v, a) for i, (v, a) in zip(indices, values)]
+    assert selection._rank_sum_order(front) == rank_sum_order_quadratic(front)
 
 
 class TestParetoBudgeted:

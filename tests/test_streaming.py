@@ -201,13 +201,13 @@ def test_stress_pooled_reads_on_more_workers_than_cores(tmp_path, monkeypatch):
     fake = FakeBlas(4)
     monkeypatch.setattr(pipeline, "_BLAS", (fake.get, fake.set))
     reads = []
-    real = types._FileRows.gather
+    real = io_formats._FileRows.gather
 
     def counting(rows, indices):
         reads.append(rows.first)
         return real(rows, indices)
 
-    monkeypatch.setattr(types._FileRows, "gather", counting)
+    monkeypatch.setattr(io_formats._FileRows, "gather", counting)
     results = []
     with io_formats._streamed(tmp_path / "pool.ttb") as streamed:
         hosts = [

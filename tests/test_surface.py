@@ -128,3 +128,12 @@ def test_readme_exit_code_table_matches_the_code():
         for code, name in re.findall(r"\| (\d+) \| (\w+) ", table)
     }
     assert documented == {code: cls.__name__ for cls, code in EXIT_CODES.items()}
+
+
+def test_only_io_formats_reads_a_file_back():
+    """Only ``io_formats`` reads a file's rows back (``os.preadv``) or
+    decides that the file changed after its first pass (``FileChanged``)."""
+    package = Path(tokentrim.__file__).resolve().parent
+    for call in ("os.preadv(", "raise FileChanged("):
+        users = sorted(p.name for p in package.rglob("*.py") if call in p.read_text())
+        assert users == ["io_formats.py"], call
